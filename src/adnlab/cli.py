@@ -171,6 +171,10 @@ def _cmd_boundary2d(run: _Run, args):
     else:
         grid = [float(g) for g in cfg["grid"]]
         param2 = str(cfg["param2"])
+    if param2 == param1:
+        raise ScenarioError(f"boundary2d sweeps {param2!r} against itself; "
+                            "the sweep and continuation parameters must "
+                            "differ")
     boundary = trace_boundary_2d(sys, param1, param2, grid, settings,
                                  params=p)
     run.csv("boundary.csv", (param2, param1 + "_star", "kind"),

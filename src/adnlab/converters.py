@@ -15,22 +15,16 @@ taxonomy, not to be a complete voltage-source converter.
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateVoltageError
 from .limits import SmoothLimiter, anti_windup_rate, sat_vector
 from .val import ValGains
 
 __all__ = [
     "V_FLOOR",
     "GflConverter",
-    "GflState",
     "GfmDroop",
     "pll_project",
-    "pll_residual",
-    "current_reference",
     "gfl_rates",
-    "gfl_residual",
     "gfm_rates",
-    "gfm_droop_residual",
 ]
 
 V_FLOOR = 0.01
@@ -64,6 +58,8 @@ class GflConverter:
             raise ValueError("filter inductance must be positive")
         if self.i_max <= 0.0:
             raise ValueError("rated current must be positive")
+        if not self.limiter_k >= 1.0:
+            raise ValueError("limiter sharpness must be >= 1")
         for g in (self.kp_cc, self.ki_cc, self.kp_pll, self.ki_pll, self.k_aw):
             if g < 0.0:
                 raise ValueError("controller gains must be non-negative")
@@ -71,23 +67,6 @@ class GflConverter:
             raise ValueError("measurement time constant must be non-negative")
         if self.val_mode not in ("off", "qval", "dval"):
             raise ValueError(f"unknown VAL mode {self.val_mode!r}")
-
-    @property
-    def limiter(self) -> SmoothLimiter:
-        return SmoothLimiter(limit=self.i_max, k=self.limiter_k)
-
-
-@dataclass
-class GflState:
-    """Converter states: PLL angle/integrator, filter current (PLL frame)
-    and current-controller integrators."""
-
-    theta: float = 0.0
-    eps: float = 0.0
-    i_d: float = 0.0
-    i_q: float = 0.0
-    xi_d: float = 0.0
-    xi_q: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -121,18 +100,9 @@ def pll_project(vd: float, vq: float, theta: float):
     return vd * c + vq * s, -vd * s + vq * c
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi] for reporting."""
-    wrapped = math.fmod(theta + math.pi, 2.0 * math.pi)
-    if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
-
-
 def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
               vm_d, vm_q, corr_d, corr_q, p_ref, q0, kq, v_ref, kp_pll,
-              ki_pll, kp_cc, ki_cc, k_aw, i_max, limiter_k, l_f, r_f,
-              strict_voltage=False, conv_id=""):
+              ki_pll, kp_cc, ki_cc, k_aw, i_max, limiter_k, l_f, r_f):
     """All GFL residuals and outputs for one evaluation point.
 
     ``vm_d/vm_q`` is the PLL-frame voltage measurement feeding the
@@ -147,10 +117,6 @@ def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
     v_pll_d, v_pll_q = pll_project(vd, vq, theta)
     omega_pll = omega0 + kp_pll * v_pll_q + eps
     vmag = math.hypot(vm_d, vm_q)
-    if strict_voltage and vmag <= V_FLOOR:
-        raise DegenerateVoltageError(
-            f"voltage magnitude {vmag:.4g} pu at converter {conv_id!r} "
-            f"is at or below the {V_FLOOR} pu floor", bus=conv_id)
     veff = max(vmag, V_FLOOR)
     q_ref = q0 + kq * (v_ref - vmag)
     # conj((P + jQ)/v) in the PLL frame; below the floor the magnitude is
@@ -189,52 +155,6 @@ def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
     }
 
 
-def pll_residual(conv: GflConverter, state: GflState, vd: float, vq: float,
-                 omega0: float):
-    """PLL rates and frequency estimate: ``(f_theta, f_eps, omega_pll)``.
-
-    ``f_theta`` is ``d(theta)/dt`` relative to the synchronous frame; at
-    lock the PLL-frame q component of the bus voltage is zero.
-    """
-    v_pll_d, v_pll_q = pll_project(vd, vq, state.theta)
-    omega_pll = omega0 + conv.kp_pll * v_pll_q + state.eps
-    return omega_pll - omega0, conv.ki_pll * v_pll_q, omega_pll
-
-
-def current_reference(conv: GflConverter, vd: float, vq: float,
-                      corr_d: float = 0.0, corr_q: float = 0.0):
-    """Limited current reference in the PLL frame (angle preserved).
-
-    Combines the active-power set-point with the Volt/VAR droop
-    ``q_ref = q0 + kq (v_ref - |v|)`` and an optional VAL correction, then
-    applies the smooth magnitude limiter.  Raises below the voltage floor.
-    """
-    vmag = math.hypot(vd, vq)
-    if vmag <= V_FLOOR:
-        raise DegenerateVoltageError(
-            f"voltage magnitude {vmag:.4g} pu at converter {conv.id!r} is "
-            f"at or below the {V_FLOOR} pu floor", bus=conv.bus)
-    q_ref = conv.q0 + conv.kq * (conv.v_ref - vmag)
-    v2 = vmag * vmag
-    raw_d = (conv.p_ref * vd + q_ref * vq) / v2 + corr_d
-    raw_q = (conv.p_ref * vq - q_ref * vd) / v2 + corr_q
-    return sat_vector(conv.limiter, raw_d, raw_q)
-
-
-def gfl_residual(conv: GflConverter, state: GflState, vd: float, vq: float,
-                 omega0: float, corr_d: float = 0.0, corr_q: float = 0.0):
-    """Standalone GFL evaluation with the converter's own parameters and an
-    unfiltered measurement (the PLL-frame voltage feeds the reference path
-    directly)."""
-    vm_d, vm_q = pll_project(vd, vq, state.theta)
-    return gfl_rates(
-        omega0, state.theta, state.eps, state.i_d, state.i_q,
-        state.xi_d, state.xi_q, vd, vq, vm_d, vm_q, corr_d, corr_q,
-        conv.p_ref, conv.q0, conv.kq, conv.v_ref, conv.kp_pll, conv.ki_pll,
-        conv.kp_cc, conv.ki_cc, conv.k_aw, conv.i_max, conv.limiter_k,
-        conv.l_f, conv.r_f, conv_id=conv.id)
-
-
 def gfm_rates(omega0, theta, p_f, q_f, vd, vq, m_p, n_q, v_set, p_set,
               q_set, r_v, l_v, tau_p, tau_q):
     """GFM droop residuals and injected current.
@@ -265,10 +185,3 @@ def gfm_rates(omega0, theta, p_f, q_f, vd, vq, m_p, n_q, v_set, p_set,
         "p_inst": p_inst,
         "q_inst": q_inst,
     }
-
-
-def gfm_droop_residual(gfm: GfmDroop, theta: float, p_f: float, q_f: float,
-                       vd: float, vq: float, omega0: float):
-    return gfm_rates(omega0, theta, p_f, q_f, vd, vq, gfm.m_p, gfm.n_q,
-                     gfm.v_set, gfm.p_set, gfm.q_set, gfm.r_v, gfm.l_v,
-                     gfm.tau_p, gfm.tau_q)

@@ -57,10 +57,6 @@ class Params:
         if len(self._index) != len(self.names):
             raise ValueError("duplicate parameter name")
 
-    @classmethod
-    def from_dict(cls, mapping):
-        return cls(tuple(mapping.keys()), np.array(list(mapping.values()), dtype=float))
-
     def __getitem__(self, name: str) -> float:
         return float(self.values[self._index[name]])
 

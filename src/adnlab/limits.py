@@ -14,11 +14,8 @@ import numpy as np
 __all__ = [
     "SmoothLimiter",
     "sat",
-    "sat_slope",
     "sat_vector",
-    "hard_clip",
     "smooth_deadband",
-    "smooth_deadband_slope",
     "rate_window",
     "anti_windup_rate",
 ]
@@ -52,17 +49,6 @@ def sat(lim: SmoothLimiter, x):
     return lim.limit * np.tanh(lim.k * np.asarray(x, dtype=float) / lim.limit)
 
 
-def sat_slope(lim: SmoothLimiter, x):
-    """Analytic derivative of :func:`sat` with respect to ``x``."""
-    t = np.tanh(lim.k * np.asarray(x, dtype=float) / lim.limit)
-    return lim.k * (1.0 - t * t)
-
-
-def hard_clip(limit: float, x):
-    """Ideal saturation: identity inside ``[-limit, limit]``, flat outside."""
-    return np.clip(np.asarray(x, dtype=float), -limit, limit)
-
-
 def sat_vector(lim: SmoothLimiter, xd: float, xq: float):
     """Magnitude-limit a dq pair, preserving its angle.
 
@@ -92,15 +78,6 @@ def smooth_deadband(d: float, k: float, e):
     z = e / d
     clipped = (d / (2.0 * k)) * (_lncosh(k * (z + 1.0)) - _lncosh(k * (z - 1.0)))
     return e - clipped
-
-
-def smooth_deadband_slope(d: float, k: float, e):
-    """Analytic derivative of :func:`smooth_deadband` with respect to ``e``."""
-    e = np.asarray(e, dtype=float)
-    if d == 0.0:
-        return np.ones_like(e)
-    z = e / d
-    return 1.0 - 0.5 * (np.tanh(k * (z + 1.0)) - np.tanh(k * (z - 1.0)))
 
 
 def _lncosh(z):

@@ -22,7 +22,7 @@ import numpy as np
 from .converters import (GflConverter, V_FLOOR, gfl_rates, gfm_rates,
                          pll_project)
 from .engine import DaeSystem, Params
-from .errors import DegenerateVoltageError, ModelValidationError
+from .errors import ModelValidationError
 from .limits import rate_window, smooth_deadband
 from .val import dval_rate, dval_realization, qval_correction
 
@@ -38,7 +38,6 @@ __all__ = [
     "AssembledSystem",
     "zip_injection",
     "im_rates",
-    "im_steady_torque",
     "ltc_rate",
     "reactance_to_inductance",
 ]
@@ -211,21 +210,15 @@ class GridSource:
         return self.r_g == 0.0 and self.l_g == 0.0
 
 
-def zip_injection(load: ZipLoad, vd: float, vq: float, lam: float,
-                  strict: bool = True):
+def zip_injection(load: ZipLoad, vd: float, vq: float, lam: float):
     """Consumed current of a ZIP load (load convention, out of the bus).
 
     ``P(V) = lam p0 (a_z (V/v0)^2 + a_i (V/v0) + a_p)`` and analogously for
     Q; the injection is ``conj((P + jQ)/v)``.  Below the voltage floor the
-    strict form raises; the guarded form (used inside residual evaluation)
-    freezes the magnitude of the 1/V branches at their floor value along
-    the voltage angle so residuals stay bounded near collapse.
+    magnitude of the 1/V branches is frozen at its floor value along the
+    voltage angle, so residuals stay bounded near collapse.
     """
     vmag = math.hypot(vd, vq)
-    if strict and vmag <= V_FLOOR:
-        raise DegenerateVoltageError(
-            f"voltage magnitude {vmag:.4g} pu at bus {load.bus!r} is at or "
-            f"below the {V_FLOOR} pu floor", bus=load.bus)
     if vmag == 0.0:
         return 0.0, 0.0
     veff = max(vmag, V_FLOOR)
@@ -243,22 +236,16 @@ def zip_injection(load: ZipLoad, vd: float, vq: float, lam: float,
     return i_d, i_q
 
 
-def zip_power(load: ZipLoad, vmag: float, lam: float):
-    """P, Q drawn by a ZIP load at voltage magnitude ``vmag``."""
-    rel = vmag / load.v0
-    p = lam * load.p0 * (load.a_z * rel * rel + load.a_i * rel + load.a_p)
-    q = lam * load.q0 * (load.b_z * rel * rel + load.b_i * rel + load.b_p)
-    return p, q
-
-
 def im_rates(m: InductionMachine, vd: float, vq: float, s: float,
-             e_d: float, e_q: float, lam: float = 1.0):
+             e_d: float, e_q: float, lam: float, t_mech: float):
     """Third-order machine residual rates and stator current.
 
-    Returns ``(f_s, f_ed, f_eq, i_d, i_q)`` where the slip row has mass
-    ``2h`` and the EMF rows mass ``t0'``; the stator current follows
-    ``(v - e')/(r_s + j x')`` in motor convention and the electrical
-    torque is ``Re(e' conj(i))``.
+    ``t_mech`` is the mechanical load torque at ``lam = 1``; it is passed
+    in, not read from ``m``, so the assembled system can vary it as a
+    parameter.  Returns ``(f_s, f_ed, f_eq, i_d, i_q)`` where the slip row
+    has mass ``2h`` and the EMF rows mass ``t0'``; the stator current
+    follows ``(v - e')/(r_s + j x')`` in motor convention and the
+    electrical torque is ``Re(e' conj(i))``.
     """
     xp = m.x_prime
     x0 = m.x0
@@ -269,37 +256,21 @@ def im_rates(m: InductionMachine, vd: float, vq: float, s: float,
     i_d = (dd * m.r_s + dq * xp) / den
     i_q = (dq * m.r_s - dd * xp) / den
     t_e = e_d * i_d + e_q * i_q
-    f_s = lam * m.t_mech - t_e
+    f_s = lam * t_mech - t_e
     f_ed = t0p * m.omega0 * s * e_q - e_d - (x0 - xp) * i_q
     f_eq = -t0p * m.omega0 * s * e_d - e_q + (x0 - xp) * i_d
     return f_s, f_ed, f_eq, i_d, i_q
 
 
-def im_steady_torque(m: InductionMachine, vmag: float, s: float) -> float:
-    """Electrical torque from the classic steady-state equivalent circuit
-    (magnetizing branch in parallel with the rotor branch).  Used as an
-    independent oracle for the dynamic-model equilibrium."""
-    if s == 0.0:
-        return 0.0
-    v = complex(vmag, 0.0)
-    z_rot = complex(m.r_r / s, m.x_r)
-    z_mag = complex(0.0, m.x_m)
-    z_par = z_mag * z_rot / (z_mag + z_rot)
-    i_s = v / (complex(m.r_s, m.x_s) + z_par)
-    i_r = i_s * z_mag / (z_mag + z_rot)
-    return abs(i_r) ** 2 * m.r_r / s
+def ltc_rate(t: LtcTransformer, v_reg: float, n: float, v_ref: float) -> float:
+    """Tap residual row ``t_ltc * dn/dt``, mass factored out as in
+    :func:`im_rates`.
 
-
-def ltc_rate(t: LtcTransformer, v_reg: float, n: float, v_ref=None) -> float:
-    """Tap rate ``dn/dt`` (the assembled row carries mass ``t_ltc``).
-
-    The smooth deadband acts on the regulation error and the rate window
-    suppresses motion toward a nearby tap limit.
+    The smooth deadband acts on the regulation error ``v_ref - v_reg`` and
+    the rate window suppresses motion toward a nearby tap limit.
     """
-    ref = t.v_ref if v_ref is None else v_ref
-    err = float(smooth_deadband(t.d_band, t.k_s, ref - v_reg))
-    win = rate_window(n, t.n_min, t.n_max, t.k_s, err)
-    return err * win / t.t_ltc
+    err = float(smooth_deadband(t.d_band, t.k_s, v_ref - v_reg))
+    return err * rate_window(n, t.n_min, t.n_max, t.k_s, err)
 
 
 @dataclass(frozen=True)
@@ -386,6 +357,8 @@ class AssembledSystem(DaeSystem):
         names = []
         mass_const = []
         mass_param = []        # (state index, parameter name) fixed up below
+        dq_pairs = []          # first index of each network-frame dq pair
+        angles = []            # absolute angle states
         pnames, pvals = ["lambda"], [1.0]
 
         def add_param(name, value):
@@ -407,6 +380,7 @@ class AssembledSystem(DaeSystem):
 
         for bus in model.buses:
             self.vidx[bus.id] = len(names)
+            dq_pairs.append(len(names))
             names += [f"{bus.id}.vd", f"{bus.id}.vq"]
             c = 0.0 if bus.id in pinned_sources else bus.b_sh / model.omega0
             mass_const += [c, c]
@@ -422,6 +396,7 @@ class AssembledSystem(DaeSystem):
             ip_l = add_param(f"{br.id}.l", br.l)
             mass_const += [0.0, 0.0]
             mass_param += [(idx, ip_l), (idx + 1, ip_l)]
+            dq_pairs.append(idx)
             self._branches.append((br, self.bus_pos[br.from_bus],
                                    self.bus_pos[br.to_bus],
                                    self.vidx[br.from_bus],
@@ -440,11 +415,13 @@ class AssembledSystem(DaeSystem):
                 ip_lg = add_param(f"{src.id}.l_g", src.l_g)
                 mass_const += [0.0, 0.0]
                 mass_param += [(i_idx, ip_lg), (i_idx + 1, ip_lg)]
+                dq_pairs.append(i_idx)
             if rotating_sources and src.rotating:
                 th_idx = len(names)
                 names += [f"{src.id}.theta_g"]
                 ip_off = add_param(f"{src.id}.omega_offset", 0.0)
                 mass_const += [1.0]
+                angles.append(th_idx)
             self._sources.append((src, self.bus_pos[src.bus],
                                   self.vidx[src.bus], i_idx, th_idx,
                                   ip_e, ip_th, ip_rg, ip_lg, ip_off))
@@ -456,6 +433,7 @@ class AssembledSystem(DaeSystem):
             ip_vref = add_param(f"{ltc.id}.v_ref", ltc.v_ref)
             l_t = ltc.x_t / model.omega0
             mass_const += [l_t, l_t, ltc.t_ltc]
+            dq_pairs.append(idx)
             self._ltcs.append((ltc, self.bus_pos[ltc.from_bus],
                                self.bus_pos[ltc.to_bus],
                                self.vidx[ltc.from_bus], self.vidx[ltc.to_bus],
@@ -467,6 +445,7 @@ class AssembledSystem(DaeSystem):
             names += [f"{m.id}.s", f"{m.id}.ed", f"{m.id}.eq"]
             ip_tm = add_param(f"{m.id}.t_mech", m.t_mech)
             mass_const += [2.0 * m.h, m.t0_prime, m.t0_prime]
+            dq_pairs.append(idx + 1)
             self._machines.append((m, self.bus_pos[m.bus], self.vidx[m.bus],
                                    idx, ip_tm))
 
@@ -481,6 +460,7 @@ class AssembledSystem(DaeSystem):
             names += [f"{conv.id}.theta", f"{conv.id}.eps", f"{conv.id}.id",
                       f"{conv.id}.iq", f"{conv.id}.xid", f"{conv.id}.xiq"]
             mass_const += [1.0, 1.0, conv.l_f, conv.l_f, 1.0, 1.0]
+            angles.append(idx)
             pidx = tuple(add_param(f"{conv.id}.{nm}", getattr(conv, nm))
                          for nm in GFL_PARAMS)
             vm_idx = -1
@@ -511,6 +491,7 @@ class AssembledSystem(DaeSystem):
             idx = len(names)
             names += [f"{gfm.id}.theta", f"{gfm.id}.pf", f"{gfm.id}.qf"]
             mass_const += [1.0, gfm.tau_p, gfm.tau_q]
+            angles.append(idx)
             pidx = tuple(add_param(f"{gfm.id}.{nm}", getattr(gfm, nm))
                          for nm in GFM_PARAMS)
             self._gfms.append((gfm, self.bus_pos[gfm.bus],
@@ -518,6 +499,8 @@ class AssembledSystem(DaeSystem):
 
         self._mass_base = np.array(mass_const)
         self._mass_param = tuple(mass_param)
+        self._dq_pairs = np.array(dq_pairs, dtype=int)
+        self._angles = np.array(angles, dtype=int)
         params0 = Params(pnames, np.array(pvals))
         super().__init__(len(names), self._residual_impl, self._mass_impl,
                          params0, state_names=names,
@@ -578,21 +561,17 @@ class AssembledSystem(DaeSystem):
             i_d, i_q, n_tap = x[idx], x[idx + 1], x[idx + 2]
             f[idx] = n_tap * x[vf] - x[vt] + w0 * l_t * i_q
             f[idx + 1] = n_tap * x[vf + 1] - x[vt + 1] - w0 * l_t * i_d
-            v_reg = math.hypot(x[vt], x[vt + 1])
-            err = float(smooth_deadband(ltc.d_band, ltc.k_s,
-                                        pv[ip_vref] - v_reg))
-            f[idx + 2] = err * rate_window(n_tap, ltc.n_min, ltc.n_max,
-                                           ltc.k_s, err)
+            f[idx + 2] = ltc_rate(ltc, math.hypot(x[vt], x[vt + 1]), n_tap,
+                                  pv[ip_vref])
             inj[fp, 0] -= n_tap * i_d
             inj[fp, 1] -= n_tap * i_q
             inj[tp, 0] += i_d
             inj[tp, 1] += i_q
 
         for m, bp, vi, idx, ip_tm in self._machines:
-            eff = m if pv[ip_tm] == m.t_mech else \
-                _machine_with_torque(m, pv[ip_tm])
             f_s, f_ed, f_eq, i_d, i_q = im_rates(
-                eff, x[vi], x[vi + 1], x[idx], x[idx + 1], x[idx + 2], lam)
+                m, x[vi], x[vi + 1], x[idx], x[idx + 1], x[idx + 2], lam,
+                pv[ip_tm])
             f[idx], f[idx + 1], f[idx + 2] = f_s, f_ed, f_eq
             inj[bp, 0] -= i_d
             inj[bp, 1] -= i_q
@@ -600,7 +579,7 @@ class AssembledSystem(DaeSystem):
                 outputs[f"{m.id}.i"] = (i_d, i_q)
 
         for load, bp, vi in self._zips:
-            i_d, i_q = zip_injection(load, x[vi], x[vi + 1], lam, strict=False)
+            i_d, i_q = zip_injection(load, x[vi], x[vi + 1], lam)
             inj[bp, 0] -= i_d
             inj[bp, 1] -= i_q
             if outputs is not None:
@@ -625,8 +604,7 @@ class AssembledSystem(DaeSystem):
                 x[idx + 5], vd, vq, vm_d, vm_q, corr_d, corr_q,
                 pv[pidx[0]], pv[pidx[1]], pv[pidx[2]], pv[pidx[3]],
                 pv[pidx[4]], pv[pidx[5]], pv[pidx[6]], pv[pidx[7]],
-                pv[pidx[8]], pv[pidx[9]], conv.limiter_k, conv.l_f, conv.r_f,
-                conv_id=conv.id)
+                pv[pidx[8]], pv[pidx[9]], conv.limiter_k, conv.l_f, conv.r_f)
             f[idx] = out["f_theta"]
             f[idx + 1] = out["f_eps"]
             f[idx + 2] = out["f_id"]
@@ -744,31 +722,8 @@ class AssembledSystem(DaeSystem):
         absolute angle state; PLL/converter-frame local states are
         untouched.  Combined with shifting the source angle parameters by
         ``phi`` this maps solutions to solutions."""
-        x = np.asarray(x, dtype=float).copy()
-        c, s = math.cos(phi), math.sin(phi)
-
-        def rot(i):
-            d, q = x[i], x[i + 1]
-            x[i] = d * c - q * s
-            x[i + 1] = d * s + q * c
-
-        for bus in self.model.buses:
-            rot(self.vidx[bus.id])
-        for _br, fp, tp, vf, vt, idx, *_ in self._branches:
-            rot(idx)
-        for _src, bp, vi, i_idx, th_idx, *_ in self._sources:
-            if i_idx >= 0:
-                rot(i_idx)
-            if th_idx >= 0:
-                x[th_idx] += phi
-        for _ltc, fp, tp, vf, vt, idx, *_ in self._ltcs:
-            rot(idx)
-        for _m, bp, vi, idx, ip in self._machines:
-            rot(idx + 1)
-        for _conv, bp, vi, idx, *_ in self._gfls:
-            x[idx] += phi
-        for _gfm, bp, vi, idx, _pidx in self._gfms:
-            x[idx] += phi
+        x = self._rotate_dq(x, phi)
+        x[self._angles] += phi
         return x
 
     def rotate_params(self, p: Params, phi: float) -> Params:
@@ -780,26 +735,15 @@ class AssembledSystem(DaeSystem):
     def residual_rotation(self, f, phi: float) -> np.ndarray:
         """Apply the frame rotation to a residual vector (dq rows transform
         like their states; scalar and converter-frame rows are fixed)."""
-        f = np.asarray(f, dtype=float).copy()
+        return self._rotate_dq(f, phi)
+
+    def _rotate_dq(self, v, phi: float) -> np.ndarray:
+        v = np.asarray(v, dtype=float).copy()
         c, s = math.cos(phi), math.sin(phi)
-
-        def rot(i):
-            d, q = f[i], f[i + 1]
-            f[i] = d * c - q * s
-            f[i + 1] = d * s + q * c
-
-        for bus in self.model.buses:
-            rot(self.vidx[bus.id])
-        for _br, fp, tp, vf, vt, idx, *_ in self._branches:
-            rot(idx)
-        for _src, bp, vi, i_idx, th_idx, *_ in self._sources:
-            if i_idx >= 0:
-                rot(i_idx)
-        for _ltc, fp, tp, vf, vt, idx, *_ in self._ltcs:
-            rot(idx)
-        for _m, bp, vi, idx, ip in self._machines:
-            rot(idx + 1)
-        return f
+        d, q = v[self._dq_pairs], v[self._dq_pairs + 1]
+        v[self._dq_pairs] = d * c - q * s
+        v[self._dq_pairs + 1] = d * s + q * c
+        return v
 
     def power_report(self, x, p: Params) -> dict:
         """Active-power bookkeeping at a solution point.
@@ -842,9 +786,3 @@ class AssembledSystem(DaeSystem):
             losses += pv[ip_r] * (x[idx] ** 2 + x[idx + 1] ** 2)
         return {"generated": gen, "consumed": consumed,
                 "branch_losses": losses}
-
-
-def _machine_with_torque(m: InductionMachine, t_mech: float) -> InductionMachine:
-    return InductionMachine(id=m.id, bus=m.bus, x_s=m.x_s, x_r=m.x_r,
-                            x_m=m.x_m, r_r=m.r_r, r_s=m.r_s, h=m.h,
-                            t_mech=t_mech, s0=m.s0, omega0=m.omega0)

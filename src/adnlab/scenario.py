@@ -10,9 +10,10 @@ byte for byte.
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .converters import GflConverter, GfmDroop
-from .errors import ModelValidationError, ScenarioError
+from .errors import ConfigurationError, ModelValidationError, ScenarioError
 from .network import (
     Bus,
     GridSource,
@@ -21,6 +22,7 @@ from .network import (
     NetworkModel,
     RlBranch,
     ZipLoad,
+    reactance_to_inductance,
 )
 from .val import ValGains
 
@@ -124,119 +126,122 @@ class Scenario:
         return p
 
 
-def loads_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario from a JSON string."""
+# Errors raised by converting a field or constructing a device from it.
+_BAD_VALUE = (ModelValidationError, ConfigurationError, ValueError,
+              TypeError, OverflowError)
+
+
+# Scenario keys whose device field has another name; a reactance (pu at
+# nominal frequency) becomes the inductance the dynamic equations use.
+_TEXT = {"id": "id", "bus": "bus", "from": "from_bus", "to": "to_bus"}
+_REACTANCE = {"x": "l", "x_g": "l_g", "x_f": "l_f", "x_v": "l_v"}
+_NOT_FIELDS = {"kind", "val", "mode"}
+
+
+def _device(cls, data, omega0, /, **extra):
+    """Construct ``cls`` from one validated scenario entry."""
+    kwargs = dict(extra)
+    for key, value in data.items():
+        if key in _TEXT:
+            kwargs[_TEXT[key]] = str(value)
+        elif key in _REACTANCE:
+            kwargs[_REACTANCE[key]] = reactance_to_inductance(float(value),
+                                                              omega0)
+        elif key == "rotating":
+            kwargs[key] = bool(value)
+        elif key not in _NOT_FIELDS:
+            kwargs[key] = float(value)
+    return cls(**kwargs)
+
+
+def _machine(data, omega0):
+    return _device(InductionMachine, data, omega0, omega0=omega0)
+
+
+def _gfl(data, omega0):
+    val = data["val"]
+    return _device(GflConverter, data, omega0, val_mode=str(val["mode"]),
+                   val=_device(ValGains, val, omega0))
+
+
+# Device families in build order: scenario key (also the NetworkModel
+# field name), schema, constructor.
+_FAMILIES = (("buses", BUS_FIELDS, partial(_device, Bus)),
+             ("branches", BRANCH_FIELDS, partial(_device, RlBranch)),
+             ("sources", SOURCE_FIELDS, partial(_device, GridSource)),
+             ("zip_loads", ZIP_FIELDS, partial(_device, ZipLoad)),
+             ("machines", MACHINE_FIELDS, _machine),
+             ("ltcs", LTC_FIELDS, partial(_device, LtcTransformer)))
+
+
+def _build(where, make, *args):
     try:
-        raw = json.loads(text)
+        return make(*args)
+    except _BAD_VALUE as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ScenarioError(f"number {text} is not finite")
+    return value
+
+
+def loads_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario from a JSON string.
+
+    ``NaN``, ``Infinity`` and float literals that overflow are rejected, so
+    no non-finite number reaches a model.
+    """
+    try:
+        raw = json.loads(text, parse_constant=_finite_float,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
     top = _apply(TOP_FIELDS, raw, "scenario")
     base = _apply(BASE_FIELDS, top["base"] or {}, "base")
-    omega0 = 2.0 * math.pi * float(base["f_hz"])
+    f_hz = _build("base", float, base["f_hz"])
+    if not f_hz > 0.0:
+        raise ScenarioError("base: f_hz must be positive")
+    omega0 = 2.0 * math.pi * f_hz
+    overrides = _build("params", lambda: {
+        str(k): float(v) for k, v in dict(top["params"]).items()})
 
     canonical = {"name": top["name"], "base": base, "params": dict(top["params"])}
 
-    buses = []
-    canonical["buses"] = []
-    for i, entry in enumerate(top["buses"]):
-        b = _apply(BUS_FIELDS, entry, f"buses[{i}]")
-        canonical["buses"].append(b)
-        buses.append(Bus(id=str(b["id"]), b_sh=float(b["b_sh"]),
-                         v_d=float(b["v_d"]), v_q=float(b["v_q"])))
-
-    branches = []
-    canonical["branches"] = []
-    for i, entry in enumerate(top["branches"]):
-        b = _apply(BRANCH_FIELDS, entry, f"branches[{i}]")
-        canonical["branches"].append(b)
-        branches.append(RlBranch(id=str(b["id"]), from_bus=str(b["from"]),
-                                 to_bus=str(b["to"]), r=float(b["r"]),
-                                 l=float(b["x"]) / omega0))
-
-    sources = []
-    canonical["sources"] = []
-    for i, entry in enumerate(top["sources"]):
-        s = _apply(SOURCE_FIELDS, entry, f"sources[{i}]")
-        canonical["sources"].append(s)
-        sources.append(GridSource(id=str(s["id"]), bus=str(s["bus"]),
-                                  e_mag=float(s["e_mag"]),
-                                  r_g=float(s["r_g"]),
-                                  l_g=float(s["x_g"]) / omega0,
-                                  rotating=bool(s["rotating"])))
-
-    zips = []
-    canonical["zip_loads"] = []
-    for i, entry in enumerate(top["zip_loads"]):
-        z = _apply(ZIP_FIELDS, entry, f"zip_loads[{i}]")
-        canonical["zip_loads"].append(z)
-        zips.append(ZipLoad(id=str(z["id"]), bus=str(z["bus"]),
-                            p0=float(z["p0"]), q0=float(z["q0"]),
-                            a_z=float(z["a_z"]), a_i=float(z["a_i"]),
-                            a_p=float(z["a_p"]), b_z=float(z["b_z"]),
-                            b_i=float(z["b_i"]), b_p=float(z["b_p"]),
-                            v0=float(z["v0"])))
-
-    machines = []
-    canonical["machines"] = []
-    for i, entry in enumerate(top["machines"]):
-        m = _apply(MACHINE_FIELDS, entry, f"machines[{i}]")
-        canonical["machines"].append(m)
-        machines.append(InductionMachine(
-            id=str(m["id"]), bus=str(m["bus"]), x_s=float(m["x_s"]),
-            x_r=float(m["x_r"]), x_m=float(m["x_m"]), r_r=float(m["r_r"]),
-            r_s=float(m["r_s"]), h=float(m["h"]), t_mech=float(m["t_mech"]),
-            s0=float(m["s0"]), omega0=omega0))
-
-    ltcs = []
-    canonical["ltcs"] = []
-    for i, entry in enumerate(top["ltcs"]):
-        t = _apply(LTC_FIELDS, entry, f"ltcs[{i}]")
-        canonical["ltcs"].append(t)
-        ltcs.append(LtcTransformer(
-            id=str(t["id"]), from_bus=str(t["from"]), to_bus=str(t["to"]),
-            x_t=float(t["x_t"]), n0=float(t["n0"]), n_min=float(t["n_min"]),
-            n_max=float(t["n_max"]), t_ltc=float(t["t_ltc"]),
-            v_ref=float(t["v_ref"]), d_band=float(t["d_band"]),
-            k_s=float(t["k_s"])))
+    devices = {}
+    for key, fields, make in _FAMILIES:
+        if not isinstance(top[key], list):
+            raise ScenarioError(f"{key}: expected a list")
+        canonical[key] = []
+        devices[key] = []
+        for i, entry in enumerate(top[key]):
+            where = f"{key}[{i}]"
+            d = _apply(fields, entry, where)
+            canonical[key].append(d)
+            devices[key].append(_build(where, make, d, omega0))
 
     gfls, gfms = [], []
     canonical["converters"] = []
+    if not isinstance(top["converters"], list):
+        raise ScenarioError("converters: expected a list")
     for i, entry in enumerate(top["converters"]):
+        where = f"converters[{i}]"
         kind = entry.get("kind", "gfl") if isinstance(entry, dict) else "gfl"
         if kind == "gfl":
-            c = _apply(GFL_FIELDS, entry, f"converters[{i}]")
-            val = _apply(VAL_FIELDS, c["val"] or {}, f"converters[{i}].val")
-            c["val"] = val
+            c = _apply(GFL_FIELDS, entry, where)
+            c["val"] = _apply(VAL_FIELDS, c["val"] or {}, f"{where}.val")
             canonical["converters"].append(c)
-            gfls.append(GflConverter(
-                id=str(c["id"]), bus=str(c["bus"]),
-                l_f=float(c["x_f"]) / omega0, r_f=float(c["r_f"]),
-                kp_cc=float(c["kp_cc"]), ki_cc=float(c["ki_cc"]),
-                kp_pll=float(c["kp_pll"]), ki_pll=float(c["ki_pll"]),
-                p_ref=float(c["p_ref"]), kq=float(c["kq"]),
-                v_ref=float(c["v_ref"]), q0=float(c["q0"]),
-                i_max=float(c["i_max"]), limiter_k=float(c["limiter_k"]),
-                k_aw=float(c["k_aw"]), tau_meas=float(c["tau_meas"]),
-                val_mode=str(val["mode"]),
-                val=ValGains(g_v=float(val["g_v"]), b_v=float(val["b_v"]),
-                             v_nom=float(val["v_nom"]),
-                             g_min=float(val["g_min"]),
-                             g_max=float(val["g_max"]),
-                             b_min=float(val["b_min"]),
-                             b_max=float(val["b_max"]))))
+            gfls.append(_build(where, _gfl, c, omega0))
         elif kind == "gfm_droop":
-            c = _apply(GFM_FIELDS, entry, f"converters[{i}]")
+            c = _apply(GFM_FIELDS, entry, where)
             canonical["converters"].append(c)
-            gfms.append(GfmDroop(
-                id=str(c["id"]), bus=str(c["bus"]), m_p=float(c["m_p"]),
-                n_q=float(c["n_q"]), v_set=float(c["v_set"]),
-                p_set=float(c["p_set"]), q_set=float(c["q_set"]),
-                r_v=float(c["r_v"]), l_v=float(c["x_v"]) / omega0,
-                tau_p=float(c["tau_p"]), tau_q=float(c["tau_q"])))
+            gfms.append(_build(where, _device, GfmDroop, c, omega0))
         else:
-            raise ScenarioError(f"converters[{i}]: unknown kind {kind!r}")
+            raise ScenarioError(f"{where}: unknown kind {kind!r}")
 
     analysis_raw = _apply(ANALYSIS_FIELDS, top["analysis"] or {}, "analysis")
     analysis = {}
@@ -263,17 +268,13 @@ def loads_scenario(text: str) -> Scenario:
 
     try:
         model = NetworkModel(
-            buses=tuple(buses), branches=tuple(branches),
-            sources=tuple(sources), zip_loads=tuple(zips),
-            machines=tuple(machines), ltcs=tuple(ltcs), gfls=tuple(gfls),
-            gfms=tuple(gfms), omega0=omega0)
+            **{key: tuple(devs) for key, devs in devices.items()},
+            gfls=tuple(gfls), gfms=tuple(gfms), omega0=omega0)
     except (ModelValidationError, ValueError) as exc:
         raise ScenarioError(str(exc)) from None
 
-    return Scenario(name=str(top["name"]), f_hz=float(base["f_hz"]),
-                    canonical=canonical, model=model, analysis=analysis,
-                    param_overrides={str(k): float(v)
-                                     for k, v in top["params"].items()})
+    return Scenario(name=str(top["name"]), f_hz=f_hz, canonical=canonical,
+                    model=model, analysis=analysis, param_overrides=overrides)
 
 
 def load_scenario(path) -> Scenario:

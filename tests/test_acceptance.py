@@ -30,7 +30,7 @@ from adnlab.engine import (
     newton_equilibrium,
     reduced_state_matrix,
 )
-from adnlab.limits import SmoothLimiter, hard_clip, sat, sat_slope, sat_vector
+from adnlab.limits import SmoothLimiter, sat, sat_vector
 from adnlab.network import OMEGA0, reactance_to_inductance
 from adnlab.secondary import WeightVector, run_recursive
 from adnlab.val import ValGains
@@ -42,6 +42,7 @@ from feeders import (
     secondary_feeder,
     two_bus_pq,
 )
+from oracles import hard_clip, sat_slope
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -130,6 +130,34 @@ class TestExitCodes:
         assert rc == EXIT_NUMERICAL
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("converters", "i_max", -1),
+        ("branches", "r", "abc"),
+        ("converters", "limiter_k", 0.5),
+    ])
+    def test_bad_device_field_is_one_error_line(self, tmp_path, capsys,
+                                                section, key, value):
+        scenario = json.loads((SCENARIO_DIR / "gfl_feeder.json").read_text())
+        scenario[section][0][key] = value
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command(["equilibrium", "--scenario", str(path),
+                          "--out", str(tmp_path / "z"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}[0]: ")
+        assert err.count("\n") == 1
+
+    def test_boundary2d_rejects_sweep_against_itself(self, tmp_path, capsys):
+        out = tmp_path / "self"
+        rc = run_command(["boundary2d", "--scenario",
+                          str(SCENARIO_DIR / "gfl_feeder.json"),
+                          "--out", str(out), "--quiet",
+                          "--param", "lambda", "--grid", "0.5:1:3"])
+        assert rc == EXIT_NUMERICAL
+        assert "against itself" in capsys.readouterr().err
+        assert not (out / "boundary.csv").exists()
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

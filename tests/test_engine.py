@@ -15,7 +15,8 @@ from adnlab.engine import (
     reduced_state_matrix,
 )
 from adnlab.errors import IntegrationError, NonConvergenceError, SingularJacobianError
-from adnlab.limits import SmoothLimiter, sat, sat_slope
+from adnlab.limits import SmoothLimiter, sat
+from oracles import sat_slope
 
 
 def linear_system(a_matrix, params=None):

@@ -8,14 +8,12 @@ import pytest
 from adnlab.limits import (
     SmoothLimiter,
     anti_windup_rate,
-    hard_clip,
     rate_window,
     sat,
-    sat_slope,
     sat_vector,
     smooth_deadband,
-    smooth_deadband_slope,
 )
+from oracles import hard_clip, sat_slope, smooth_deadband_slope
 
 
 class TestSat:

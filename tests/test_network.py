@@ -1,13 +1,15 @@
 """Tests for the per-unit network model and its assembly."""
 
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adnlab.converters import GflConverter
 from adnlab.engine import newton_equilibrium, spectrum_at
-from adnlab.errors import DegenerateVoltageError, ModelValidationError
+from adnlab.errors import ModelValidationError
 from adnlab.network import (
     Bus,
     GridSource,
@@ -17,12 +19,14 @@ from adnlab.network import (
     RlBranch,
     ZipLoad,
     im_rates,
-    im_steady_torque,
     ltc_rate,
     reactance_to_inductance,
     zip_injection,
-    zip_power,
 )
+from adnlab.scenario import load_scenario
+from oracles import im_steady_torque
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def two_bus_feeder(x_line=0.5, p0=0.8, b_sh=1e-6, r_line=0.0):
@@ -64,7 +68,7 @@ class TestZipLoad:
         third = 1.0 / 3.0
         load = ZipLoad("m", "b", p0=1.0, a_z=third, a_i=third, a_p=third,
                        b_z=third, b_i=third, b_p=third)
-        p, _ = zip_power(load, 0.9, 1.0)
+        p = load.p0 * (load.a_z * 0.9 ** 2 + load.a_i * 0.9 + load.a_p)
         assert p == pytest.approx((0.81 + 0.9 + 1.0) / 3.0, abs=1e-12)
         assert p == pytest.approx(0.903333, abs=1e-6)
         i_d, i_q = zip_injection(load, 0.9, 0.0, 1.0)
@@ -77,16 +81,10 @@ class TestZipLoad:
         assert i2[0] == pytest.approx(1.7 * i1[0], rel=1e-12)
         assert i2[1] == pytest.approx(1.7 * i1[1], rel=1e-12)
 
-    def test_strict_raises_below_floor(self):
-        load = ZipLoad("f", "busX", p0=1.0)
-        with pytest.raises(DegenerateVoltageError, match="busX"):
-            zip_injection(load, 0.005, 0.0, 1.0)
-
     def test_guarded_bounded_and_angle_aligned_below_floor(self):
         load = ZipLoad("g", "b", p0=1.0)
-        at_floor = zip_injection(load, 0.01, 0.0, 1.0, strict=False)
-        below = zip_injection(load, 0.004, 0.003, 0.0, 1.0) \
-            if False else zip_injection(load, 0.004, 0.003, 1.0, strict=False)
+        at_floor = zip_injection(load, 0.01, 0.0, 1.0)
+        below = zip_injection(load, 0.004, 0.003, 1.0)
         mag_floor = math.hypot(*at_floor)
         mag_below = math.hypot(*below)
         assert mag_below <= mag_floor * (1.0 + 1e-12)
@@ -115,14 +113,16 @@ class TestZipLoad:
 class TestInductionMachine:
     def test_zero_torque_balance(self):
         m = InductionMachine("m", "b", t_mech=0.0)
-        f_s, _, _, i_d, i_q = im_rates(m, 1.0, 0.0, 0.0, 0.0, 0.0)
+        f_s, _, _, i_d, i_q = im_rates(m, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+                                       m.t_mech)
         # e' = 0 gives zero electrical torque, so the slip rate vanishes
         assert f_s == pytest.approx(0.0, abs=1e-15)
 
     def test_short_circuit_current(self):
         m = InductionMachine("m", "b")
         e_d, e_q = 0.7, -0.2
-        _, _, _, i_d, i_q = im_rates(m, 0.0, 0.0, 0.05, e_d, e_q)
+        _, _, _, i_d, i_q = im_rates(m, 0.0, 0.0, 0.05, e_d, e_q, 1.0,
+                                     m.t_mech)
         den = complex(m.r_s, m.x_prime)
         expected = -complex(e_d, e_q) / den
         assert i_d == pytest.approx(expected.real, rel=1e-12)
@@ -158,17 +158,20 @@ class TestInductionMachine:
 class TestLtc:
     def test_deadband_center(self):
         t = LtcTransformer("t", "a", "b")
-        assert ltc_rate(t, v_reg=t.v_ref, n=1.0) == 0.0
+        assert ltc_rate(t, v_reg=t.v_ref, n=1.0, v_ref=t.v_ref) == 0.0
 
     def test_tap_rises_to_boost_low_voltage(self):
         t = LtcTransformer("t", "a", "b")
-        assert ltc_rate(t, v_reg=t.v_ref - 2 * t.d_band, n=1.0) > 0.0
-        assert ltc_rate(t, v_reg=t.v_ref + 2 * t.d_band, n=1.0) < 0.0
+        assert ltc_rate(t, v_reg=t.v_ref - 2 * t.d_band, n=1.0,
+                        v_ref=t.v_ref) > 0.0
+        assert ltc_rate(t, v_reg=t.v_ref + 2 * t.d_band, n=1.0,
+                        v_ref=t.v_ref) < 0.0
 
     def test_window_suppresses_motion_at_limit(self):
         t = LtcTransformer("t", "a", "b", k_s=50.0)
-        interior = abs(ltc_rate(t, v_reg=t.v_ref - 3 * t.d_band, n=1.0))
-        at_limit = abs(ltc_rate(t, v_reg=t.v_ref - 3 * t.d_band, n=t.n_max))
+        v_low = t.v_ref - 3 * t.d_band
+        interior = abs(ltc_rate(t, v_reg=v_low, n=1.0, v_ref=t.v_ref))
+        at_limit = abs(ltc_rate(t, v_reg=v_low, n=t.n_max, v_ref=t.v_ref))
         assert at_limit < interior * 1e-3
 
     def test_equilibrium_regulates_within_band(self):
@@ -404,3 +407,52 @@ class TestValidation:
         sys = model.build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         assert spectrum_at(sys, sol.x, sys.params0).rightmost_real < 0.0
+
+
+def with_device_field(model, param, value):
+    """``model`` with the device field behind parameter ``param`` set to
+    ``value``, or ``None`` when no device field backs the parameter."""
+    dev_id, _, name = param.partition(".")
+    for group in fields(NetworkModel):
+        devices = getattr(model, group.name)
+        if not isinstance(devices, tuple):
+            continue
+        for i, dev in enumerate(devices):
+            if dev.id != dev_id:
+                continue
+            if name in {f.name for f in fields(dev)}:
+                new = replace(dev, **{name: value})
+            elif hasattr(dev, "val") and hasattr(dev.val, name):
+                new = replace(dev, val=replace(dev.val, **{name: value}))
+            else:
+                return None
+            return replace(model, **{group.name: devices[:i] + (new,)
+                                     + devices[i + 1:]})
+    return None
+
+
+class TestParameterLiveness:
+    @pytest.mark.parametrize("scenario", ["showcase", "secondary_4bus"])
+    def test_every_device_parameter_is_live(self, scenario):
+        # changing a registered parameter must change the model exactly as
+        # rebuilding it with the device field changed does
+        model = load_scenario(SCENARIO_DIR / f"{scenario}.json").model
+        sys = model.build()
+        rng = np.random.default_rng(3)
+        x = sys.initial_guess() + rng.normal(scale=0.01, size=sys.n)
+        unbacked = []
+        for name in sys.params0.names:
+            value = sys.params0[name] * 1.1 + 0.01
+            rebuilt = with_device_field(model, name, value)
+            if rebuilt is None:
+                unbacked.append(name)
+                continue
+            other = rebuilt.build()
+            p = sys.params0.with_value(name, value)
+            assert np.array_equal(other.params0.values, p.values), name
+            assert np.array_equal(sys.residual(x, p),
+                                  other.residual(x, other.params0)), name
+            assert np.array_equal(sys.mass(p), other.mass(other.params0)), name
+        # only the loading factor and the source angles are not device fields
+        assert unbacked == ["lambda"] + [f"{src.id}.theta"
+                                         for src in model.sources]

@@ -63,6 +63,33 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="does.not.exist"):
             sc.base_params(sys)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1e999", "-1e999"])
+    def test_non_finite_number_rejected(self, literal):
+        bad = MINIMAL.replace('"x": 0.5', f'"x": {literal}')
+        with pytest.raises(ScenarioError, match="finite"):
+            loads_scenario(bad)
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["branches"][0].update(x="abc"), "branches[0]"),
+        (lambda d: d["branches"][0].update(x=10 ** 400), "branches[0]"),
+        (lambda d: d["zip_loads"][0].update(p0=[1]), "zip_loads[0]"),
+        (lambda d: d.update(converters=[{"id": "c", "bus": "b2",
+                                         "i_max": -1}]), "converters[0]"),
+        (lambda d: d.update(converters=[{"id": "c", "bus": "b2", "val": {
+            "mode": "qval", "g_v": 9.0}}]), "converters[0]"),
+        (lambda d: d.update(base={"f_hz": "fifty"}), "base"),
+        (lambda d: d.update(base={"f_hz": 0}), "base"),
+        (lambda d: d.update(params={"lambda": "high"}), "params"),
+        (lambda d: d.update(buses=5), "buses"),
+    ])
+    def test_bad_value_names_its_entry(self, edit, where):
+        data = json.loads(MINIMAL)
+        edit(data)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(json.dumps(data))
+        assert str(info.value).startswith(f"{where}: ")
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/path.json")
