@@ -17,6 +17,7 @@ repeated runs of the same scenario produce byte-identical files.
 import argparse
 import hashlib
 import json
+import math
 import sys as _sys
 import time
 from pathlib import Path
@@ -117,7 +118,15 @@ def _cmd_equilibrium(run: _Run, args):
             f"eigenvalue {spec.rightmost_real:.6g}")
 
 
-def _continuation_settings(run: _Run, args):
+def _known_param(p, name: str) -> str:
+    try:
+        p.index(name)
+    except KeyError as exc:
+        raise ScenarioError(exc.args[0]) from None
+    return name
+
+
+def _continuation_settings(run: _Run, args, p):
     cfg = dict(run.scenario.analysis.get("continuation") or
                {k: v for k, v in
                 [("param", "lambda"), ("direction", 1.0), ("h0", 0.02),
@@ -128,16 +137,15 @@ def _continuation_settings(run: _Run, args):
     if args.steps:
         cfg["max_steps"] = args.steps
     settings = ContinuationSettings(
-        h0=float(cfg["h0"]), h_min=float(cfg["h_min"]),
-        h_max=float(cfg["h_max"]), max_steps=int(cfg["max_steps"]),
-        param_min=float(cfg["param_min"]), param_max=float(cfg["param_max"]),
-        direction=float(cfg["direction"]))
-    return str(cfg["param"]), settings
+        h0=cfg["h0"], h_min=cfg["h_min"], h_max=cfg["h_max"],
+        max_steps=cfg["max_steps"], param_min=cfg["param_min"],
+        param_max=cfg["param_max"], direction=cfg["direction"])
+    return _known_param(p, cfg["param"]), settings
 
 
 def _cmd_continue(run: _Run, args):
     sys, p, sol = _solve_base(run.scenario)
-    param, settings = _continuation_settings(run, args)
+    param, settings = _continuation_settings(run, args, p)
     branch = continue_branch(sys, sol, param, settings)
     if branch.truncated:
         run.say(f"branch truncated: {branch.message}")
@@ -163,14 +171,15 @@ def _cmd_boundary2d(run: _Run, args):
     if cfg is None and not (args.param and args.grid):
         raise ScenarioError("scenario has no analysis.boundary2d block and "
                             "no --param/--grid override was given")
-    param1, settings = _continuation_settings(run, args)
+    param1, settings = _continuation_settings(run, args, p)
     if args.grid:
         lo, hi, num = args.grid
         grid = list(np.linspace(lo, hi, num))
         param2 = cfg["param2"] if cfg else args.param
     else:
-        grid = [float(g) for g in cfg["grid"]]
-        param2 = str(cfg["param2"])
+        grid = cfg["grid"]
+        param2 = cfg["param2"]
+    _known_param(p, param2)
     if param2 == param1:
         raise ScenarioError(f"boundary2d sweeps {param2!r} against itself; "
                             "the sweep and continuation parameters must "
@@ -190,10 +199,9 @@ def _cmd_simulate(run: _Run, args):
         p_run = p.with_values(cfg["param_steps"]) if cfg["param_steps"] else p
     except KeyError as exc:
         raise ScenarioError(f"simulation.param_steps: {exc.args[0]}") from None
-    traj = integrate(sys, sol.x, p_run, t_end=float(cfg["t_end"]),
-                     h=float(cfg["h"]),
-                     startup_be_steps=int(cfg["startup_be_steps"]),
-                     damped_every=int(cfg["damped_every"]))
+    traj = integrate(sys, sol.x, p_run, t_end=cfg["t_end"], h=cfg["h"],
+                     startup_be_steps=cfg["startup_be_steps"],
+                     damped_every=cfg["damped_every"])
     run.csv("trajectory.csv", ("t",) + sys.state_names,
             [(t, *row) for t, row in zip(traj.times, traj.states)])
 
@@ -204,13 +212,11 @@ def _cmd_secondary(run: _Run, args):
     cfg = run.scenario.analysis.get("secondary") or {
         "weights": {}, "default_weight": 1.0, "rho": 1e-8, "alpha": 1.0,
         "max_iter": 30, "tol_v": 0.01}
-    weights = {b: float(cfg["weights"].get(b, cfg["default_weight"]))
+    weights = {b: cfg["weights"].get(b, cfg["default_weight"])
                for b in sys.bus_ids}
     history = run_recursive(
-        sys, params=p,
-        weights=WeightVector(weights, rho=float(cfg["rho"])),
-        max_iter=int(cfg["max_iter"]), tol_v=float(cfg["tol_v"]),
-        alpha=float(cfg["alpha"]))
+        sys, params=p, weights=WeightVector(weights, rho=cfg["rho"]),
+        max_iter=cfg["max_iter"], tol_v=cfg["tol_v"], alpha=cfg["alpha"])
     v_rows = []
     g_rows = []
     for entry in history.iterations:
@@ -235,7 +241,7 @@ def _cmd_cf(run: _Run, args):
     if cfg is None:
         raise ScenarioError("scenario has no analysis.cf block")
     sys, p, sol = _solve_base(scenario)
-    omega_step = float(cfg["omega_step"])
+    omega_step = cfg["omega_step"]
     if omega_step != 0.0:
         sys_run = scenario.build(rotating_sources=True)
         x0 = np.zeros(sys_run.n)
@@ -250,16 +256,15 @@ def _cmd_cf(run: _Run, args):
     else:
         x0 = sol.x
         p_run = p
-        if float(cfg["theta_step"]) != 0.0:
+        if cfg["theta_step"] != 0.0:
             for src in scenario.model.sources:
                 p_run = p_run.with_value(
                     f"{src.id}.theta",
-                    p_run[f"{src.id}.theta"] + float(cfg["theta_step"]))
-    traj = integrate(sys, x0, p_run, t_end=float(cfg["t_end"]),
-                     h=float(cfg["h"]),
-                     startup_be_steps=int(cfg["startup_be_steps"]),
-                     damped_every=int(cfg["damped_every"]))
-    window = int(cfg["window"])
+                    p_run[f"{src.id}.theta"] + cfg["theta_step"])
+    traj = integrate(sys, x0, p_run, t_end=cfg["t_end"], h=cfg["h"],
+                     startup_be_steps=cfg["startup_be_steps"],
+                     damped_every=cfg["damped_every"])
+    window = cfg["window"]
     omega0 = scenario.omega0
     rows = []
 
@@ -267,10 +272,9 @@ def _cmd_cf(run: _Run, args):
         for t, rho, omega in zip(series.times, series.rho, series.omega):
             rows.append((t, rho, omega, block))
 
-    emit(cf_of_bus(sys, traj, str(cfg["bus"]), omega0, window=window), "bus")
+    emit(cf_of_bus(sys, traj, cfg["bus"], omega0, window=window), "bus")
     conv_id = cfg["converter"]
     if conv_id:
-        conv_id = str(conv_id)
         if conv_id in sys.gfl_ids():
             emit(pll_internal_frequency(sys, traj, conv_id, p_run,
                                         window=window), "pll_internal")
@@ -298,12 +302,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid_spec(text: str):
+    """``a:b:n`` with finite ``a < b`` and ``n >= 1``."""
     try:
         lo, hi, num = text.split(":")
-        return float(lo), float(hi), int(num)
+        lo, hi, num = float(lo), float(hi), int(num)
+        valid = math.isfinite(lo) and math.isfinite(hi) and lo < hi \
+            and num >= 1
     except ValueError:
+        valid = False
+    if not valid:
         raise argparse.ArgumentTypeError(
-            f"grid spec must look like a:b:n, got {text!r}") from None
+            f"grid spec must be a:b:n with finite a < b and n >= 1, "
+            f"got {text!r}")
+    return lo, hi, num
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from .engine import (
     Params,
     SpectrumReport,
     TOL_EQ,
-    algebraic_condition,
+    _state_matrix_and_condition,
     integrate,
     jacobian_fd,
     newton_equilibrium,
@@ -130,7 +130,7 @@ class Boundary2D:
 
 def _point_fingerprint(sys: DaeSystem, x, p: Params, lam: float,
                        s: float) -> BranchPoint:
-    reduced = reduced_state_matrix(sys, x, p)
+    reduced, alg_cond = _state_matrix_and_condition(sys, x, p)
     spec = eigenvalues(reduced)
     sign, _ = np.linalg.slogdet(reduced)
     eigs = spec.eigenvalues
@@ -144,8 +144,7 @@ def _point_fingerprint(sys: DaeSystem, x, p: Params, lam: float,
     return BranchPoint(
         x=np.asarray(x, dtype=float).copy(), lam=lam, s=s, spectrum=spec,
         activities=sys.limiter_activity(x, p), det_sign=float(sign),
-        hb_metric=hb_metric, hb_im=hb_im,
-        alg_cond=algebraic_condition(sys, x, p))
+        hb_metric=hb_metric, hb_im=hb_im, alg_cond=alg_cond)
 
 
 def _dF_dlam(sys: DaeSystem, x, p: Params, param: str):

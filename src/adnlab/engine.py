@@ -94,10 +94,14 @@ class DaeSystem:
     side effects.  ``mass_fn(p) -> ndarray`` returns the mass diagonal;
     entries equal to zero mark algebraic rows and the zero/positive
     pattern must not depend on ``p``.
+
+    ``pattern`` declares, per residual row, the state indices the row
+    reads; ``None`` means every row reads every state.  Rows must not read
+    a state outside their declared set: :func:`jacobian_fd` relies on it.
     """
 
     def __init__(self, n, residual_fn, mass_fn, params0: Params,
-                 state_names=None, limiter_activity_fn=None):
+                 state_names=None, limiter_activity_fn=None, pattern=None):
         self.n = int(n)
         self._residual_fn = residual_fn
         self._mass_fn = mass_fn
@@ -107,6 +111,12 @@ class DaeSystem:
         if len(self.state_names) != self.n:
             raise ValueError("state_names length does not match n")
         self._limiter_activity_fn = limiter_activity_fn
+        if pattern is not None:
+            pattern = tuple(pattern)
+            if len(pattern) != self.n:
+                raise ValueError("pattern length does not match n")
+        self.pattern = pattern
+        self._groups = None
 
     def residual(self, x, p: Params) -> np.ndarray:
         f = np.asarray(self._residual_fn(np.asarray(x, dtype=float), p), dtype=float)
@@ -133,6 +143,43 @@ class DaeSystem:
             return self.state_names.index(name)
         except ValueError:
             raise KeyError(f"unknown state {name!r}") from None
+
+    def column_groups(self) -> tuple:
+        """Structurally orthogonal column groups, computed on first use.
+
+        Greedy largest-first colouring of the column intersection graph
+        (Curtis, Powell and Reid 1974; Coleman and Moré 1983): no residual
+        row reads two columns of one group.  Each item is ``(cols, rows,
+        owner)``: the group's state indices, the rows that read one of
+        them, and for each of those rows the group column it reads.  A
+        system without a pattern has ``n`` singleton groups.
+        """
+        if self._groups is None:
+            n = self.n
+            pattern = self.pattern or (range(n),) * n
+            readers = [[] for _ in range(n)]     # per column, its rows
+            shared = [set() for _ in range(n)]   # columns read together
+            for i, row in enumerate(pattern):
+                for j in row:
+                    if not 0 <= j < n:
+                        raise ValueError(f"pattern row {i} reads state {j} "
+                                         f"outside 0..{n - 1}")
+                    readers[j].append(i)
+                    shared[j].update(row)
+            colour = [-1] * n
+            for j in sorted(range(n), key=lambda j: -len(shared[j])):
+                taken = {colour[k] for k in shared[j]}
+                colour[j] = next(c for c in range(n) if c not in taken)
+            groups = []
+            for c in range(max(colour, default=-1) + 1):
+                cols = [j for j in range(n) if colour[j] == c]
+                owner = {i: j for j in cols for i in readers[j]}
+                rows = sorted(owner)
+                groups.append((np.array(cols, dtype=int),
+                               np.array(rows, dtype=int),
+                               np.array([owner[i] for i in rows], dtype=int)))
+            self._groups = tuple(groups)
+        return self._groups
 
 
 @dataclass(frozen=True)
@@ -170,27 +217,33 @@ class Trajectory:
 
 
 def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
-    """Central-difference Jacobian of ``F`` with per-entry step
-    ``1e-6 * max(1, |x_i|)``."""
+    """Central-difference Jacobian of ``F`` with per-column step
+    ``1e-6 * max(1, |x_j|)``.
+
+    The columns of each :meth:`DaeSystem.column_groups` group are
+    perturbed together, one ``+h``/``-h`` residual pair per group.  A row
+    reads at most one column of a group, so each entry equals the one
+    column-by-column differencing gives, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
-    n = sys.n
-    jac = np.empty((n, n))
-    for i in range(n):
-        h = 1e-6 * max(1.0, abs(x[i]))
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    jac = np.zeros((sys.n, sys.n))
+    for cols, rows, owner in sys.column_groups():
         xp = x.copy()
         xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
+        xp[cols] += h[cols]
+        xm[cols] -= h[cols]
         fp = sys.residual(xp, p)
         fm = sys.residual(xm, p)
-        col = (fp - fm) / (2.0 * h)
-        if not np.all(np.isfinite(col)):
-            bad = int(np.flatnonzero(~np.isfinite(col))[0])
+        entries = (fp[rows] - fm[rows]) / (2.0 * h[owner])
+        if not np.all(np.isfinite(entries)):
+            k = int(np.flatnonzero(~np.isfinite(entries))[0])
+            bad = int(rows[k])
             raise NonConvergenceError(
                 f"non-finite Jacobian entry in equation {sys.state_names[bad]!r} "
-                f"w.r.t. state {sys.state_names[i]!r}",
+                f"w.r.t. state {sys.state_names[owner[k]]!r}",
                 worst_index=bad, worst_name=sys.state_names[bad])
-        jac[:, i] = col
+        jac[rows, owner] = entries
     return jac
 
 
@@ -247,11 +300,18 @@ def reduced_state_matrix(sys: DaeSystem, x_star, p: Params) -> np.ndarray:
     ``A = M_d^{-1} (f_x - f_y g_y^{-1} g_x)``.  With an all-dynamic model
     this is exactly ``diag(1/m_i) J``.
     """
+    return _state_matrix_and_condition(sys, x_star, p)[0]
+
+
+def _state_matrix_and_condition(sys: DaeSystem, x_star, p: Params):
+    """:func:`reduced_state_matrix` and the condition number of the
+    algebraic block (1.0 when all-dynamic), from one Jacobian."""
     m = sys.mass(p)
     jac = jacobian_fd(sys, x_star, p)
     dyn = np.flatnonzero(m > 0.0)
     alg = np.flatnonzero(m == 0.0)
     f_x = jac[np.ix_(dyn, dyn)]
+    cond = 1.0
     if alg.size:
         f_y = jac[np.ix_(dyn, alg)]
         g_x = jac[np.ix_(alg, dyn)]
@@ -262,23 +322,13 @@ def reduced_state_matrix(sys: DaeSystem, x_star, p: Params) -> np.ndarray:
             raise SingularJacobianError(
                 "algebraic block is singular (singularity-induced "
                 "bifurcation candidate)") from exc
-        cond = np.linalg.cond(g_y)
+        cond = float(np.linalg.cond(g_y))
         if cond > 1e14:
             raise SingularJacobianError(
                 f"algebraic block is numerically singular (cond={cond:.3e})")
     else:
         reduced = f_x
-    return reduced / m[dyn][:, None]
-
-
-def algebraic_condition(sys: DaeSystem, x_star, p: Params) -> float:
-    """Condition estimate of the algebraic block (1.0 when all-dynamic)."""
-    m = sys.mass(p)
-    alg = np.flatnonzero(m == 0.0)
-    if alg.size == 0:
-        return 1.0
-    jac = jacobian_fd(sys, x_star, p)
-    return float(np.linalg.cond(jac[np.ix_(alg, alg)]))
+    return reduced / m[dyn][:, None], cond
 
 
 def eigenvalues(matrix) -> SpectrumReport:

@@ -346,7 +346,9 @@ class AssembledSystem(DaeSystem):
     (slip, e') triples, GFL converter states and GFM droop states.  All
     runtime-variable quantities are read from the parameter vector through
     indices precomputed here, so residual evaluation allocates nothing but
-    the output array.
+    the output array.  The layout also declares, row by row, the states
+    each residual row reads: the sparsity pattern that
+    :func:`~adnlab.engine.jacobian_fd` colours.
     """
 
     def __init__(self, model: NetworkModel, rotating_sources: bool = False):
@@ -355,11 +357,17 @@ class AssembledSystem(DaeSystem):
         self.rotating = rotating_sources
 
         names = []
+        reads = []             # per residual row, the states it reads
         mass_const = []
         mass_param = []        # (state index, parameter name) fixed up below
         dq_pairs = []          # first index of each network-frame dq pair
         angles = []            # absolute angle states
         pnames, pvals = ["lambda"], [1.0]
+
+        def add_states(*labels):
+            names.extend(labels)
+            reads.extend(set() for _ in labels)
+            return len(names) - len(labels)
 
         def add_param(name, value):
             pnames.append(name)
@@ -378,96 +386,131 @@ class AssembledSystem(DaeSystem):
                 pinned_sources[src.bus] = src
         self.pinned = pinned_sources
 
+        def inject(bus_id, d_reads, q_reads):
+            """Declare what a device's injection reads in its bus's KCL
+            rows; a pinned bus has source rows instead."""
+            if bus_id not in pinned_sources:
+                vi = self.vidx[bus_id]
+                reads[vi].update(d_reads)
+                reads[vi + 1].update(q_reads)
+
         for bus in model.buses:
-            self.vidx[bus.id] = len(names)
-            dq_pairs.append(len(names))
-            names += [f"{bus.id}.vd", f"{bus.id}.vq"]
+            vi = add_states(f"{bus.id}.vd", f"{bus.id}.vq")
+            self.vidx[bus.id] = vi
+            dq_pairs.append(vi)
             c = 0.0 if bus.id in pinned_sources else bus.b_sh / model.omega0
             mass_const += [c, c]
+            inject(bus.id, {vi + 1}, {vi})    # shunt
         self._bus_c = np.array([0.0 if b.id in pinned_sources
                                 else b.b_sh / model.omega0
                                 for b in model.buses])
 
         self._branches = []
         for br in model.branches:
-            idx = len(names)
-            names += [f"{br.id}.id", f"{br.id}.iq"]
+            idx = add_states(f"{br.id}.id", f"{br.id}.iq")
+            vf, vt = self.vidx[br.from_bus], self.vidx[br.to_bus]
+            reads[idx].update((vf, vt, idx, idx + 1))
+            reads[idx + 1].update((vf + 1, vt + 1, idx, idx + 1))
+            inject(br.from_bus, {idx}, {idx + 1})
+            inject(br.to_bus, {idx}, {idx + 1})
             ip_r = add_param(f"{br.id}.r", br.r)
             ip_l = add_param(f"{br.id}.l", br.l)
             mass_const += [0.0, 0.0]
             mass_param += [(idx, ip_l), (idx + 1, ip_l)]
             dq_pairs.append(idx)
             self._branches.append((br, self.bus_pos[br.from_bus],
-                                   self.bus_pos[br.to_bus],
-                                   self.vidx[br.from_bus],
-                                   self.vidx[br.to_bus], idx, ip_r, ip_l))
+                                   self.bus_pos[br.to_bus], vf, vt, idx,
+                                   ip_r, ip_l))
 
         self._sources = []
         for src in model.sources:
+            vi = self.vidx[src.bus]
             ip_e = add_param(f"{src.id}.e_mag", src.e_mag)
             ip_th = add_param(f"{src.id}.theta", 0.0)
             i_idx = th_idx = -1
             ip_rg = ip_lg = ip_off = -1
             if not src.pinned:
-                i_idx = len(names)
-                names += [f"{src.id}.id", f"{src.id}.iq"]
+                i_idx = add_states(f"{src.id}.id", f"{src.id}.iq")
                 ip_rg = add_param(f"{src.id}.r_g", src.r_g)
                 ip_lg = add_param(f"{src.id}.l_g", src.l_g)
                 mass_const += [0.0, 0.0]
                 mass_param += [(i_idx, ip_lg), (i_idx + 1, ip_lg)]
                 dq_pairs.append(i_idx)
             if rotating_sources and src.rotating:
-                th_idx = len(names)
-                names += [f"{src.id}.theta_g"]
+                th_idx = add_states(f"{src.id}.theta_g")
                 ip_off = add_param(f"{src.id}.omega_offset", 0.0)
                 mass_const += [1.0]
                 angles.append(th_idx)
-            self._sources.append((src, self.bus_pos[src.bus],
-                                  self.vidx[src.bus], i_idx, th_idx,
-                                  ip_e, ip_th, ip_rg, ip_lg, ip_off))
+            emf = {th_idx} if th_idx >= 0 else set()
+            if i_idx < 0:
+                reads[vi].update(emf | {vi})
+                reads[vi + 1].update(emf | {vi + 1})
+            else:
+                reads[i_idx].update(emf | {vi, i_idx, i_idx + 1})
+                reads[i_idx + 1].update(emf | {vi + 1, i_idx, i_idx + 1})
+                inject(src.bus, {i_idx}, {i_idx + 1})
+            self._sources.append((src, self.bus_pos[src.bus], vi, i_idx,
+                                  th_idx, ip_e, ip_th, ip_rg, ip_lg, ip_off))
 
         self._ltcs = []
         for ltc in model.ltcs:
-            idx = len(names)
-            names += [f"{ltc.id}.id", f"{ltc.id}.iq", f"{ltc.id}.n"]
+            idx = add_states(f"{ltc.id}.id", f"{ltc.id}.iq", f"{ltc.id}.n")
+            vf, vt = self.vidx[ltc.from_bus], self.vidx[ltc.to_bus]
+            reads[idx].update((vf, vt, idx + 1, idx + 2))
+            reads[idx + 1].update((vf + 1, vt + 1, idx, idx + 2))
+            reads[idx + 2].update((vt, vt + 1, idx + 2))
+            inject(ltc.from_bus, {idx, idx + 2}, {idx + 1, idx + 2})
+            inject(ltc.to_bus, {idx}, {idx + 1})
             ip_vref = add_param(f"{ltc.id}.v_ref", ltc.v_ref)
             l_t = ltc.x_t / model.omega0
             mass_const += [l_t, l_t, ltc.t_ltc]
             dq_pairs.append(idx)
             self._ltcs.append((ltc, self.bus_pos[ltc.from_bus],
-                               self.bus_pos[ltc.to_bus],
-                               self.vidx[ltc.from_bus], self.vidx[ltc.to_bus],
-                               idx, ip_vref, l_t))
+                               self.bus_pos[ltc.to_bus], vf, vt, idx,
+                               ip_vref, l_t))
 
         self._machines = []
         for m in model.machines:
-            idx = len(names)
-            names += [f"{m.id}.s", f"{m.id}.ed", f"{m.id}.eq"]
+            vi = self.vidx[m.bus]
+            idx = add_states(f"{m.id}.s", f"{m.id}.ed", f"{m.id}.eq")
+            stator = {vi, vi + 1, idx + 1, idx + 2}   # the current reads these
+            reads[idx].update(stator)
+            reads[idx + 1].update(stator | {idx})
+            reads[idx + 2].update(stator | {idx})
+            inject(m.bus, stator, stator)
             ip_tm = add_param(f"{m.id}.t_mech", m.t_mech)
             mass_const += [2.0 * m.h, m.t0_prime, m.t0_prime]
             dq_pairs.append(idx + 1)
-            self._machines.append((m, self.bus_pos[m.bus], self.vidx[m.bus],
-                                   idx, ip_tm))
+            self._machines.append((m, self.bus_pos[m.bus], vi, idx, ip_tm))
 
-        self._zips = [(load, self.bus_pos[load.bus], self.vidx[load.bus])
-                      for load in model.zip_loads]
+        self._zips = []
+        for load in model.zip_loads:
+            vi = self.vidx[load.bus]
+            inject(load.bus, {vi, vi + 1}, {vi, vi + 1})
+            self._zips.append((load, self.bus_pos[load.bus], vi))
 
         GFL_PARAMS = ("p_ref", "q0", "kq", "v_ref", "kp_pll", "ki_pll",
                       "kp_cc", "ki_cc", "k_aw", "i_max")
         self._gfls = []
         for conv in model.gfls:
-            idx = len(names)
-            names += [f"{conv.id}.theta", f"{conv.id}.eps", f"{conv.id}.id",
-                      f"{conv.id}.iq", f"{conv.id}.xid", f"{conv.id}.xiq"]
+            vi = self.vidx[conv.bus]
+            idx = add_states(f"{conv.id}.theta", f"{conv.id}.eps",
+                             f"{conv.id}.id", f"{conv.id}.iq",
+                             f"{conv.id}.xid", f"{conv.id}.xiq")
             mass_const += [1.0, 1.0, conv.l_f, conv.l_f, 1.0, 1.0]
             angles.append(idx)
             pidx = tuple(add_param(f"{conv.id}.{nm}", getattr(conv, nm))
                          for nm in GFL_PARAMS)
+            v_pll = {vi, vi + 1, idx}       # bus voltage in the PLL frame
+            vm_d = vm_q = v_pll
             vm_idx = -1
             if conv.tau_meas > 0.0:
-                vm_idx = len(names)
-                names += [f"{conv.id}.vmd", f"{conv.id}.vmq"]
+                vm_idx = add_states(f"{conv.id}.vmd", f"{conv.id}.vmq")
                 mass_const += [conv.tau_meas, conv.tau_meas]
+                vm_d, vm_q = {vm_idx}, {vm_idx + 1}
+                reads[vm_idx].update(v_pll | vm_d)
+                reads[vm_idx + 1].update(v_pll | vm_q)
+            corr = set()
             val_idx = None
             real = None
             dv_idx = -1
@@ -475,27 +518,42 @@ class AssembledSystem(DaeSystem):
                 val_idx = (add_param(f"{conv.id}.g_v", conv.val.g_v),
                            add_param(f"{conv.id}.b_v", conv.val.b_v),
                            add_param(f"{conv.id}.v_nom", conv.val.v_nom))
+                corr = vm_d | vm_q
             elif conv.val_mode == "dval":
                 real = dval_realization(conv.val.g_v, conv.val.b_v,
                                         model.omega0)
-                dv_idx = len(names)
-                names += [f"{conv.id}.ivd", f"{conv.id}.ivq"]
+                dv_idx = add_states(f"{conv.id}.ivd", f"{conv.id}.ivq")
                 mass_const += [real.l_mag, real.l_mag]
-            self._gfls.append((conv, self.bus_pos[conv.bus],
-                               self.vidx[conv.bus], idx, pidx, val_idx, real,
-                               vm_idx, dv_idx))
+                corr = {dv_idx, dv_idx + 1}
+                reads[dv_idx].update(vm_d | corr)
+                reads[dv_idx + 1].update(vm_q | corr)
+            iref = vm_d | vm_q | corr       # the limited current reference
+            reads[idx].update(v_pll | {idx + 1})
+            reads[idx + 1].update(v_pll)
+            reads[idx + 2].update(iref | {idx + 2, idx + 4})
+            reads[idx + 3].update(iref | {idx + 3, idx + 5})
+            reads[idx + 4].update(iref | {idx + 2})
+            reads[idx + 5].update(iref | {idx + 3})
+            inject(conv.bus, {idx, idx + 2, idx + 3}, {idx, idx + 2, idx + 3})
+            self._gfls.append((conv, self.bus_pos[conv.bus], vi, idx, pidx,
+                               val_idx, real, vm_idx, dv_idx))
 
         GFM_PARAMS = ("m_p", "n_q", "v_set", "p_set", "q_set")
         self._gfms = []
         for gfm in model.gfms:
-            idx = len(names)
-            names += [f"{gfm.id}.theta", f"{gfm.id}.pf", f"{gfm.id}.qf"]
+            vi = self.vidx[gfm.bus]
+            idx = add_states(f"{gfm.id}.theta", f"{gfm.id}.pf",
+                             f"{gfm.id}.qf")
+            out = {vi, vi + 1, idx, idx + 2}    # the injection reads these
+            reads[idx].add(idx + 1)
+            reads[idx + 1].update(out | {idx + 1})
+            reads[idx + 2].update(out)
+            inject(gfm.bus, out, out)
             mass_const += [1.0, gfm.tau_p, gfm.tau_q]
             angles.append(idx)
             pidx = tuple(add_param(f"{gfm.id}.{nm}", getattr(gfm, nm))
                          for nm in GFM_PARAMS)
-            self._gfms.append((gfm, self.bus_pos[gfm.bus],
-                               self.vidx[gfm.bus], idx, pidx))
+            self._gfms.append((gfm, self.bus_pos[gfm.bus], vi, idx, pidx))
 
         self._mass_base = np.array(mass_const)
         self._mass_param = tuple(mass_param)
@@ -504,7 +562,8 @@ class AssembledSystem(DaeSystem):
         params0 = Params(pnames, np.array(pvals))
         super().__init__(len(names), self._residual_impl, self._mass_impl,
                          params0, state_names=names,
-                         limiter_activity_fn=self._activity_impl)
+                         limiter_activity_fn=self._activity_impl,
+                         pattern=reads)
 
     # ------------------------------------------------------------------
     # evaluation

@@ -145,12 +145,12 @@ def _device(cls, data, omega0, /, **extra):
         if key in _TEXT:
             kwargs[_TEXT[key]] = str(value)
         elif key in _REACTANCE:
-            kwargs[_REACTANCE[key]] = reactance_to_inductance(float(value),
+            kwargs[_REACTANCE[key]] = reactance_to_inductance(_number(value),
                                                               omega0)
         elif key == "rotating":
             kwargs[key] = bool(value)
         elif key not in _NOT_FIELDS:
-            kwargs[key] = float(value)
+            kwargs[key] = _number(value)
     return cls(**kwargs)
 
 
@@ -188,6 +188,56 @@ def _finite_float(text):
     return value
 
 
+def _number(value) -> float:
+    """A scenario number: anything ``float`` accepts that is finite."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _integer(value) -> int:
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+def _mapping(value) -> dict:
+    """An object of numbers keyed by name; ``None`` stands for ``{}``."""
+    if not isinstance(value, dict | None):
+        raise ValueError(f"expected an object, got {type(value).__name__}")
+    return {str(k): _number(v) for k, v in (value or {}).items()}
+
+
+def _grid(value) -> list:
+    grid = [_number(g) for g in value]
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return grid
+
+
+def _optional_text(value):
+    return str(value) if value else None
+
+
+# Analysis blocks in schema order: key, fields, and the converter of each
+# field that is not a plain number.
+_ANALYSES = (
+    ("continuation", CONTINUATION_FIELDS,
+     {"param": str, "max_steps": _integer}),
+    ("boundary2d", BOUNDARY_FIELDS, {"param2": str, "grid": _grid}),
+    ("simulation", SIMULATION_FIELDS,
+     {"startup_be_steps": _integer, "damped_every": _integer,
+      "param_steps": _mapping}),
+    ("secondary", SECONDARY_FIELDS,
+     {"weights": _mapping, "max_iter": _integer}),
+    ("cf", CF_FIELDS,
+     {"bus": str, "converter": _optional_text, "window": _integer,
+      "startup_be_steps": _integer, "damped_every": _integer}),
+)
+
+
 def loads_scenario(text: str) -> Scenario:
     """Parse and validate a scenario from a JSON string.
 
@@ -203,12 +253,12 @@ def loads_scenario(text: str) -> Scenario:
             f"{exc.msg}") from None
     top = _apply(TOP_FIELDS, raw, "scenario")
     base = _apply(BASE_FIELDS, top["base"] or {}, "base")
-    f_hz = _build("base", float, base["f_hz"])
+    f_hz = _build("base", _number, base["f_hz"])
     if not f_hz > 0.0:
         raise ScenarioError("base: f_hz must be positive")
     omega0 = 2.0 * math.pi * f_hz
     overrides = _build("params", lambda: {
-        str(k): float(v) for k, v in dict(top["params"]).items()})
+        str(k): _number(v) for k, v in dict(top["params"]).items()})
 
     canonical = {"name": top["name"], "base": base, "params": dict(top["params"])}
 
@@ -245,26 +295,19 @@ def loads_scenario(text: str) -> Scenario:
 
     analysis_raw = _apply(ANALYSIS_FIELDS, top["analysis"] or {}, "analysis")
     analysis = {}
-    if analysis_raw["continuation"] is not None:
-        analysis["continuation"] = _apply(
-            CONTINUATION_FIELDS, analysis_raw["continuation"],
-            "analysis.continuation")
-    if analysis_raw["boundary2d"] is not None:
-        analysis["boundary2d"] = _apply(
-            BOUNDARY_FIELDS, analysis_raw["boundary2d"], "analysis.boundary2d")
-    if analysis_raw["simulation"] is not None:
-        sim = _apply(SIMULATION_FIELDS, analysis_raw["simulation"],
-                     "analysis.simulation")
-        sim["param_steps"] = dict(sim["param_steps"] or {})
-        analysis["simulation"] = sim
-    if analysis_raw["secondary"] is not None:
-        sec = _apply(SECONDARY_FIELDS, analysis_raw["secondary"],
-                     "analysis.secondary")
-        sec["weights"] = dict(sec["weights"] or {})
-        analysis["secondary"] = sec
-    if analysis_raw["cf"] is not None:
-        analysis["cf"] = _apply(CF_FIELDS, analysis_raw["cf"], "analysis.cf")
-    canonical["analysis"] = analysis
+    canonical["analysis"] = {}
+    for key, fields, kinds in _ANALYSES:
+        if analysis_raw[key] is None:
+            continue
+        where = f"analysis.{key}"
+        entry = _apply(fields, analysis_raw[key], where)
+        analysis[key] = {
+            name: _build(f"{where}.{name}", kinds.get(name, _number), value)
+            for name, value in entry.items()}
+        for name, kind in kinds.items():
+            if kind is _mapping and entry[name] is None:
+                entry[name] = {}
+        canonical["analysis"][key] = entry
 
     try:
         model = NetworkModel(

@@ -158,6 +158,41 @@ class TestExitCodes:
         assert "against itself" in capsys.readouterr().err
         assert not (out / "boundary.csv").exists()
 
+    def test_unknown_param_is_one_error_line(self, tmp_path, capsys):
+        rc = run_command(["continue", "--scenario",
+                          str(SCENARIO_DIR / "gfl_feeder.json"),
+                          "--out", str(tmp_path / "p"), "--quiet",
+                          "--param", "nosuch"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown parameter 'nosuch'; known: ")
+        assert "lambda" in err and "line.l" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["1:0.5:3", "1:1:2", "0.5:nan:3",
+                                      "0.5:inf:3", "0.5:1:0"])
+    def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
+        rc = run_command(["boundary2d", "--scenario",
+                          str(SCENARIO_DIR / "two_bus.json"),
+                          "--out", str(tmp_path / "g"), "--quiet",
+                          "--grid", grid])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+
+    def test_non_numeric_analysis_setting_is_one_error_line(self, tmp_path,
+                                                           capsys):
+        scenario = json.loads((SCENARIO_DIR / "gfl_feeder.json").read_text())
+        scenario["analysis"]["simulation"]["t_end"] = "abc"
+        path = tmp_path / "bad_setting.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command(["simulate", "--scenario", str(path),
+                          "--out", str(tmp_path / "s"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: analysis.simulation.t_end: ")
+        assert err.count("\n") == 1
+
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

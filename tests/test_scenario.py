@@ -82,6 +82,20 @@ class TestParsing:
         (lambda d: d.update(base={"f_hz": 0}), "base"),
         (lambda d: d.update(params={"lambda": "high"}), "params"),
         (lambda d: d.update(buses=5), "buses"),
+        (lambda d: d["branches"][0].update(r="nan"), "branches[0]"),
+        (lambda d: d.update(analysis={"simulation": {"t_end": "abc"}}),
+         "analysis.simulation.t_end"),
+        (lambda d: d.update(analysis={"simulation": {"param_steps": 5}}),
+         "analysis.simulation.param_steps"),
+        (lambda d: d.update(analysis={"continuation": {"max_steps": 2.5}}),
+         "analysis.continuation.max_steps"),
+        (lambda d: d.update(analysis={"secondary": {"weights": {"b2": "x"}}}),
+         "analysis.secondary.weights"),
+        (lambda d: d.update(analysis={"boundary2d": {
+            "param2": "line.l", "grid": [0.002, 0.001]}}),
+         "analysis.boundary2d.grid"),
+        (lambda d: d.update(analysis={"cf": {"bus": "b2", "window": "two"}}),
+         "analysis.cf.window"),
     ])
     def test_bad_value_names_its_entry(self, edit, where):
         data = json.loads(MINIMAL)
