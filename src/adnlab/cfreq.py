@@ -128,13 +128,13 @@ def cf_of_bus(sys, traj: Trajectory, bus_id: str, omega_frame: float,
                               window, source=bus_id)
 
 
-def _gfl_series(sys, traj: Trajectory, conv_id: str, p: Params):
-    keys = ("vmod_d", "vmod_q", "v_pll_q", "omega_pll")
-    out = {k: np.empty(len(traj.times)) for k in keys}
+def _output_series(sys, traj: Trajectory, conv_id: str, p: Params, keys):
+    """One array per output key of a converter, sampled along ``traj``."""
+    out = tuple(np.empty(len(traj.times)) for _ in keys)
     for i, x in enumerate(traj.states):
         o = sys.outputs(x, p)[conv_id]
-        for k in keys:
-            out[k][i] = o[k]
+        for series, k in zip(out, keys):
+            series[i] = o[k]
     return out
 
 
@@ -150,9 +150,9 @@ def pll_internal_frequency(sys, traj: Trajectory, conv_id: str,
     if conv_id not in sys.gfl_ids():
         raise ConfigurationError(f"{conv_id!r} is not a GFL converter")
     p = p if p is not None else sys.params0
-    series = _gfl_series(sys, traj, conv_id, p)
+    (omega_pll,) = _output_series(sys, traj, conv_id, p, ("omega_pll",))
     return CfSeries(traj.times, np.zeros(len(traj.times)),
-                    _smooth(series["omega_pll"], window),
+                    _smooth(omega_pll, window),
                     source=f"{conv_id}.pll")
 
 
@@ -173,17 +173,13 @@ def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
     omega_frame = omega_frame if omega_frame is not None else sys.omega0
     times = traj.times
     if conv_id in sys.gfl_ids():
-        theta = traj.column(f"{conv_id}.theta")
-        series = _gfl_series(sys, traj, conv_id, p)
-        m_d, m_q = series["vmod_d"], series["vmod_q"]
+        m_d, m_q = _output_series(sys, traj, conv_id, p, ("vmod_d", "vmod_q"))
     elif conv_id in sys.gfm_ids():
-        theta = traj.column(f"{conv_id}.theta")
-        e_mag = np.empty(len(times))
-        for i, x in enumerate(traj.states):
-            e_mag[i] = sys.outputs(x, p)[conv_id]["e_mag"]
-        m_d, m_q = e_mag, np.zeros_like(e_mag)
+        (m_d,) = _output_series(sys, traj, conv_id, p, ("e_mag",))
+        m_q = np.zeros_like(m_d)
     else:
         raise ConfigurationError(f"unknown converter {conv_id!r}")
+    theta = traj.column(f"{conv_id}.theta")
     sync = CfSeries(times, np.zeros(len(times)), derivative(times, theta),
                     source=f"{conv_id}.sync")
     regulation = cf_from_trajectory(times, m_d, m_q, omega_frame,

@@ -127,20 +127,11 @@ def _known_param(p, name: str) -> str:
 
 
 def _continuation_settings(run: _Run, args, p):
-    cfg = dict(run.scenario.analysis.get("continuation") or
-               {k: v for k, v in
-                [("param", "lambda"), ("direction", 1.0), ("h0", 0.02),
-                 ("h_min", 1e-5), ("h_max", 0.05), ("max_steps", 2000),
-                 ("param_min", 0.0), ("param_max", 1e6)]})
-    if args.param:
-        cfg["param"] = args.param
+    cfg = dict(run.scenario.analysis["continuation"])
+    param = cfg.pop("param")
     if args.steps:
         cfg["max_steps"] = args.steps
-    settings = ContinuationSettings(
-        h0=cfg["h0"], h_min=cfg["h_min"], h_max=cfg["h_max"],
-        max_steps=cfg["max_steps"], param_min=cfg["param_min"],
-        param_max=cfg["param_max"], direction=cfg["direction"])
-    return _known_param(p, cfg["param"]), settings
+    return _known_param(p, args.param or param), ContinuationSettings(**cfg)
 
 
 def _cmd_continue(run: _Run, args):
@@ -165,21 +156,14 @@ def _cmd_continue(run: _Run, args):
 
 
 def _cmd_boundary2d(run: _Run, args):
+    cfg = run.scenario.analysis.get("boundary2d")
+    if cfg is None:
+        raise ScenarioError("scenario has no analysis.boundary2d block")
     sys = run.scenario.build()
     p = run.scenario.base_params(sys)
-    cfg = run.scenario.analysis.get("boundary2d")
-    if cfg is None and not (args.param and args.grid):
-        raise ScenarioError("scenario has no analysis.boundary2d block and "
-                            "no --param/--grid override was given")
     param1, settings = _continuation_settings(run, args, p)
-    if args.grid:
-        lo, hi, num = args.grid
-        grid = list(np.linspace(lo, hi, num))
-        param2 = cfg["param2"] if cfg else args.param
-    else:
-        grid = cfg["grid"]
-        param2 = cfg["param2"]
-    _known_param(p, param2)
+    param2 = _known_param(p, cfg["param2"])
+    grid = list(np.linspace(*args.grid)) if args.grid else cfg["grid"]
     if param2 == param1:
         raise ScenarioError(f"boundary2d sweeps {param2!r} against itself; "
                             "the sweep and continuation parameters must "
@@ -192,9 +176,7 @@ def _cmd_boundary2d(run: _Run, args):
 
 def _cmd_simulate(run: _Run, args):
     sys, p, sol = _solve_base(run.scenario)
-    cfg = run.scenario.analysis.get("simulation") or {
-        "t_end": 1.0, "h": 1e-3, "startup_be_steps": 2, "damped_every": 25,
-        "param_steps": {}}
+    cfg = run.scenario.analysis["simulation"]
     try:
         p_run = p.with_values(cfg["param_steps"]) if cfg["param_steps"] else p
     except KeyError as exc:
@@ -209,9 +191,7 @@ def _cmd_simulate(run: _Run, args):
 def _cmd_secondary(run: _Run, args):
     sys = run.scenario.build()
     p = run.scenario.base_params(sys)
-    cfg = run.scenario.analysis.get("secondary") or {
-        "weights": {}, "default_weight": 1.0, "rho": 1e-8, "alpha": 1.0,
-        "max_iter": 30, "tol_v": 0.01}
+    cfg = run.scenario.analysis["secondary"]
     weights = {b: cfg["weights"].get(b, cfg["default_weight"])
                for b in sys.bus_ids}
     history = run_recursive(
@@ -317,6 +297,18 @@ def _grid_spec(text: str):
     return lo, hi, num
 
 
+def _step_budget(text: str) -> int:
+    """A continuation step budget: an integer ``>= 1``."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise argparse.ArgumentTypeError(
+            f"step budget must be an integer >= 1, got {text!r}")
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="adnlab",
                      description="voltage-stability laboratory for "
@@ -328,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the continuation parameter name")
     parser.add_argument("--grid", type=_grid_spec, default=None,
                         metavar="a:b:n",
-                        help="override the boundary2d grid (linspace)")
-    parser.add_argument("--steps", type=int, default=None,
+                        help="override the grid of the scenario's "
+                             "boundary2d block (linspace)")
+    parser.add_argument("--steps", type=_step_budget, default=None,
                         help="override the continuation step budget")
     parser.add_argument("--quiet", action="store_true")
     return parser

@@ -253,7 +253,8 @@ def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
     return branch
 
 
-def _test_value(point: BranchPoint, kind: str, limiter: str | None) -> float:
+def _test_value(point: BranchPoint, kind: str,
+                limiter: str | None = None) -> float:
     if kind == "SNB":
         return point.det_sign
     if kind == "HB":
@@ -263,6 +264,11 @@ def _test_value(point: BranchPoint, kind: str, limiter: str | None) -> float:
     if kind == "SIB-candidate":
         return math.log10(max(point.alg_cond, 1.0)) - math.log10(SIB_COND_LIMIT)
     raise ValueError(f"unknown bifurcation kind {kind!r}")
+
+
+def _flips(lo: BranchPoint, hi: BranchPoint, kind: str,
+           limiter: str | None = None) -> bool:
+    return _test_value(lo, kind, limiter) * _test_value(hi, kind, limiter) < 0.0
 
 
 def classify_bifurcations(branch: Branch) -> list:
@@ -276,51 +282,51 @@ def classify_bifurcations(branch: Branch) -> list:
     unstable eigenvalues.  Records are coarse (segment midpoints); refine
     with :func:`locate_bifurcation`.
     """
+    return [rec for rec, _ in _classify(branch)]
+
+
+def _classify(branch: Branch) -> list:
+    """:func:`classify_bifurcations` with each record's bracket: the pair
+    of branch points its test function changes sign between."""
     pts = branch.points
-    records = []
-    if len(pts) < 2:
-        return records
+    found = []
     for i in range(1, len(pts)):
         a, b = pts[i - 1], pts[i]
-        seg_records = []
+        seg = []   # (kind, lo, hi, limiter, bracket)
         # fold: lam direction reverses at an interior point
         if i + 1 < len(pts):
             c = pts[i + 1]
-            d1 = b.lam - a.lam
-            d2 = c.lam - b.lam
-            if d1 * d2 < 0.0 and a.det_sign * c.det_sign < 0.0:
-                seg_records.append(("SNB", a, c, None))
-        if (np.isfinite(a.hb_metric) and np.isfinite(b.hb_metric)
-                and a.hb_metric * b.hb_metric < 0.0):
+            if (b.lam - a.lam) * (c.lam - b.lam) < 0.0 \
+                    and _flips(a, c, "SNB"):
+                bracket = (a, b) if _flips(a, b, "SNB") else \
+                    (b, c) if _flips(b, c, "SNB") else (a, c)
+                seg.append(("SNB", a, c, None, bracket))
+        ha, hb = _test_value(a, "HB"), _test_value(b, "HB")
+        if np.isfinite(ha) and np.isfinite(hb) and ha * hb < 0.0:
             floor = HB_NOISE_REL * max(1.0, 0.5 * (a.hb_im + b.hb_im))
-            if max(abs(a.hb_metric), abs(b.hb_metric)) > floor:
-                seg_records.append(("HB", a, b, None))
+            if max(abs(ha), abs(hb)) > floor:
+                seg.append(("HB", a, b, None, (a, b)))
         for name in a.activities:
-            ta = a.activities[name] - 1.0
-            tb = b.activities[name] - 1.0
-            if ta * tb < 0.0 and a.n_unstable != b.n_unstable \
-                    and not seg_records:
-                seg_records.append(("LIB", a, b, name))
-        ca = math.log10(max(a.alg_cond, 1.0)) - math.log10(SIB_COND_LIMIT)
-        cb = math.log10(max(b.alg_cond, 1.0)) - math.log10(SIB_COND_LIMIT)
+            if _flips(a, b, "LIB", name) and a.n_unstable != b.n_unstable \
+                    and not seg:
+                seg.append(("LIB", a, b, name, (a, b)))
+        ca = _test_value(a, "SIB-candidate")
+        cb = _test_value(b, "SIB-candidate")
         if ca * cb < 0.0 and cb > ca:
-            seg_records.append(("SIB-candidate", a, b, None))
-        for kind, lo, hi, limiter in seg_records:
-            eig = _crossing_eigenvalue(kind, lo, hi)
-            records.append(BifurcationRecord(
+            seg.append(("SIB-candidate", a, b, None, (a, b)))
+        for kind, lo, hi, limiter, bracket in seg:
+            s = 0.5 * (lo.s + hi.s)
+            # overlapping fold windows can report one fold twice
+            if any(r.kind == kind and abs(r.s - s) < 1e-12 for r, _ in found):
+                continue
+            found.append((BifurcationRecord(
                 kind=kind, lam=0.5 * (lo.lam + hi.lam),
-                x=0.5 * (lo.x + hi.x), s=0.5 * (lo.s + hi.s), eig=eig,
+                x=0.5 * (lo.x + hi.x), s=s,
+                eig=_crossing_eigenvalue(kind, lo, hi),
                 tol_achieved=abs(hi.lam - lo.lam),
                 n_unstable_before=lo.n_unstable,
-                n_unstable_after=hi.n_unstable, limiter=limiter))
-    # de-duplicate records produced by overlapping fold windows
-    unique = []
-    for rec in records:
-        if any(r.kind == rec.kind and abs(r.s - rec.s) < 1e-12
-               for r in unique):
-            continue
-        unique.append(rec)
-    return unique
+                n_unstable_after=hi.n_unstable, limiter=limiter), bracket))
+    return found
 
 
 def _crossing_eigenvalue(kind: str, lo: BranchPoint, hi: BranchPoint):
@@ -397,39 +403,17 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
 
 
 def locate_all(sys: DaeSystem, branch: Branch, p: Params) -> list:
-    """Classify a branch and refine every record by bisection."""
+    """Classify a branch and refine every record by bisection of the
+    bracket it was found in."""
     refined = []
-    for rec in classify_bifurcations(branch):
+    for rec, (lo, hi) in _classify(branch):
         try:
-            lo, hi = _bracket_for(branch, rec)
             located = locate_bifurcation(
                 sys, branch.param, p, lo, hi, rec.kind, rec.limiter)
             refined.append(replace(located, s=rec.s))
         except (NonConvergenceError, SingularJacobianError, ValueError):
             refined.append(rec)   # keep the coarse record
     return refined
-
-
-def _bracket_for(branch: Branch, rec: BifurcationRecord):
-    """Smallest sign-changing bracket of consecutive (or near-consecutive)
-    branch points around a coarse record."""
-    pts = branch.points
-
-    def ok(lo, hi):
-        fa = _test_value(lo, rec.kind, rec.limiter)
-        fb = _test_value(hi, rec.kind, rec.limiter)
-        return np.isfinite(fa) and np.isfinite(fb) and fa * fb < 0.0
-
-    order = sorted(range(1, len(pts)),
-                   key=lambda j: abs(0.5 * (pts[j - 1].s + pts[j].s) - rec.s))
-    for j in order[:6]:
-        if ok(pts[j - 1], pts[j]):
-            return pts[j - 1], pts[j]
-    for j in order[:6]:
-        for lo_i, hi_i in ((j - 2, j), (j - 1, j + 1), (j - 2, j + 1)):
-            if 0 <= lo_i < hi_i < len(pts) and ok(pts[lo_i], pts[hi_i]):
-                return pts[lo_i], pts[hi_i]
-    raise ValueError(f"no sign-changing bracket found for {rec.kind}")
 
 
 def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,

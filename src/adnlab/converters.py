@@ -15,6 +15,7 @@ taxonomy, not to be a complete voltage-source converter.
 import math
 from dataclasses import dataclass, field
 
+from .errors import ModelValidationError
 from .limits import SmoothLimiter, anti_windup_rate, sat_vector
 from .val import ValGains
 
@@ -55,18 +56,18 @@ class GflConverter:
 
     def __post_init__(self):
         if self.l_f <= 0.0:
-            raise ValueError("filter inductance must be positive")
+            raise ModelValidationError("filter inductance must be positive")
         if self.i_max <= 0.0:
-            raise ValueError("rated current must be positive")
+            raise ModelValidationError("rated current must be positive")
         if not self.limiter_k >= 1.0:
-            raise ValueError("limiter sharpness must be >= 1")
+            raise ModelValidationError("limiter sharpness must be >= 1")
         for g in (self.kp_cc, self.ki_cc, self.kp_pll, self.ki_pll, self.k_aw):
             if g < 0.0:
-                raise ValueError("controller gains must be non-negative")
+                raise ModelValidationError("controller gains must be non-negative")
         if self.tau_meas < 0.0:
-            raise ValueError("measurement time constant must be non-negative")
+            raise ModelValidationError("measurement time constant must be non-negative")
         if self.val_mode not in ("off", "qval", "dval"):
-            raise ValueError(f"unknown VAL mode {self.val_mode!r}")
+            raise ModelValidationError(f"unknown VAL mode {self.val_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +88,11 @@ class GfmDroop:
 
     def __post_init__(self):
         if self.m_p <= 0.0:
-            raise ValueError("P/f droop slope must be positive")
+            raise ModelValidationError("P/f droop slope must be positive")
         if self.n_q < 0.0:
-            raise ValueError("Q/V droop slope must be non-negative")
+            raise ModelValidationError("Q/V droop slope must be non-negative")
         if self.l_v <= 0.0:
-            raise ValueError("virtual inductance must be positive")
+            raise ModelValidationError("virtual inductance must be positive")
 
 
 def pll_project(vd: float, vq: float, theta: float):

@@ -377,73 +377,64 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float, h: float,
     if h <= 0.0:
         raise ValueError("step size must be positive")
     x = np.asarray(x0, dtype=float).copy()
-    m = sys.mass(p)
-    dyn = m > 0.0
     n_steps = int(round((t_end - t0) / h))
     times = t0 + h * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, sys.n))
     out[0] = x
-    stepper = _Stepper(sys, p, m, dyn)
+    stepper = _Stepper(sys, p)
+    f = sys.residual(x, p)
     for step in range(n_steps):
         t_next = float(times[step + 1])
         damp = step < startup_be_steps or (
             damped_every > 0 and step % damped_every == damped_every - 1)
         if damp:
-            x = stepper.backward_euler(x, 0.5 * h, t_next)
-            x = stepper.backward_euler(x, 0.5 * h, t_next)
+            x, f = stepper.step(x, 0.5 * h, t_next)
+            x, f = stepper.step(x, 0.5 * h, t_next)
         else:
-            x = stepper.trapezoidal(x, h, t_next)
+            x, f = stepper.step(x, 0.5 * h, t_next, f)
         out[step + 1] = x
     return Trajectory(times, out, sys.state_names)
 
 
 class _Stepper:
-    """One-step solvers sharing a lazily refreshed Jacobian."""
+    """One-step theta-method solver with a lazily refreshed Jacobian."""
 
-    def __init__(self, sys, p, m, dyn):
+    def __init__(self, sys, p):
         self.sys = sys
         self.p = p
-        self.m = m
-        self.dyn = dyn
-        self._jac_f = None
+        self.m = sys.mass(p)
+        self.dyn = self.m > 0.0
         self._jac_step = None
-        self._jac_kind = None
+        self._jac_key = None
         self._steps_since_jac = 0
 
-    def trapezoidal(self, x, h, t_next):
-        f_old = self.sys.residual(x, self.p)
+    def step(self, x, a, t_next, f_old=None):
+        """Solve ``m (z - x) = a (F(z) + f_old)`` on dynamic rows and
+        ``F(z) = 0`` on algebraic rows; return ``(z, F(z))``.
 
-        def residual(z, f_new):
-            return np.where(self.dyn,
-                            self.m * (z - x) - 0.5 * h * (f_new + f_old),
-                            f_new)
-
-        return self._solve(x, h, t_next, residual, -0.5 * h, "trap")
-
-    def backward_euler(self, x, h, t_next):
-        def residual(z, f_new):
-            return np.where(self.dyn, self.m * (z - x) - h * f_new, f_new)
-
-        return self._solve(x, h, t_next, residual, -h, "be")
-
-    def _solve(self, x, h, t_next, residual_fn, jac_scale, kind):
+        With ``f_old = F(x)`` this is a trapezoidal step of size ``2a``;
+        without it, a backward-Euler step of size ``a``.  ``F(z)`` is the
+        residual of the converged Newton check, so the next trapezoidal
+        step can take it as its ``f_old``.
+        """
+        key = (f_old is None, a)
         z = x.copy()
         for attempt in range(2):
-            if (self._jac_f is None or self._steps_since_jac >= 50
-                    or self._jac_kind != (kind, h) or attempt > 0):
-                self._jac_f = jacobian_fd(self.sys, z, self.p)
-                self._jac_step = jac_scale * self._jac_f
+            if (self._jac_step is None or self._steps_since_jac >= 50
+                    or self._jac_key != key or attempt > 0):
+                jac = jacobian_fd(self.sys, z, self.p)
+                self._jac_step = -a * jac
                 self._jac_step[self.dyn] += np.diag(self.m)[self.dyn]
-                self._jac_step[~self.dyn] = self._jac_f[~self.dyn]
-                self._jac_kind = (kind, h)
+                self._jac_step[~self.dyn] = jac[~self.dyn]
+                self._jac_key = key
                 self._steps_since_jac = 0
-            converged = False
             for _ in range(25):
-                f_new = self.sys.residual(z, self.p)
-                res = residual_fn(z, f_new)
+                f = self.sys.residual(z, self.p)
+                rate = f if f_old is None else f + f_old
+                res = np.where(self.dyn, self.m * (z - x) - a * rate, f)
                 if float(np.max(np.abs(res))) <= STEP_NEWTON_TOL:
-                    converged = True
-                    break
+                    self._steps_since_jac += 1
+                    return z, f
                 try:
                     dz = np.linalg.solve(self._jac_step, -res)
                 except np.linalg.LinAlgError as exc:
@@ -451,9 +442,6 @@ class _Stepper:
                         f"singular step Jacobian at t={t_next:.6g}s",
                         time=t_next) from exc
                 z = z + dz
-            if converged:
-                self._steps_since_jac += 1
-                return z
             z = x.copy()   # retry once with a fresh Jacobian
         raise IntegrationError(
             f"step Newton failed at t={t_next:.6g}s; try a smaller step "

@@ -5,9 +5,10 @@ class AdnlabError(Exception):
     """Base class for every error raised by this package."""
 
 
-class ModelValidationError(AdnlabError):
+class ModelValidationError(AdnlabError, ValueError):
     """A model object violates its structural invariants (bad parameter,
-    dangling bus reference, disconnected graph, ...)."""
+    dangling bus reference, disconnected graph, ...).  Also a
+    ``ValueError``, since each names a value out of range."""
 
 
 class DegenerateVoltageError(AdnlabError):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ModelValidationError
+
 __all__ = [
     "SmoothLimiter",
     "sat",
@@ -36,9 +38,10 @@ class SmoothLimiter:
 
     def __post_init__(self):
         if not self.limit > 0.0:
-            raise ValueError(f"limiter magnitude must be positive, got {self.limit}")
+            raise ModelValidationError(
+                f"limiter magnitude must be positive, got {self.limit}")
         if not self.k >= 1.0:
-            raise ValueError(f"limiter sharpness must be >= 1, got {self.k}")
+            raise ModelValidationError(f"limiter sharpness must be >= 1, got {self.k}")
 
     def __call__(self, x):
         return sat(self, x)
@@ -101,7 +104,7 @@ def rate_window(n: float, n_min: float, n_max: float, k: float, direction: float
     never suppressed.
     """
     if not n_min < n_max:
-        raise ValueError("rate window requires n_min < n_max")
+        raise ModelValidationError("rate window requires n_min < n_max")
     span = n_max - n_min
     if direction > 0.0:
         u = (n_max - n) / span
@@ -120,5 +123,5 @@ def anti_windup_rate(e, u, u_sat, k_aw: float):
     feedback term bleeds the integrator off instead of letting it wind up.
     """
     if k_aw < 0.0:
-        raise ValueError("anti-windup gain must be non-negative")
+        raise ModelValidationError("anti-windup gain must be non-negative")
     return e + k_aw * (u_sat - u)

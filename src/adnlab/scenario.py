@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .converters import GflConverter, GfmDroop
-from .errors import ConfigurationError, ModelValidationError, ScenarioError
+from .errors import ConfigurationError, ScenarioError
 from .network import (
     Bus,
     GridSource,
@@ -127,8 +127,7 @@ class Scenario:
 
 
 # Errors raised by converting a field or constructing a device from it.
-_BAD_VALUE = (ModelValidationError, ConfigurationError, ValueError,
-              TypeError, OverflowError)
+_BAD_VALUE = (ConfigurationError, ValueError, TypeError, OverflowError)
 
 
 # Scenario keys whose device field has another name; a reactance (pu at
@@ -210,6 +209,20 @@ def _mapping(value) -> dict:
     return {str(k): _number(v) for k, v in (value or {}).items()}
 
 
+def _positive(value) -> float:
+    number = _number(value)
+    if not number > 0.0:
+        raise ValueError(f"{value!r} is not positive")
+    return number
+
+
+def _count(value) -> int:
+    number = _integer(value)
+    if number < 1:
+        raise ValueError(f"{value!r} is not a positive integer")
+    return number
+
+
 def _grid(value) -> list:
     grid = [_number(g) for g in value]
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -221,20 +234,23 @@ def _optional_text(value):
     return str(value) if value else None
 
 
-# Analysis blocks in schema order: key, fields, and the converter of each
-# field that is not a plain number.
+# Analysis blocks in schema order: key, fields, the converter of each
+# field that is not a plain number, and the keys whose values must not
+# decrease in the order given.
 _ANALYSES = (
     ("continuation", CONTINUATION_FIELDS,
-     {"param": str, "max_steps": _integer}),
-    ("boundary2d", BOUNDARY_FIELDS, {"param2": str, "grid": _grid}),
+     {"param": str, "max_steps": _count, "h_min": _positive},
+     ("h_min", "h0", "h_max")),
+    ("boundary2d", BOUNDARY_FIELDS, {"param2": str, "grid": _grid}, ()),
     ("simulation", SIMULATION_FIELDS,
-     {"startup_be_steps": _integer, "damped_every": _integer,
-      "param_steps": _mapping}),
+     {"t_end": _positive, "h": _positive, "startup_be_steps": _integer,
+      "damped_every": _integer, "param_steps": _mapping}, ()),
     ("secondary", SECONDARY_FIELDS,
-     {"weights": _mapping, "max_iter": _integer}),
+     {"weights": _mapping, "max_iter": _integer}, ()),
     ("cf", CF_FIELDS,
      {"bus": str, "converter": _optional_text, "window": _integer,
-      "startup_be_steps": _integer, "damped_every": _integer}),
+      "t_end": _positive, "h": _positive, "startup_be_steps": _integer,
+      "damped_every": _integer}, ()),
 )
 
 
@@ -296,24 +312,33 @@ def loads_scenario(text: str) -> Scenario:
     analysis_raw = _apply(ANALYSIS_FIELDS, top["analysis"] or {}, "analysis")
     analysis = {}
     canonical["analysis"] = {}
-    for key, fields, kinds in _ANALYSES:
-        if analysis_raw[key] is None:
+    for key, fields, kinds, ordered in _ANALYSES:
+        # A block without required keys stands for its defaults when absent;
+        # the canonical form keeps only the blocks that were given.
+        given = analysis_raw[key] is not None
+        if not given and _REQUIRED in fields.values():
             continue
         where = f"analysis.{key}"
-        entry = _apply(fields, analysis_raw[key], where)
-        analysis[key] = {
+        entry = _apply(fields, analysis_raw[key] if given else {}, where)
+        values = {
             name: _build(f"{where}.{name}", kinds.get(name, _number), value)
             for name, value in entry.items()}
-        for name, kind in kinds.items():
-            if kind is _mapping and entry[name] is None:
-                entry[name] = {}
-        canonical["analysis"][key] = entry
+        for lo, hi in zip(ordered, ordered[1:]):
+            if values[hi] < values[lo]:
+                raise ScenarioError(f"{where}.{hi}: {values[hi]!r} is below "
+                                    f"{lo} = {values[lo]!r}")
+        analysis[key] = values
+        if given:
+            for name, kind in kinds.items():
+                if kind is _mapping and entry[name] is None:
+                    entry[name] = {}
+            canonical["analysis"][key] = entry
 
     try:
         model = NetworkModel(
             **{key: tuple(devs) for key, devs in devices.items()},
             gfls=tuple(gfls), gfms=tuple(gfms), omega0=omega0)
-    except (ModelValidationError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
     return Scenario(name=str(top["name"]), f_hz=f_hz, canonical=canonical,

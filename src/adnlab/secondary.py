@@ -131,8 +131,7 @@ def collect_measurements(sys, x, p: Params,
         q_ref = p[f"{conv_id}.q0"] + p[f"{conv_id}.kq"] * (
             p[f"{conv_id}.v_ref"] - v)
         setpoints[conv_id] = (p[f"{conv_id}.p_ref"], float(q_ref))
-        idx = sys.gfl_state_index(conv_id)
-        conv_currents[conv_id] = float(np.hypot(x[idx + 2], x[idx + 3]))
+        conv_currents[conv_id] = _conv_current(sys, x, conv_id)
     return MeasurementSnapshot(iteration, voltages, load_currents,
                                setpoints, conv_currents)
 

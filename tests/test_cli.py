@@ -151,12 +151,73 @@ class TestExitCodes:
     def test_boundary2d_rejects_sweep_against_itself(self, tmp_path, capsys):
         out = tmp_path / "self"
         rc = run_command(["boundary2d", "--scenario",
+                          str(SCENARIO_DIR / "two_bus.json"),
+                          "--out", str(out), "--quiet",
+                          "--param", "line.l", "--grid", "0.5:1:3"])
+        assert rc == EXIT_NUMERICAL
+        assert "against itself" in capsys.readouterr().err
+        assert not (out / "boundary.csv").exists()
+
+    def test_boundary2d_needs_its_block(self, tmp_path, capsys):
+        out = tmp_path / "noblock"
+        rc = run_command(["boundary2d", "--scenario",
                           str(SCENARIO_DIR / "gfl_feeder.json"),
                           "--out", str(out), "--quiet",
                           "--param", "lambda", "--grid", "0.5:1:3"])
         assert rc == EXIT_NUMERICAL
-        assert "against itself" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "error: scenario has no analysis.boundary2d block\n"
         assert not (out / "boundary.csv").exists()
+
+    @pytest.mark.parametrize("command, block, setting", [
+        ("simulate", "simulation", {"h": 0}),
+        ("simulate", "simulation", {"t_end": -1}),
+        ("continue", "continuation", {"h0": -1}),
+    ])
+    def test_non_positive_step_is_one_error_line(self, tmp_path, capsys,
+                                                 command, block, setting):
+        scenario = json.loads((SCENARIO_DIR / "gfl_feeder.json").read_text())
+        scenario["analysis"][block] = setting
+        path = tmp_path / "bad_step.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command([command, "--scenario", str(path),
+                          "--out", str(tmp_path / "n"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        key, = setting
+        assert err.startswith(f"error: analysis.{block}.{key}: ")
+        assert err.count("\n") == 1
+
+    def test_parameter_out_of_model_range_mid_branch(self, tmp_path, capsys):
+        scenario = json.loads((SCENARIO_DIR / "gfl_feeder.json").read_text())
+        scenario["analysis"]["continuation"].update(
+            param="c1.i_max", direction=-1, param_min=-1)
+        path = tmp_path / "i_max_down.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command(["continue", "--scenario", str(path),
+                          "--out", str(tmp_path / "m"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: limiter magnitude must be positive")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("steps", ["0", "-3", "many"])
+    def test_bad_step_budget_is_usage_error(self, tmp_path, capsys, steps):
+        rc = run_command(["continue", "--scenario",
+                          str(SCENARIO_DIR / "two_bus.json"),
+                          "--out", str(tmp_path / "b"), "--quiet",
+                          "--steps", steps])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage: ")
+
+    def test_absent_settings_block_runs_on_defaults(self, tmp_path):
+        out = tmp_path / "defaults"
+        rc = run_command(["continue", "--scenario",
+                          str(SCENARIO_DIR / "secondary_4bus.json"),
+                          "--out", str(out), "--quiet", "--steps", "3"])
+        assert rc == EXIT_OK
+        header, rows = read_csv(out / "branch.csv")
+        assert header[1] == "lambda" and len(rows) == 3
 
     def test_unknown_param_is_one_error_line(self, tmp_path, capsys):
         rc = run_command(["continue", "--scenario",

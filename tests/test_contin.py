@@ -172,6 +172,28 @@ class TestTwoBusNose:
         tangent /= np.linalg.norm(tangent)
         assert abs(tangent[n]) <= 0.05
 
+    def test_records_bisect_the_classified_bracket(self):
+        sys = two_bus_system()
+        sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
+        branch = continue_branch(
+            sys, sol, "lambda",
+            ContinuationSettings(h0=0.02, param_min=0.05, param_max=5.0,
+                                 max_steps=500))
+        coarse, = classify_bifurcations(branch)
+        assert coarse.kind == "SNB"
+        # the consecutive pair the fold's determinant changes sign between
+        pts = branch.points
+        pairs = [(a, b) for a, b in zip(pts, pts[1:])
+                 if a.det_sign * b.det_sign < 0.0]
+        assert len(pairs) == 1
+        lo, hi = pairs[0]
+        bisected = locate_bifurcation(sys, "lambda", sys.params0, lo, hi,
+                                      "SNB")
+        located, = locate_all(sys, branch, sys.params0)
+        assert (located.kind, located.lam, located.tol_achieved) == \
+            (bisected.kind, bisected.lam, bisected.tol_achieved)
+        assert located.s == coarse.s
+
     def test_branch_points_satisfy_residual_tolerance(self):
         sys = two_bus_system()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)

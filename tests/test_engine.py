@@ -220,6 +220,46 @@ class TestIntegrate:
                          h=1e-3)
         assert np.max(np.abs(traj.states[:, 1] - 2.0 * traj.states[:, 0])) < 1e-9
 
+    def test_one_residual_call_per_newton_check(self, monkeypatch):
+        """Each step starts from the residual its predecessor's last Newton
+        check computed: outside Jacobians, the only calls are ``F(x0)`` and
+        one per step-Newton iteration (each solve plus each converged
+        check)."""
+        from adnlab import engine
+
+        a = np.array([[-1.0, 2.0, 0.5], [-2.0, -1.0, 0.0],
+                      [1.0, 0.0, -1.0]])
+        calls = {"residual": 0, "jacobian": 0, "solve": 0}
+
+        def residual(x, p):
+            calls["residual"] += 1
+            return a @ x
+
+        def counted_jacobian(*args):
+            before = calls["residual"]
+            jac = jacobian_fd(*args)
+            calls["jacobian"] += calls["residual"] - before
+            return jac
+
+        solve = np.linalg.solve
+
+        def counted_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(engine, "jacobian_fd", counted_jacobian)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        sys = DaeSystem(3, residual, lambda p: np.array([1.0, 1.0, 0.0]),
+                        Params((), []))
+        traj = integrate(sys, np.array([1.0, 0.0, 1.0]), sys.params0,
+                         t_end=0.2, h=0.01, startup_be_steps=2,
+                         damped_every=5)
+        damped = {0, 1, 4, 9, 14, 19}          # steps taken as two halves
+        sub_steps = len(traj.times) - 1 + len(damped)
+        assert calls["solve"] >= sub_steps
+        assert calls["residual"] - calls["jacobian"] == \
+            1 + calls["solve"] + sub_steps
+
     def test_bad_step_rejected(self):
         sys = linear_system(-np.eye(1))
         with pytest.raises(ValueError):

@@ -96,6 +96,32 @@ class TestParsing:
          "analysis.boundary2d.grid"),
         (lambda d: d.update(analysis={"cf": {"bus": "b2", "window": "two"}}),
          "analysis.cf.window"),
+        pytest.param(lambda d: d.update(analysis={"simulation": {"h": 0}}),
+                     "analysis.simulation.h", id="simulation-h-zero"),
+        pytest.param(
+            lambda d: d.update(analysis={"simulation": {"t_end": -1}}),
+            "analysis.simulation.t_end", id="simulation-t_end-negative"),
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2", "h": -2e-4}}),
+            "analysis.cf.h", id="cf-h-negative"),
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2", "t_end": 0}}),
+            "analysis.cf.t_end", id="cf-t_end-zero"),
+        pytest.param(
+            lambda d: d.update(analysis={"continuation": {"h0": -1}}),
+            "analysis.continuation.h0", id="continuation-h0-negative"),
+        pytest.param(
+            lambda d: d.update(analysis={"continuation": {"h0": 0.1}}),
+            "analysis.continuation.h_max", id="continuation-h_max-below-h0"),
+        pytest.param(
+            lambda d: d.update(analysis={"continuation": {"h_min": 0}}),
+            "analysis.continuation.h_min", id="continuation-h_min-zero"),
+        pytest.param(
+            lambda d: d.update(analysis={"continuation": {"max_steps": 0}}),
+            "analysis.continuation.max_steps",
+            id="continuation-max_steps-zero"),
+        pytest.param(lambda d: d.update(analysis={"simulation": 0}),
+                     "analysis.simulation", id="simulation-not-an-object"),
     ])
     def test_bad_value_names_its_entry(self, edit, where):
         data = json.loads(MINIMAL)
@@ -121,6 +147,16 @@ class TestCanonicalForm:
             sc = load_scenario(path)
             text = sc.canonical_json()
             assert loads_scenario(text).canonical_json() == text, path.name
+
+    def test_absent_blocks_without_required_keys_take_defaults(self):
+        sc = loads_scenario(MINIMAL)
+        assert sorted(sc.analysis) == ["continuation", "secondary",
+                                       "simulation"]
+        assert sc.analysis["continuation"]["h0"] == 0.02
+        assert sc.analysis["simulation"]["param_steps"] == {}
+        assert sc.analysis["secondary"]["weights"] == {}
+        # the canonical form (and so the scenario hash) holds given blocks only
+        assert sc.canonical["analysis"] == {}
 
     def test_reactance_to_inductance_conversion(self):
         sc = loads_scenario(MINIMAL)
