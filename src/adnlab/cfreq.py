@@ -128,14 +128,30 @@ def cf_of_bus(sys, traj: Trajectory, bus_id: str, omega_frame: float,
                               window, source=bus_id)
 
 
-def _output_series(sys, traj: Trajectory, conv_id: str, p: Params, keys):
-    """One array per output key of a converter, sampled along ``traj``."""
-    out = tuple(np.empty(len(traj.times)) for _ in keys)
-    for i, x in enumerate(traj.states):
-        o = sys.outputs(x, p)[conv_id]
-        for series, k in zip(out, keys):
-            series[i] = o[k]
-    return out
+# The converter outputs the cf series read: what pll_internal_frequency
+# and decompose_converter_cf need between them, per converter family.
+_GFL_SERIES = ("omega_pll", "vmod_d", "vmod_q")
+_GFM_SERIES = ("e_mag",)
+
+
+def _output_series(sys, traj: Trajectory, conv_id: str, p: Params) -> dict:
+    """The converter's cf outputs sampled along ``traj``, one array per key.
+
+    The walk is kept on the trajectory, keyed by the identity of the
+    system and the parameters, so the PLL frequency and the block
+    decomposition of one run walk the trajectory once.
+    """
+    key = ("cf outputs", sys, conv_id, p)
+    series = traj.memo.get(key)
+    if series is None:
+        keys = _GFL_SERIES if conv_id in sys.gfl_ids() else _GFM_SERIES
+        series = {k: np.empty(len(traj.times)) for k in keys}
+        for i, x in enumerate(traj.states):
+            o = sys.outputs(x, p)[conv_id]
+            for k in keys:
+                series[k][i] = o[k]
+        traj.memo[key] = series
+    return series
 
 
 def pll_internal_frequency(sys, traj: Trajectory, conv_id: str,
@@ -150,7 +166,8 @@ def pll_internal_frequency(sys, traj: Trajectory, conv_id: str,
     if conv_id not in sys.gfl_ids():
         raise ConfigurationError(f"{conv_id!r} is not a GFL converter")
     p = p if p is not None else sys.params0
-    (omega_pll,) = _output_series(sys, traj, conv_id, p, ("omega_pll",))
+    # a copy: the trajectory's memo keeps the walk for other callers
+    omega_pll = _output_series(sys, traj, conv_id, p)["omega_pll"].copy()
     return CfSeries(traj.times, np.zeros(len(traj.times)),
                     _smooth(omega_pll, window),
                     source=f"{conv_id}.pll")
@@ -173,9 +190,10 @@ def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
     omega_frame = omega_frame if omega_frame is not None else sys.omega0
     times = traj.times
     if conv_id in sys.gfl_ids():
-        m_d, m_q = _output_series(sys, traj, conv_id, p, ("vmod_d", "vmod_q"))
+        series = _output_series(sys, traj, conv_id, p)
+        m_d, m_q = series["vmod_d"], series["vmod_q"]
     elif conv_id in sys.gfm_ids():
-        (m_d,) = _output_series(sys, traj, conv_id, p, ("e_mag",))
+        m_d = _output_series(sys, traj, conv_id, p)["e_mag"]
         m_q = np.zeros_like(m_d)
     else:
         raise ConfigurationError(f"unknown converter {conv_id!r}")

@@ -16,6 +16,7 @@ repeated runs of the same scenario produce byte-identical files.
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys as _sys
@@ -46,11 +47,15 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
-                              for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write ``rows`` line by line; return the file's sha256 and size."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for row in itertools.chain((header,), rows):
+            line = ",".join(cell if isinstance(cell, str) else _fmt(cell)
+                            for cell in row).encode("utf-8") + b"\n"
+            handle.write(line)
+            digest.update(line)
+        return digest.hexdigest(), handle.tell()
 
 
 class _Run:
@@ -60,7 +65,7 @@ class _Run:
         self.out = out_dir
         self.command = command
         self.quiet = quiet
-        self.outputs = []
+        self.outputs = []      # (path, sha256, bytes) per written file
         self.t0 = time.perf_counter()
 
     def say(self, message: str):
@@ -69,19 +74,12 @@ class _Run:
 
     def csv(self, name: str, header, rows):
         path = self.out / name
-        _write_csv(path, header, rows)
-        self.outputs.append(path)
+        self.outputs.append((path, *_write_csv(path, header, rows)))
         self.say(f"wrote {path}")
 
     def manifest(self):
-        entries = []
-        for path in self.outputs:
-            data = path.read_bytes()
-            if not data:
-                raise AdnlabError(f"output file {path} is empty")
-            entries.append({"path": path.name,
-                            "sha256": hashlib.sha256(data).hexdigest(),
-                            "bytes": len(data)})
+        entries = [{"path": path.name, "sha256": sha, "bytes": size}
+                   for path, sha, size in self.outputs]
         payload = {
             "scenario": self.scenario.name,
             "scenario_hash": hashlib.sha256(
@@ -134,9 +132,20 @@ def _continuation_settings(run: _Run, args, p):
     return _known_param(p, args.param or param), ContinuationSettings(**cfg)
 
 
+def _check_start(p, param: str, settings: ContinuationSettings):
+    """A branch must start inside ``[param_min, param_max]``."""
+    start = p[param]
+    if not settings.param_min <= start <= settings.param_max:
+        raise ScenarioError(
+            f"continuation of {param!r} starts at {start!r}, outside "
+            f"[param_min, param_max] = [{settings.param_min!r}, "
+            f"{settings.param_max!r}]")
+
+
 def _cmd_continue(run: _Run, args):
     sys, p, sol = _solve_base(run.scenario)
     param, settings = _continuation_settings(run, args, p)
+    _check_start(p, param, settings)
     branch = continue_branch(sys, sol, param, settings)
     if branch.truncated:
         run.say(f"branch truncated: {branch.message}")
@@ -168,6 +177,7 @@ def _cmd_boundary2d(run: _Run, args):
         raise ScenarioError(f"boundary2d sweeps {param2!r} against itself; "
                             "the sweep and continuation parameters must "
                             "differ")
+    _check_start(p, param1, settings)
     boundary = trace_boundary_2d(sys, param1, param2, grid, settings,
                                  params=p)
     run.csv("boundary.csv", (param2, param1 + "_star", "kind"),
@@ -185,7 +195,7 @@ def _cmd_simulate(run: _Run, args):
                      startup_be_steps=cfg["startup_be_steps"],
                      damped_every=cfg["damped_every"])
     run.csv("trajectory.csv", ("t",) + sys.state_names,
-            [(t, *row) for t, row in zip(traj.times, traj.states)])
+            ((t, *row.tolist()) for t, row in zip(traj.times, traj.states)))
 
 
 def _cmd_secondary(run: _Run, args):
@@ -246,23 +256,22 @@ def _cmd_cf(run: _Run, args):
                      damped_every=cfg["damped_every"])
     window = cfg["window"]
     omega0 = scenario.omega0
-    rows = []
-
-    def emit(series, block):
-        for t, rho, omega in zip(series.times, series.rho, series.omega):
-            rows.append((t, rho, omega, block))
-
-    emit(cf_of_bus(sys, traj, cfg["bus"], omega0, window=window), "bus")
+    blocks = [(cf_of_bus(sys, traj, cfg["bus"], omega0, window=window),
+               "bus")]
     conv_id = cfg["converter"]
     if conv_id:
         if conv_id in sys.gfl_ids():
-            emit(pll_internal_frequency(sys, traj, conv_id, p_run,
-                                        window=window), "pll_internal")
+            blocks.append((pll_internal_frequency(sys, traj, conv_id, p_run,
+                                                  window=window),
+                           "pll_internal"))
         dec = decompose_converter_cf(sys, traj, conv_id, omega0, p_run)
-        emit(dec.synchronization, "synchronization")
-        emit(dec.regulation, "regulation")
-        emit(dec.total, "total")
-    run.csv("cf.csv", ("t", "rho", "omega", "block"), rows)
+        blocks += [(dec.synchronization, "synchronization"),
+                   (dec.regulation, "regulation"), (dec.total, "total")]
+    run.csv("cf.csv", ("t", "rho", "omega", "block"),
+            ((t, rho, omega, block) for series, block in blocks
+             for t, rho, omega in zip(series.times.tolist(),
+                                      series.rho.tolist(),
+                                      series.omega.tolist())))
 
 
 _HANDLERS = {

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ModelValidationError
-from .limits import SmoothLimiter, anti_windup_rate, sat_vector
+from .limits import anti_windup_rate, sat_vector
 from .val import ValGains
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "pll_project",
     "gfl_rates",
     "gfm_rates",
+    "GFL_RATES",
+    "GFM_RATES",
 ]
 
 V_FLOOR = 0.01
@@ -101,19 +103,30 @@ def pll_project(vd: float, vq: float, theta: float):
     return vd * c + vq * s, -vd * s + vq * c
 
 
+# Names of the residual rates and injection that :func:`gfl_rates` and
+# :func:`gfm_rates` return, in order; their ``outputs`` dicts use them too.
+GFL_RATES = ("f_theta", "f_eps", "f_id", "f_iq", "f_xid", "f_xiq",
+             "f_vmd", "f_vmq", "inj_d", "inj_q")
+GFM_RATES = ("f_theta", "f_pf", "f_qf", "inj_d", "inj_q")
+
+
 def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
               vm_d, vm_q, corr_d, corr_q, p_ref, q0, kq, v_ref, kp_pll,
-              ki_pll, kp_cc, ki_cc, k_aw, i_max, limiter_k, l_f, r_f):
-    """All GFL residuals and outputs for one evaluation point.
+              ki_pll, kp_cc, ki_cc, k_aw, lim, l_f, r_f, outputs=None):
+    """All GFL residuals for one evaluation point.
 
     ``vm_d/vm_q`` is the PLL-frame voltage measurement feeding the
     reference path (droop, power-to-current division, VAL deviation); the
     PLL itself always sees the raw bus voltage.  ``corr_d/corr_q`` is the
     VAL current correction in the PLL frame; pass zeros when the loop is
-    disabled.  Returns residual rates (mass factored out where it is not
-    1), the network-frame injected current, raw/limited references, the
-    measurement-filter rates and the modulation voltage used by the
-    complex-frequency decomposition.
+    disabled.  ``lim`` is the current limiter at the present ``i_max``.
+
+    Returns the residual rates (mass factored out where it is not 1) and
+    the network-frame injected current, named by :data:`GFL_RATES`.  An
+    ``outputs`` dict receives those under their names plus the PLL-frame
+    voltage and frequency, the raw and limited references, the modulation
+    voltage used by the complex-frequency decomposition and the limiter
+    activity.
     """
     v_pll_d, v_pll_q = pll_project(vd, vq, theta)
     omega_pll = omega0 + kp_pll * v_pll_q + eps
@@ -127,43 +140,41 @@ def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
     is_q = (p_ref * vm_q - q_ref * vm_d) / den
     raw_d = is_d + corr_d
     raw_q = is_q + corr_q
-    lim = SmoothLimiter(limit=i_max, k=limiter_k)
     iref_d, iref_q = sat_vector(lim, raw_d, raw_q)
     e_d = iref_d - i_d
     e_q = iref_q - i_q
     c, s = math.cos(theta), math.sin(theta)
-    return {
-        "f_theta": omega_pll - omega0,
-        "f_eps": ki_pll * v_pll_q,
-        "f_id": kp_cc * e_d + xi_d - r_f * i_d,      # mass l_f
-        "f_iq": kp_cc * e_q + xi_q - r_f * i_q,      # mass l_f
-        "f_xid": anti_windup_rate(ki_cc * e_d, raw_d, iref_d, k_aw),
-        "f_xiq": anti_windup_rate(ki_cc * e_q, raw_q, iref_q, k_aw),
-        "f_vmd": v_pll_d - vm_d,                     # mass tau_meas
-        "f_vmq": v_pll_q - vm_q,
-        "inj_d": i_d * c - i_q * s,
-        "inj_q": i_d * s + i_q * c,
-        "v_pll_d": v_pll_d,
-        "v_pll_q": v_pll_q,
-        "omega_pll": omega_pll,
-        "raw_d": raw_d,
-        "raw_q": raw_q,
-        "iref_d": iref_d,
-        "iref_q": iref_q,
-        "vmod_d": v_pll_d + kp_cc * e_d + xi_d - omega_pll * l_f * i_q,
-        "vmod_q": v_pll_q + kp_cc * e_q + xi_q + omega_pll * l_f * i_d,
-        "activity": limiter_k * math.hypot(raw_d, raw_q) / i_max,
-    }
+    rates = (omega_pll - omega0,
+             ki_pll * v_pll_q,
+             kp_cc * e_d + xi_d - r_f * i_d,      # mass l_f
+             kp_cc * e_q + xi_q - r_f * i_q,      # mass l_f
+             anti_windup_rate(ki_cc * e_d, raw_d, iref_d, k_aw),
+             anti_windup_rate(ki_cc * e_q, raw_q, iref_q, k_aw),
+             v_pll_d - vm_d,                      # mass tau_meas
+             v_pll_q - vm_q,
+             i_d * c - i_q * s,
+             i_d * s + i_q * c)
+    if outputs is not None:
+        outputs.update(zip(GFL_RATES, rates))
+        outputs.update(
+            v_pll_d=v_pll_d, v_pll_q=v_pll_q, omega_pll=omega_pll,
+            raw_d=raw_d, raw_q=raw_q, iref_d=iref_d, iref_q=iref_q,
+            vmod_d=v_pll_d + kp_cc * e_d + xi_d - omega_pll * l_f * i_q,
+            vmod_q=v_pll_q + kp_cc * e_q + xi_q + omega_pll * l_f * i_d,
+            activity=lim.k * math.hypot(raw_d, raw_q) / lim.limit)
+    return rates
 
 
 def gfm_rates(omega0, theta, p_f, q_f, vd, vq, m_p, n_q, v_set, p_set,
-              q_set, r_v, l_v, tau_p, tau_q):
-    """GFM droop residuals and injected current.
+              q_set, r_v, l_v, tau_p, tau_q, outputs=None):
+    """GFM droop residuals and injected current, named by
+    :data:`GFM_RATES`.
 
     The internal source ``E = v_set - n_q (Q_f - q_set)`` at angle
     ``theta`` injects through ``r_v + j omega0 l_v``; measured powers are
     first-order filtered with time constants ``tau_p`` and ``tau_q``
-    (masses of the corresponding rows).
+    (masses of the corresponding rows).  An ``outputs`` dict receives the
+    rates under their names plus ``e_mag``, ``p_inst`` and ``q_inst``.
     """
     e_mag = v_set - n_q * (q_f - q_set)
     e_d = e_mag * math.cos(theta)
@@ -176,13 +187,12 @@ def gfm_rates(omega0, theta, p_f, q_f, vd, vq, m_p, n_q, v_set, p_set,
     inj_q = (dq * r_v - dd * x_v) / den
     p_inst = vd * inj_d + vq * inj_q
     q_inst = vq * inj_d - vd * inj_q
-    return {
-        "f_theta": -m_p * (p_f - p_set),
-        "f_pf": p_inst - p_f,      # mass tau_p
-        "f_qf": q_inst - q_f,      # mass tau_q
-        "inj_d": inj_d,
-        "inj_q": inj_q,
-        "e_mag": e_mag,
-        "p_inst": p_inst,
-        "q_inst": q_inst,
-    }
+    rates = (-m_p * (p_f - p_set),
+             p_inst - p_f,      # mass tau_p
+             q_inst - q_f,      # mass tau_q
+             inj_d,
+             inj_q)
+    if outputs is not None:
+        outputs.update(zip(GFM_RATES, rates))
+        outputs.update(e_mag=e_mag, p_inst=p_inst, q_inst=q_inst)
+    return rates

@@ -206,11 +206,18 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step trajectory: ``states[i]`` is the state at ``times[i]``."""
+    """Fixed-step trajectory: ``states[i]`` is the state at ``times[i]``.
+
+    ``memo`` holds results that post-processing derives from the
+    trajectory and shares between its callers; it lives as long as the
+    trajectory does.
+    """
 
     times: np.ndarray
     states: np.ndarray
     state_names: tuple = field(default=())
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.state_names.index(name)]

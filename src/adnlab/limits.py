@@ -48,8 +48,11 @@ class SmoothLimiter:
 
 
 def sat(lim: SmoothLimiter, x):
-    """Smooth scalar saturation ``limit * tanh(k * x / limit)``."""
-    return lim.limit * np.tanh(lim.k * np.asarray(x, dtype=float) / lim.limit)
+    """Smooth saturation ``limit * tanh(k * x / limit)`` of a float or an
+    array."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    return lim.limit * np.tanh(lim.k * x / lim.limit)
 
 
 def sat_vector(lim: SmoothLimiter, xd: float, xq: float):
@@ -59,7 +62,7 @@ def sat_vector(lim: SmoothLimiter, xd: float, xq: float):
     unchanged.  Converter current limiting is a rated-capacity constraint
     on the magnitude, so no per-axis clipping is performed.
     """
-    mag = np.hypot(xd, xq)
+    mag = float(np.hypot(xd, xq))
     if mag == 0.0:
         return 0.0, 0.0
     scale = float(sat(lim, mag)) / mag
@@ -75,7 +78,8 @@ def smooth_deadband(d: float, k: float, e):
     at the origin is ``tanh(k) < 1``, which keeps the result odd and
     strictly increasing for every ``k >= 1``.
     """
-    e = np.asarray(e, dtype=float)
+    if not isinstance(e, float):
+        e = np.asarray(e, dtype=float)
     if d == 0.0:
         return e + 0.0
     z = e / d
@@ -83,10 +87,13 @@ def smooth_deadband(d: float, k: float, e):
     return e - clipped
 
 
+_LN2 = np.log(2.0)
+
+
 def _lncosh(z):
     """Overflow-safe log(cosh(z))."""
-    a = np.abs(z)
-    return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+    a = abs(z)
+    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
 
 
 _WINDOW_GAIN = 2.6

@@ -16,6 +16,7 @@ into the bus; loads return consumed current and are subtracted.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .converters import (GflConverter, V_FLOOR, gfl_rates, gfm_rates,
                          pll_project)
 from .engine import DaeSystem, Params
 from .errors import ModelValidationError
-from .limits import rate_window, smooth_deadband
+from .limits import SmoothLimiter, rate_window, smooth_deadband
 from .val import dval_rate, dval_realization, qval_correction
 
 __all__ = [
@@ -115,6 +116,9 @@ class ZipLoad:
             raise ModelValidationError(f"load {self.id!r}: reactive fractions must sum to 1")
         if self.v0 <= 0.0:
             raise ModelValidationError(f"load {self.id!r}: v0 must be positive")
+        if self.v0 * self.v0 == 0.0:      # the residual divides by it
+            raise ModelValidationError(
+                f"load {self.id!r}: v0 is too small, its square underflows")
 
 
 @dataclass(frozen=True)
@@ -140,16 +144,21 @@ class InductionMachine:
             raise ModelValidationError(
                 f"machine {self.id!r}: derived time constant / transient "
                 "reactance must be positive")
+        if self.r_s * self.r_s + self.x_prime * self.x_prime == 0.0:
+            raise ModelValidationError(          # the residual divides by it
+                f"machine {self.id!r}: stator impedance is too small, "
+                "its squared magnitude underflows")
 
-    @property
+    # Derived once per machine: every residual call reads them.
+    @cached_property
     def x0(self) -> float:
         return self.x_s + self.x_m
 
-    @property
+    @cached_property
     def x_prime(self) -> float:
         return self.x_s + self.x_m * self.x_r / (self.x_m + self.x_r)
 
-    @property
+    @cached_property
     def t0_prime(self) -> float:
         return (self.x_r + self.x_m) / (self.omega0 * self.r_r)
 
@@ -298,6 +307,12 @@ class NetworkModel:
                       for d in group]
         if len(set(device_ids)) != len(device_ids):
             raise ModelValidationError("duplicate device id")
+        for gfm in self.gfms:
+            x_v = self.omega0 * gfm.l_v
+            if gfm.r_v * gfm.r_v + x_v * x_v == 0.0:    # gfm_rates divides
+                raise ModelValidationError(
+                    f"gfm {gfm.id!r}: virtual impedance is too small, its "
+                    "squared magnitude underflows")
         bus_set = set(ids)
         for group, attr in ((self.sources, "bus"), (self.zip_loads, "bus"),
                             (self.machines, "bus"), (self.gfls, "bus"),
@@ -345,10 +360,12 @@ class AssembledSystem(DaeSystem):
     (Thevenin only) and angles (rotating only), LTC current/tap, machine
     (slip, e') triples, GFL converter states and GFM droop states.  All
     runtime-variable quantities are read from the parameter vector through
-    indices precomputed here, so residual evaluation allocates nothing but
-    the output array.  The layout also declares, row by row, the states
-    each residual row reads: the sparsity pattern that
-    :func:`~adnlab.engine.jacobian_fd` colours.
+    indices precomputed here, and the shunt terms of the bus rows and each
+    converter's limiter are set up here too.  One evaluation reads the
+    states and parameter values once as Python floats, accumulates in
+    Python lists and converts the residual to an array once.  The layout
+    also declares, row by row, the states each residual row reads: the
+    sparsity pattern that :func:`~adnlab.engine.jacobian_fd` colours.
     """
 
     def __init__(self, model: NetworkModel, rotating_sources: bool = False):
@@ -401,9 +418,10 @@ class AssembledSystem(DaeSystem):
             c = 0.0 if bus.id in pinned_sources else bus.b_sh / model.omega0
             mass_const += [c, c]
             inject(bus.id, {vi + 1}, {vi})    # shunt
-        self._bus_c = np.array([0.0 if b.id in pinned_sources
-                                else b.b_sh / model.omega0
-                                for b in model.buses])
+        # KCL rows of the buses no source pins: (bus, first row, w0 * c)
+        self._free_buses = tuple(
+            (bp, self.vidx[b.id], model.omega0 * (b.b_sh / model.omega0))
+            for bp, b in enumerate(model.buses) if b.id not in pinned_sources)
 
         self._branches = []
         for br in model.branches:
@@ -537,6 +555,9 @@ class AssembledSystem(DaeSystem):
             inject(conv.bus, {idx, idx + 2, idx + 3}, {idx, idx + 2, idx + 3})
             self._gfls.append((conv, self.bus_pos[conv.bus], vi, idx, pidx,
                                val_idx, real, vm_idx, dv_idx))
+        # the limiter of each converter, rebuilt when its i_max changes
+        self._limiters = [SmoothLimiter(conv.i_max, conv.limiter_k)
+                          for conv in model.gfls]
 
         GFM_PARAMS = ("m_p", "n_q", "v_set", "p_set", "q_set")
         self._gfms = []
@@ -576,80 +597,82 @@ class AssembledSystem(DaeSystem):
         return m
 
     def _residual_impl(self, x, p: Params):
-        f, _ = self._evaluate(x, p)
-        return f
+        return self._evaluate(x, p)[0]
 
     def _evaluate(self, x, p: Params, outputs: dict | None = None):
-        """Residual vector plus net injected current (bus, dq)."""
+        """Residual vector plus the net injected current per bus (lists of
+        d and q parts).  ``outputs``, when given, receives every device's
+        auxiliary outputs."""
         w0 = self.omega0
-        pv = p.values
+        xs = x.tolist()
+        pv = p.values.tolist()
         lam = pv[0]
-        n_bus = len(self.bus_ids)
-        inj = np.zeros((n_bus, 2))
-        f = np.zeros(self.n)
+        inj_d = [0.0] * len(self.bus_ids)
+        inj_q = [0.0] * len(self.bus_ids)
+        f = [0.0] * self.n
 
         for br, fp, tp, vf, vt, idx, ip_r, ip_l in self._branches:
-            i_d, i_q = x[idx], x[idx + 1]
+            i_d, i_q = xs[idx], xs[idx + 1]
             r, l = pv[ip_r], pv[ip_l]
-            f[idx] = x[vf] - x[vt] - r * i_d + w0 * l * i_q
-            f[idx + 1] = x[vf + 1] - x[vt + 1] - r * i_q - w0 * l * i_d
-            inj[fp, 0] -= i_d
-            inj[fp, 1] -= i_q
-            inj[tp, 0] += i_d
-            inj[tp, 1] += i_q
+            f[idx] = xs[vf] - xs[vt] - r * i_d + w0 * l * i_q
+            f[idx + 1] = xs[vf + 1] - xs[vt + 1] - r * i_q - w0 * l * i_d
+            inj_d[fp] -= i_d
+            inj_q[fp] -= i_q
+            inj_d[tp] += i_d
+            inj_q[tp] += i_q
 
         for (src, bp, vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
              ip_off) in self._sources:
-            theta = x[th_idx] if th_idx >= 0 else pv[ip_th]
+            theta = xs[th_idx] if th_idx >= 0 else pv[ip_th]
             e_d = pv[ip_e] * math.cos(theta)
             e_q = pv[ip_e] * math.sin(theta)
             if th_idx >= 0:
                 f[th_idx] = pv[ip_off]
             if i_idx < 0:
-                f[vi] = e_d - x[vi]
-                f[vi + 1] = e_q - x[vi + 1]
+                f[vi] = e_d - xs[vi]
+                f[vi + 1] = e_q - xs[vi + 1]
             else:
-                i_d, i_q = x[i_idx], x[i_idx + 1]
+                i_d, i_q = xs[i_idx], xs[i_idx + 1]
                 r_g, l_g = pv[ip_rg], pv[ip_lg]
-                f[i_idx] = e_d - x[vi] - r_g * i_d + w0 * l_g * i_q
-                f[i_idx + 1] = e_q - x[vi + 1] - r_g * i_q - w0 * l_g * i_d
-                inj[bp, 0] += i_d
-                inj[bp, 1] += i_q
+                f[i_idx] = e_d - xs[vi] - r_g * i_d + w0 * l_g * i_q
+                f[i_idx + 1] = e_q - xs[vi + 1] - r_g * i_q - w0 * l_g * i_d
+                inj_d[bp] += i_d
+                inj_q[bp] += i_q
 
         for ltc, fp, tp, vf, vt, idx, ip_vref, l_t in self._ltcs:
-            i_d, i_q, n_tap = x[idx], x[idx + 1], x[idx + 2]
-            f[idx] = n_tap * x[vf] - x[vt] + w0 * l_t * i_q
-            f[idx + 1] = n_tap * x[vf + 1] - x[vt + 1] - w0 * l_t * i_d
-            f[idx + 2] = ltc_rate(ltc, math.hypot(x[vt], x[vt + 1]), n_tap,
+            i_d, i_q, n_tap = xs[idx], xs[idx + 1], xs[idx + 2]
+            f[idx] = n_tap * xs[vf] - xs[vt] + w0 * l_t * i_q
+            f[idx + 1] = n_tap * xs[vf + 1] - xs[vt + 1] - w0 * l_t * i_d
+            f[idx + 2] = ltc_rate(ltc, math.hypot(xs[vt], xs[vt + 1]), n_tap,
                                   pv[ip_vref])
-            inj[fp, 0] -= n_tap * i_d
-            inj[fp, 1] -= n_tap * i_q
-            inj[tp, 0] += i_d
-            inj[tp, 1] += i_q
+            inj_d[fp] -= n_tap * i_d
+            inj_q[fp] -= n_tap * i_q
+            inj_d[tp] += i_d
+            inj_q[tp] += i_q
 
         for m, bp, vi, idx, ip_tm in self._machines:
-            f_s, f_ed, f_eq, i_d, i_q = im_rates(
-                m, x[vi], x[vi + 1], x[idx], x[idx + 1], x[idx + 2], lam,
+            f[idx], f[idx + 1], f[idx + 2], i_d, i_q = im_rates(
+                m, xs[vi], xs[vi + 1], xs[idx], xs[idx + 1], xs[idx + 2], lam,
                 pv[ip_tm])
-            f[idx], f[idx + 1], f[idx + 2] = f_s, f_ed, f_eq
-            inj[bp, 0] -= i_d
-            inj[bp, 1] -= i_q
+            inj_d[bp] -= i_d
+            inj_q[bp] -= i_q
             if outputs is not None:
                 outputs[f"{m.id}.i"] = (i_d, i_q)
 
         for load, bp, vi in self._zips:
-            i_d, i_q = zip_injection(load, x[vi], x[vi + 1], lam)
-            inj[bp, 0] -= i_d
-            inj[bp, 1] -= i_q
+            i_d, i_q = zip_injection(load, xs[vi], xs[vi + 1], lam)
+            inj_d[bp] -= i_d
+            inj_q[bp] -= i_q
             if outputs is not None:
                 outputs[f"{load.id}.i"] = (i_d, i_q)
 
-        for conv, bp, vi, idx, pidx, val_idx, real, vm_idx, dv_idx in self._gfls:
-            vd, vq = x[vi], x[vi + 1]
+        for k, (conv, bp, vi, idx, pidx, val_idx, real, vm_idx,
+                dv_idx) in enumerate(self._gfls):
+            vd, vq = xs[vi], xs[vi + 1]
             if vm_idx >= 0:
-                vm_d, vm_q = x[vm_idx], x[vm_idx + 1]
+                vm_d, vm_q = xs[vm_idx], xs[vm_idx + 1]
             else:
-                vm_d, vm_q = pll_project(vd, vq, x[idx])
+                vm_d, vm_q = pll_project(vd, vq, xs[idx])
             corr_d = corr_q = 0.0
             if val_idx is not None:
                 dv_d = pv[val_idx[2]] - vm_d
@@ -657,55 +680,44 @@ class AssembledSystem(DaeSystem):
                 corr_d, corr_q = qval_correction(pv[val_idx[0]],
                                                  pv[val_idx[1]], dv_d, dv_q)
             elif real is not None:
-                corr_d, corr_q = x[dv_idx], x[dv_idx + 1]
-            out = gfl_rates(
-                w0, x[idx], x[idx + 1], x[idx + 2], x[idx + 3], x[idx + 4],
-                x[idx + 5], vd, vq, vm_d, vm_q, corr_d, corr_q,
-                pv[pidx[0]], pv[pidx[1]], pv[pidx[2]], pv[pidx[3]],
-                pv[pidx[4]], pv[pidx[5]], pv[pidx[6]], pv[pidx[7]],
-                pv[pidx[8]], pv[pidx[9]], conv.limiter_k, conv.l_f, conv.r_f)
-            f[idx] = out["f_theta"]
-            f[idx + 1] = out["f_eps"]
-            f[idx + 2] = out["f_id"]
-            f[idx + 3] = out["f_iq"]
-            f[idx + 4] = out["f_xid"]
-            f[idx + 5] = out["f_xiq"]
+                corr_d, corr_q = xs[dv_idx], xs[dv_idx + 1]
+            # pidx: consecutive indices in GFL_PARAMS order, i_max last
+            i_max = pv[pidx[-1]]
+            lim = self._limiters[k]
+            if lim.limit != i_max:
+                lim = self._limiters[k] = SmoothLimiter(i_max, conv.limiter_k)
+            out = None if outputs is None else {}
+            rates = gfl_rates(w0, *xs[idx:idx + 6], vd, vq, vm_d, vm_q,
+                              corr_d, corr_q, *pv[pidx[0]:pidx[-1]], lim,
+                              conv.l_f, conv.r_f, out)
+            f[idx:idx + 6] = rates[:6]
             if vm_idx >= 0:
-                f[vm_idx] = out["f_vmd"]
-                f[vm_idx + 1] = out["f_vmq"]
+                f[vm_idx], f[vm_idx + 1] = rates[6], rates[7]
             if real is not None:
                 dv_d = conv.val.v_nom - vm_d
                 dv_q = -vm_q
                 f[dv_idx], f[dv_idx + 1] = dval_rate(
-                    real, x[dv_idx], x[dv_idx + 1], dv_d, dv_q, w0)
-            inj[bp, 0] += out["inj_d"]
-            inj[bp, 1] += out["inj_q"]
+                    real, xs[dv_idx], xs[dv_idx + 1], dv_d, dv_q, w0)
+            inj_d[bp] += rates[8]
+            inj_q[bp] += rates[9]
             if outputs is not None:
                 outputs[conv.id] = out
 
         for gfm, bp, vi, idx, pidx in self._gfms:
-            out = gfm_rates(w0, x[idx], x[idx + 1], x[idx + 2],
-                            x[vi], x[vi + 1],
-                            pv[pidx[0]], pv[pidx[1]], pv[pidx[2]],
-                            pv[pidx[3]], pv[pidx[4]], gfm.r_v, gfm.l_v,
-                            gfm.tau_p, gfm.tau_q)
-            f[idx] = out["f_theta"]
-            f[idx + 1] = out["f_pf"]
-            f[idx + 2] = out["f_qf"]
-            inj[bp, 0] += out["inj_d"]
-            inj[bp, 1] += out["inj_q"]
+            out = None if outputs is None else {}
+            f[idx], f[idx + 1], f[idx + 2], i_d, i_q = gfm_rates(
+                w0, xs[idx], xs[idx + 1], xs[idx + 2], xs[vi], xs[vi + 1],
+                pv[pidx[0]], pv[pidx[1]], pv[pidx[2]], pv[pidx[3]],
+                pv[pidx[4]], gfm.r_v, gfm.l_v, gfm.tau_p, gfm.tau_q, out)
+            inj_d[bp] += i_d
+            inj_q[bp] += i_q
             if outputs is not None:
                 outputs[gfm.id] = out
 
-        bus_c = self._bus_c
-        for bp, bus_id in enumerate(self.bus_ids):
-            if bus_id in self.pinned:
-                continue
-            vi = self.vidx[bus_id]
-            c = bus_c[bp]
-            f[vi] = inj[bp, 0] + w0 * c * x[vi + 1]
-            f[vi + 1] = inj[bp, 1] - w0 * c * x[vi]
-        return f, inj
+        for bp, vi, wc in self._free_buses:
+            f[vi] = inj_d[bp] + wc * xs[vi + 1]
+            f[vi + 1] = inj_q[bp] - wc * xs[vi]
+        return np.fromiter(f, float, self.n), inj_d, inj_q
 
     def _activity_impl(self, x, p: Params):
         if not self._gfls:
@@ -813,7 +825,7 @@ class AssembledSystem(DaeSystem):
         """
         x = np.asarray(x, dtype=float)
         outs = {}
-        _, inj = self._evaluate(x, p, outs)
+        _, inj_d, inj_q = self._evaluate(x, p, outs)
         w0 = self.omega0
         gen = 0.0
         for src, bp, vi, i_idx, th_idx, *_ in self._sources:
@@ -821,8 +833,8 @@ class AssembledSystem(DaeSystem):
             if i_idx < 0:
                 c = next(b.b_sh for b in self.model.buses
                          if b.id == src.bus) / w0
-                i_d = -inj[bp, 0] - w0 * c * vq
-                i_q = -inj[bp, 1] + w0 * c * vd
+                i_d = -inj_d[bp] - w0 * c * vq
+                i_q = -inj_q[bp] + w0 * c * vd
             else:
                 i_d, i_q = x[i_idx], x[i_idx + 1]
             gen += vd * i_d + vq * i_q

@@ -327,6 +327,13 @@ def loads_scenario(text: str) -> Scenario:
             if values[hi] < values[lo]:
                 raise ScenarioError(f"{where}.{hi}: {values[hi]!r} is below "
                                     f"{lo} = {values[lo]!r}")
+        if "t_end" in values:
+            # a fixed-step integration must land on t_end
+            steps = values["t_end"] / values["h"]
+            if abs(steps - round(steps)) > 1e-9 * steps:
+                raise ScenarioError(
+                    f"{where}.t_end: {values['t_end']!r} is not a whole "
+                    f"number of steps h = {values['h']!r} ({steps:.10g})")
         analysis[key] = values
         if given:
             for name, kind in kinds.items():

@@ -149,6 +149,29 @@ class TestPllInternalFrequency:
         assert diff[-1] < 1e-4              # and they reconverge
         assert bus.omega[-1] - OMEGA0 == pytest.approx(1.0, abs=1e-3)
 
+    def test_shares_one_walk_with_the_decomposition(self):
+        sys = step_feeder().build()
+        sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
+        p_step = sys.params0.with_value("grid.theta", 0.02)
+        traj = integrate(sys, sol.x, p_step, t_end=0.02, h=1e-4)
+        walked = []
+        outputs = sys.outputs
+        sys.outputs = lambda x, p: walked.append(p) or outputs(x, p)
+        internal = pll_internal_frequency(sys, traj, "c1", p_step)
+        dec = decompose_converter_cf(sys, traj, "c1", p=p_step)
+        assert len(walked) == len(traj.times)
+        # another parameter vector is another walk
+        decompose_converter_cf(sys, traj, "c1", p=sys.params0)
+        assert len(walked) == 2 * len(traj.times)
+        del sys.outputs
+        fresh = integrate(sys, sol.x, p_step, t_end=0.02, h=1e-4)
+        assert np.array_equal(
+            pll_internal_frequency(sys, fresh, "c1", p_step).omega,
+            internal.omega)
+        assert np.array_equal(
+            decompose_converter_cf(sys, fresh, "c1", p=p_step).total.omega,
+            dec.total.omega)
+
     def test_wrong_converter_id(self):
         sys = step_feeder().build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)

@@ -201,6 +201,20 @@ class TestExitCodes:
         assert err.startswith("error: limiter magnitude must be positive")
         assert err.count("\n") == 1
 
+    def test_continuation_start_outside_range_is_one_error_line(
+            self, tmp_path, capsys):
+        out = tmp_path / "outside"
+        rc = run_command(["continue", "--scenario",
+                          str(SCENARIO_DIR / "two_bus.json"),
+                          "--out", str(out), "--quiet", "--param", "line.l"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: continuation of 'line.l' starts at "
+                              "0.0015915494309189")
+        assert "[param_min, param_max] = [0.05, 5.0]" in err
+        assert err.count("\n") == 1
+        assert not (out / "branch.csv").exists()
+
     @pytest.mark.parametrize("steps", ["0", "-3", "many"])
     def test_bad_step_budget_is_usage_error(self, tmp_path, capsys, steps):
         rc = run_command(["continue", "--scenario",

@@ -122,6 +122,17 @@ class TestParsing:
             id="continuation-max_steps-zero"),
         pytest.param(lambda d: d.update(analysis={"simulation": 0}),
                      "analysis.simulation", id="simulation-not-an-object"),
+        pytest.param(
+            lambda d: d.update(analysis={"simulation": {"t_end": 1.0,
+                                                        "h": 0.3}}),
+            "analysis.simulation.t_end", id="simulation-t_end-not-whole-steps"),
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2", "t_end": 1e-4}}),
+            "analysis.cf.t_end", id="cf-t_end-below-one-step"),
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2", "t_end": 0.1,
+                                                "h": 0.03}}),
+            "analysis.cf.t_end", id="cf-t_end-not-whole-steps"),
     ])
     def test_bad_value_names_its_entry(self, edit, where):
         data = json.loads(MINIMAL)
@@ -129,6 +140,12 @@ class TestParsing:
         with pytest.raises(ScenarioError) as info:
             loads_scenario(json.dumps(data))
         assert str(info.value).startswith(f"{where}: ")
+
+    def test_step_count_whole_up_to_rounding(self):
+        data = json.loads(MINIMAL)
+        data["analysis"] = {"simulation": {"t_end": 0.3, "h": 0.1}}
+        sc = loads_scenario(json.dumps(data))     # 0.3 / 0.1 = 2.9999999999999996
+        assert sc.analysis["simulation"]["t_end"] == 0.3
 
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
