@@ -36,13 +36,12 @@ class CfSeries:
 
     For bus-voltage series ``omega`` is the absolute angular frequency
     (frame speed plus angle rate).  Block series produced by the
-    decomposition may carry only deviations; their ``source`` says so.
+    decomposition may carry only deviations.
     """
 
     times: np.ndarray
     rho: np.ndarray
     omega: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         if not (len(self.times) == len(self.rho) == len(self.omega)):
@@ -56,13 +55,6 @@ class CfDecomposition:
     synchronization: CfSeries
     regulation: CfSeries
     total: CfSeries
-
-    def additivity_residual(self) -> float:
-        """Max pointwise mismatch between the block sum and the total."""
-        d_rho = self.synchronization.rho + self.regulation.rho - self.total.rho
-        d_om = (self.synchronization.omega + self.regulation.omega
-                - self.total.omega)
-        return float(max(np.max(np.abs(d_rho)), np.max(np.abs(d_om))))
 
 
 def derivative(times, values):
@@ -95,7 +87,7 @@ def _smooth(series, window: int):
 
 
 def cf_from_trajectory(times, v_d, v_q, omega_frame: float,
-                       window: int = 1, source: str = "") -> CfSeries:
+                       window: int = 1) -> CfSeries:
     """Complex frequency of a sampled dq voltage pair.
 
     ``rho = d(ln |v|)/dt`` and ``omega = omega_frame + d(angle v)/dt``
@@ -115,8 +107,7 @@ def cf_from_trajectory(times, v_d, v_q, omega_frame: float,
     theta = np.unwrap(np.arctan2(v_q, v_d))
     rho = derivative(times, np.log(mag))
     omega = omega_frame + derivative(times, theta)
-    return CfSeries(times, _smooth(rho, window), _smooth(omega, window),
-                    source)
+    return CfSeries(times, _smooth(rho, window), _smooth(omega, window))
 
 
 def cf_of_bus(sys, traj: Trajectory, bus_id: str, omega_frame: float,
@@ -124,8 +115,7 @@ def cf_of_bus(sys, traj: Trajectory, bus_id: str, omega_frame: float,
     """Complex frequency of a bus voltage along a trajectory."""
     vi = sys.state_index(f"{bus_id}.vd")
     return cf_from_trajectory(traj.times, traj.states[:, vi],
-                              traj.states[:, vi + 1], omega_frame,
-                              window, source=bus_id)
+                              traj.states[:, vi + 1], omega_frame, window)
 
 
 # The converter outputs the cf series read: what pll_internal_frequency
@@ -169,8 +159,7 @@ def pll_internal_frequency(sys, traj: Trajectory, conv_id: str,
     # a copy: the trajectory's memo keeps the walk for other callers
     omega_pll = _output_series(sys, traj, conv_id, p)["omega_pll"].copy()
     return CfSeries(traj.times, np.zeros(len(traj.times)),
-                    _smooth(omega_pll, window),
-                    source=f"{conv_id}.pll")
+                    _smooth(omega_pll, window))
 
 
 def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
@@ -198,13 +187,10 @@ def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
     else:
         raise ConfigurationError(f"unknown converter {conv_id!r}")
     theta = traj.column(f"{conv_id}.theta")
-    sync = CfSeries(times, np.zeros(len(times)), derivative(times, theta),
-                    source=f"{conv_id}.sync")
-    regulation = cf_from_trajectory(times, m_d, m_q, omega_frame,
-                                    source=f"{conv_id}.regulation")
+    sync = CfSeries(times, np.zeros(len(times)), derivative(times, theta))
+    regulation = cf_from_trajectory(times, m_d, m_q, omega_frame)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     v_net_d = m_d * cos_t - m_q * sin_t
     v_net_q = m_d * sin_t + m_q * cos_t
-    total = cf_from_trajectory(times, v_net_d, v_net_q, omega_frame,
-                               source=f"{conv_id}.total")
+    total = cf_from_trajectory(times, v_net_d, v_net_q, omega_frame)
     return CfDecomposition(sync, regulation, total)

@@ -132,20 +132,9 @@ def _continuation_settings(run: _Run, args, p):
     return _known_param(p, args.param or param), ContinuationSettings(**cfg)
 
 
-def _check_start(p, param: str, settings: ContinuationSettings):
-    """A branch must start inside ``[param_min, param_max]``."""
-    start = p[param]
-    if not settings.param_min <= start <= settings.param_max:
-        raise ScenarioError(
-            f"continuation of {param!r} starts at {start!r}, outside "
-            f"[param_min, param_max] = [{settings.param_min!r}, "
-            f"{settings.param_max!r}]")
-
-
 def _cmd_continue(run: _Run, args):
     sys, p, sol = _solve_base(run.scenario)
     param, settings = _continuation_settings(run, args, p)
-    _check_start(p, param, settings)
     branch = continue_branch(sys, sol, param, settings)
     if branch.truncated:
         run.say(f"branch truncated: {branch.message}")
@@ -177,7 +166,6 @@ def _cmd_boundary2d(run: _Run, args):
         raise ScenarioError(f"boundary2d sweeps {param2!r} against itself; "
                             "the sweep and continuation parameters must "
                             "differ")
-    _check_start(p, param1, settings)
     boundary = trace_boundary_2d(sys, param1, param2, grid, settings,
                                  params=p)
     run.csv("boundary.csv", (param2, param1 + "_star", "kind"),

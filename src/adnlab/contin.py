@@ -28,7 +28,8 @@ from .engine import (
     reduced_state_matrix,
     eigenvalues,
 )
-from .errors import NonConvergenceError, SingularJacobianError
+from .errors import (ConfigurationError, NonConvergenceError,
+                     SingularJacobianError)
 
 __all__ = [
     "ContinuationSettings",
@@ -40,6 +41,7 @@ __all__ = [
     "continue_branch",
     "classify_bifurcations",
     "locate_bifurcation",
+    "locate_all",
     "trace_boundary_2d",
     "limit_cycle_amplitude",
 ]
@@ -48,6 +50,9 @@ OMEGA_MIN = 1e-3        # rad/s: minimum |Im| for a pair to count as Hopf
 HB_NOISE_REL = 1e-6     # ignore real-part crossings inside the FD noise band
 SIB_COND_LIMIT = 1e12
 AMPLITUDE_FLOOR = 1e-6
+CORRECTOR_MAX_ITER = 12     # per branch point; a failure halves the step
+LOCATE_MAX_ITER = 100       # bisection probes per record
+LOCATE_LAM_TOL = 1e-6       # relative parameter gap that ends a bisection
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,6 @@ class ContinuationSettings:
     param_min: float = 0.0
     param_max: float = 1e6
     direction: float = 1.0
-    corrector_tol: float = TOL_EQ
-    corrector_max_iter: int = 12
 
 
 @dataclass(frozen=True)
@@ -94,10 +97,6 @@ class Branch:
 
     def __getitem__(self, i):
         return self.points[i]
-
-    @property
-    def lam_values(self):
-        return np.array([pt.lam for pt in self.points])
 
 
 @dataclass(frozen=True)
@@ -156,9 +155,9 @@ def _dF_dlam(sys: DaeSystem, x, p: Params, param: str):
 
 
 def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
-               tangent, x_ref, lam_ref, ds, tol, max_iter):
+               tangent, x_ref, lam_ref, ds, max_iter):
     """Newton on the augmented system with the pseudo-arclength constraint
-    ``tangent . (X - X_ref) = ds``."""
+    ``tangent . (X - X_ref) = ds``, to :data:`TOL_EQ`."""
     n = sys.n
     x = np.asarray(x_pred, dtype=float).copy()
     lam = float(lam_pred)
@@ -167,7 +166,7 @@ def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
         f = sys.residual(x, pk)
         g = float(tangent[:n] @ (x - x_ref) + tangent[n] * (lam - lam_ref) - ds)
         norm = max(float(np.max(np.abs(f))), abs(g))
-        if norm <= tol:
+        if norm <= TOL_EQ:
             return x, lam, it
         jac = jacobian_fd(sys, x, pk)
         flam = _dF_dlam(sys, x, pk, param)
@@ -205,9 +204,14 @@ def _initial_tangent(sys: DaeSystem, param: str, p: Params, x, direction):
 def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
                     settings: ContinuationSettings = ContinuationSettings()
                     ) -> Branch:
-    """Trace an equilibrium branch over ``param`` from a converged start."""
+    """Trace an equilibrium branch over ``param`` from a converged start.
+
+    Raises :class:`ConfigurationError` when the start lies outside
+    ``[settings.param_min, settings.param_max]``.
+    """
     p = start.params
     lam = p[param]
+    _check_start(param, lam, settings)
     branch = Branch(param=param)
     sol = newton_equilibrium(sys, start.x, p)
     branch.points.append(_point_fingerprint(sys, sol.x, p, lam, 0.0))
@@ -224,7 +228,7 @@ def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
         try:
             x_new, lam_new, iters = _corrector(
                 sys, param, p, x_pred, lam_pred, tangent, x, cur_lam, h,
-                settings.corrector_tol, settings.corrector_max_iter)
+                CORRECTOR_MAX_ITER)
         except (NonConvergenceError, SingularJacobianError) as exc:
             if h <= settings.h_min * (1.0 + 1e-12):
                 branch.truncated = True
@@ -251,6 +255,14 @@ def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
         else:
             easy_streak = 0
     return branch
+
+
+def _check_start(param: str, start: float, settings: ContinuationSettings):
+    if not settings.param_min <= start <= settings.param_max:
+        raise ConfigurationError(
+            f"continuation of {param!r} starts at {start!r}, outside "
+            f"[param_min, param_max] = [{settings.param_min!r}, "
+            f"{settings.param_max!r}]")
 
 
 def _test_value(point: BranchPoint, kind: str,
@@ -346,16 +358,15 @@ def _crossing_eigenvalue(kind: str, lo: BranchPoint, hi: BranchPoint):
 
 def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
                        pt_a: BranchPoint, pt_b: BranchPoint, kind: str,
-                       limiter: str | None = None,
-                       lam_tol: float = 1e-6,
-                       max_iter: int = 100) -> BifurcationRecord:
+                       limiter: str | None = None) -> BifurcationRecord:
     """Bisection along the branch between two bracketing points.
 
     Each probe re-solves the equilibrium on the secant hyperplane and
     re-evaluates the kind-specific test function; the bracket shrinks
-    until the parameter gap satisfies ``lam_tol`` and the arclength gap
-    is negligible (folds are quadratic in arclength, so the parameter gap
-    alone can be deceptively small on a symmetric bracket).
+    until the parameter gap is within :data:`LOCATE_LAM_TOL` of
+    ``max(1, |lam|)`` and the arclength gap is negligible (folds are
+    quadratic in arclength, so the parameter gap alone can be deceptively
+    small on a symmetric bracket).
     """
     n = sys.n
     xa, la = pt_a.x.copy(), pt_a.lam
@@ -370,7 +381,7 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
     s_width0 = max(float(np.linalg.norm(np.concatenate(
         [xb - xa, [lb - la]]))), 1e-12)
     pt_mid = None
-    for _ in range(max_iter):
+    for _ in range(LOCATE_MAX_ITER):
         secant = np.concatenate([xb - xa, [lb - la]])
         s_width = float(np.linalg.norm(secant))
         if s_width < 1e-14:
@@ -380,7 +391,7 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
         lam_pred = 0.5 * (la + lb)
         x_mid, lam_mid, _ = _corrector(
             sys, param, p, x_pred, lam_pred, tangent, xa, la,
-            0.5 * s_width, TOL_EQ, 30)
+            0.5 * s_width, 30)
         p_mid = p.with_value(param, lam_mid)
         pt_mid = _point_fingerprint(sys, x_mid, p_mid, lam_mid, 0.0)
         f_mid = _test_value(pt_mid, kind, limiter)
@@ -389,7 +400,7 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
         else:
             xa, la, fa = x_mid, lam_mid, f_mid
         lam_gap = abs(lb - la)
-        if lam_gap <= lam_tol * max(1.0, abs(lam_mid)) \
+        if lam_gap <= LOCATE_LAM_TOL * max(1.0, abs(lam_mid)) \
                 and s_width <= max(1e-10, 1e-8 * s_width0):
             break
     lam_star = 0.5 * (la + lb)
@@ -418,13 +429,15 @@ def locate_all(sys: DaeSystem, branch: Branch, p: Params) -> list:
 
 def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
                       settings: ContinuationSettings = ContinuationSettings(),
-                      x0=None, params: Params | None = None) -> Boundary2D:
+                      params: Params | None = None) -> Boundary2D:
     """First-bifurcation boundary over a grid of a second parameter.
 
-    Each row re-solves the base equilibrium at the grid value, traces the
-    branch over ``param1`` and records the first refined bifurcation (or
-    an explicit marker).  Row failures are recorded in-row and the sweep
-    proceeds.
+    Each row re-solves the base equilibrium at the grid value from the
+    system's initial guess, traces the branch over ``param1`` and records
+    the first refined bifurcation (or an explicit marker).  Row failures
+    are recorded in-row and the sweep proceeds; a start of ``param1``
+    outside the settings' range raises :class:`ConfigurationError` before
+    any row.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size and np.any(np.diff(grid) <= 0.0):
@@ -432,8 +445,8 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
     if not np.all(np.isfinite(grid)):
         raise ValueError("boundary grid must be finite")
     base_p = params if params is not None else sys.params0
-    guess = np.asarray(x0, dtype=float) if x0 is not None \
-        else sys.initial_guess()
+    _check_start(param1, base_p[param1], settings)
+    guess = sys.initial_guess()
     rows = []
     for g in grid:
         p_row = base_p.with_value(param2, float(g))
@@ -454,8 +467,7 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
 
 def limit_cycle_amplitude(sys: DaeSystem, hb: BifurcationRecord, param: str,
                           lam_probe: float, observable: str,
-                          params: Params | None = None,
-                          perturbation: float | None = None) -> float:
+                          params: Params | None = None) -> float:
     """Post-Hopf limit-cycle amplitude of one observable by simulation.
 
     Integrates from a perturbed equilibrium for ``20/|Im|`` seconds,
@@ -482,8 +494,7 @@ def limit_cycle_amplitude(sys: DaeSystem, hb: BifurcationRecord, param: str,
         direction = np.ones_like(direction)
         nrm = np.linalg.norm(direction)
     direction /= nrm
-    size = perturbation if perturbation is not None else \
-        max(1e-3, math.sqrt(abs(lam_probe - hb.lam)))
+    size = max(1e-3, math.sqrt(abs(lam_probe - hb.lam)))
     m = sys.mass(p)
     x0 = sol.x.copy()
     dyn = np.flatnonzero(m > 0.0)

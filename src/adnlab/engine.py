@@ -27,6 +27,7 @@ __all__ = [
     "jacobian_fd",
     "reduced_state_matrix",
     "eigenvalues",
+    "spectrum_at",
     "integrate",
     "TOL_EQ",
 ]
@@ -78,9 +79,6 @@ class Params:
         for name, value in mapping.items():
             vals[self.index(name)] = value
         return Params(self.names, vals)
-
-    def as_dict(self) -> dict:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
 
     def __repr__(self):
         items = ", ".join(f"{n}={v:.6g}" for n, v in zip(self.names, self.values))
@@ -196,8 +194,6 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     rightmost_real: float
-    dominant_damping: float | None = None
-    dominant_freq_hz: float | None = None
 
     @property
     def n_unstable(self) -> int:
@@ -254,17 +250,16 @@ def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
     return jac
 
 
-def newton_equilibrium(sys: DaeSystem, x0, p: Params,
-                       tol: float = TOL_EQ,
-                       max_iter: int = NEWTON_MAX_ITER) -> EquilibriumSolution:
-    """Damped Newton with backtracking halving on the residual inf-norm."""
+def newton_equilibrium(sys: DaeSystem, x0, p: Params) -> EquilibriumSolution:
+    """Damped Newton with backtracking halving on the residual inf-norm,
+    to :data:`TOL_EQ` within ``NEWTON_MAX_ITER`` iterations."""
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("initial guess contains non-finite entries")
     f = sys.residual(x, p)
     norm = float(np.max(np.abs(f)))
-    for it in range(max_iter):
-        if norm <= tol:
+    for it in range(NEWTON_MAX_ITER):
+        if norm <= TOL_EQ:
             return EquilibriumSolution(x, p, norm, it)
         jac = jacobian_fd(sys, x, p)
         try:
@@ -289,14 +284,14 @@ def newton_equilibrium(sys: DaeSystem, x0, p: Params,
                     residual_norm=norm, worst_index=worst,
                     worst_name=sys.state_names[worst], iterations=it)
         x, f, norm = x_trial, f_trial, norm_trial
-    if norm <= tol:
-        return EquilibriumSolution(x, p, norm, max_iter)
+    if norm <= TOL_EQ:
+        return EquilibriumSolution(x, p, norm, NEWTON_MAX_ITER)
     worst = int(np.argmax(np.abs(f)))
     raise NonConvergenceError(
-        f"Newton did not converge in {max_iter} iterations: residual "
+        f"Newton did not converge in {NEWTON_MAX_ITER} iterations: residual "
         f"inf-norm {norm:.3e}, worst equation {sys.state_names[worst]!r}",
         residual_norm=norm, worst_index=worst,
-        worst_name=sys.state_names[worst], iterations=max_iter)
+        worst_name=sys.state_names[worst], iterations=NEWTON_MAX_ITER)
 
 
 def reduced_state_matrix(sys: DaeSystem, x_star, p: Params) -> np.ndarray:
@@ -349,24 +344,21 @@ def eigenvalues(matrix) -> SpectrumReport:
         raise NonConvergenceError("eigenvalue iteration failed") from exc
     order = np.argsort(-eigs.real, kind="stable")
     eigs = eigs[order]
-    damping = freq = None
-    for lam in eigs:
-        if abs(lam.imag) > 0.0:
-            damping = float(-lam.real / abs(lam))
-            freq = float(abs(lam.imag) / (2.0 * np.pi))
-            break
-    return SpectrumReport(eigs, float(eigs[0].real) if eigs.size else -np.inf,
-                          damping, freq)
+    return SpectrumReport(eigs, float(eigs[0].real) if eigs.size else -np.inf)
 
 
 def spectrum_at(sys: DaeSystem, x_star, p: Params) -> SpectrumReport:
+    """Spectrum of the reduced state matrix at an equilibrium."""
     return eigenvalues(reduced_state_matrix(sys, x_star, p))
 
 
 def integrate(sys: DaeSystem, x0, p: Params, t_end: float, h: float,
-              t0: float = 0.0, startup_be_steps: int = 0,
-              damped_every: int = 0) -> Trajectory:
-    """Fixed-step implicit trapezoidal integration.
+              startup_be_steps: int = 0, damped_every: int = 0) -> Trajectory:
+    """Fixed-step implicit trapezoidal integration from t = 0.
+
+    It takes ``round(t_end / h)`` steps of size ``h``, so the last sample
+    lies at ``t_end`` only when the ratio is whole; the scenario loader
+    rejects a ratio that is not.
 
     Dynamic rows advance with the trapezoidal rule; algebraic rows are
     enforced at the step end point.  Each step is solved by Newton to an
@@ -384,8 +376,8 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float, h: float,
     if h <= 0.0:
         raise ValueError("step size must be positive")
     x = np.asarray(x0, dtype=float).copy()
-    n_steps = int(round((t_end - t0) / h))
-    times = t0 + h * np.arange(n_steps + 1)
+    n_steps = int(round(t_end / h))
+    times = h * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, sys.n))
     out[0] = x
     stepper = _Stepper(sys, p)

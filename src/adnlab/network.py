@@ -377,8 +377,6 @@ class AssembledSystem(DaeSystem):
         reads = []             # per residual row, the states it reads
         mass_const = []
         mass_param = []        # (state index, parameter name) fixed up below
-        dq_pairs = []          # first index of each network-frame dq pair
-        angles = []            # absolute angle states
         pnames, pvals = ["lambda"], [1.0]
 
         def add_states(*labels):
@@ -414,7 +412,6 @@ class AssembledSystem(DaeSystem):
         for bus in model.buses:
             vi = add_states(f"{bus.id}.vd", f"{bus.id}.vq")
             self.vidx[bus.id] = vi
-            dq_pairs.append(vi)
             c = 0.0 if bus.id in pinned_sources else bus.b_sh / model.omega0
             mass_const += [c, c]
             inject(bus.id, {vi + 1}, {vi})    # shunt
@@ -435,7 +432,6 @@ class AssembledSystem(DaeSystem):
             ip_l = add_param(f"{br.id}.l", br.l)
             mass_const += [0.0, 0.0]
             mass_param += [(idx, ip_l), (idx + 1, ip_l)]
-            dq_pairs.append(idx)
             self._branches.append((br, self.bus_pos[br.from_bus],
                                    self.bus_pos[br.to_bus], vf, vt, idx,
                                    ip_r, ip_l))
@@ -453,12 +449,10 @@ class AssembledSystem(DaeSystem):
                 ip_lg = add_param(f"{src.id}.l_g", src.l_g)
                 mass_const += [0.0, 0.0]
                 mass_param += [(i_idx, ip_lg), (i_idx + 1, ip_lg)]
-                dq_pairs.append(i_idx)
             if rotating_sources and src.rotating:
                 th_idx = add_states(f"{src.id}.theta_g")
                 ip_off = add_param(f"{src.id}.omega_offset", 0.0)
                 mass_const += [1.0]
-                angles.append(th_idx)
             emf = {th_idx} if th_idx >= 0 else set()
             if i_idx < 0:
                 reads[vi].update(emf | {vi})
@@ -482,7 +476,6 @@ class AssembledSystem(DaeSystem):
             ip_vref = add_param(f"{ltc.id}.v_ref", ltc.v_ref)
             l_t = ltc.x_t / model.omega0
             mass_const += [l_t, l_t, ltc.t_ltc]
-            dq_pairs.append(idx)
             self._ltcs.append((ltc, self.bus_pos[ltc.from_bus],
                                self.bus_pos[ltc.to_bus], vf, vt, idx,
                                ip_vref, l_t))
@@ -498,7 +491,6 @@ class AssembledSystem(DaeSystem):
             inject(m.bus, stator, stator)
             ip_tm = add_param(f"{m.id}.t_mech", m.t_mech)
             mass_const += [2.0 * m.h, m.t0_prime, m.t0_prime]
-            dq_pairs.append(idx + 1)
             self._machines.append((m, self.bus_pos[m.bus], vi, idx, ip_tm))
 
         self._zips = []
@@ -516,7 +508,6 @@ class AssembledSystem(DaeSystem):
                              f"{conv.id}.id", f"{conv.id}.iq",
                              f"{conv.id}.xid", f"{conv.id}.xiq")
             mass_const += [1.0, 1.0, conv.l_f, conv.l_f, 1.0, 1.0]
-            angles.append(idx)
             pidx = tuple(add_param(f"{conv.id}.{nm}", getattr(conv, nm))
                          for nm in GFL_PARAMS)
             v_pll = {vi, vi + 1, idx}       # bus voltage in the PLL frame
@@ -571,17 +562,14 @@ class AssembledSystem(DaeSystem):
             reads[idx + 2].update(out)
             inject(gfm.bus, out, out)
             mass_const += [1.0, gfm.tau_p, gfm.tau_q]
-            angles.append(idx)
             pidx = tuple(add_param(f"{gfm.id}.{nm}", getattr(gfm, nm))
                          for nm in GFM_PARAMS)
             self._gfms.append((gfm, self.bus_pos[gfm.bus], vi, idx, pidx))
 
         self._mass_base = np.array(mass_const)
         self._mass_param = tuple(mass_param)
-        self._dq_pairs = np.array(dq_pairs, dtype=int)
-        self._angles = np.array(angles, dtype=int)
         params0 = Params(pnames, np.array(pvals))
-        super().__init__(len(names), self._residual_impl, self._mass_impl,
+        super().__init__(len(names), self._evaluate, self._mass_impl,
                          params0, state_names=names,
                          limiter_activity_fn=self._activity_impl,
                          pattern=reads)
@@ -596,13 +584,9 @@ class AssembledSystem(DaeSystem):
             m[i] = pv[j]
         return m
 
-    def _residual_impl(self, x, p: Params):
-        return self._evaluate(x, p)[0]
-
     def _evaluate(self, x, p: Params, outputs: dict | None = None):
-        """Residual vector plus the net injected current per bus (lists of
-        d and q parts).  ``outputs``, when given, receives every device's
-        auxiliary outputs."""
+        """Residual vector; ``outputs``, when given, receives every
+        device's auxiliary outputs."""
         w0 = self.omega0
         xs = x.tolist()
         pv = p.values.tolist()
@@ -717,7 +701,7 @@ class AssembledSystem(DaeSystem):
         for bp, vi, wc in self._free_buses:
             f[vi] = inj_d[bp] + wc * xs[vi + 1]
             f[vi + 1] = inj_q[bp] - wc * xs[vi]
-        return np.fromiter(f, float, self.n), inj_d, inj_q
+        return np.fromiter(f, float, self.n)
 
     def _activity_impl(self, x, p: Params):
         if not self._gfls:
@@ -787,73 +771,3 @@ class AssembledSystem(DaeSystem):
             if gfm.id == conv_id:
                 return gfm
         raise KeyError(f"unknown converter {conv_id!r}")
-
-    def rotate_states(self, x, phi: float) -> np.ndarray:
-        """Rotate every network-frame dq pair by ``phi`` and shift every
-        absolute angle state; PLL/converter-frame local states are
-        untouched.  Combined with shifting the source angle parameters by
-        ``phi`` this maps solutions to solutions."""
-        x = self._rotate_dq(x, phi)
-        x[self._angles] += phi
-        return x
-
-    def rotate_params(self, p: Params, phi: float) -> Params:
-        updates = {}
-        for src, *_ in self._sources:
-            updates[f"{src.id}.theta"] = p[f"{src.id}.theta"] + phi
-        return p.with_values(updates) if updates else p
-
-    def residual_rotation(self, f, phi: float) -> np.ndarray:
-        """Apply the frame rotation to a residual vector (dq rows transform
-        like their states; scalar and converter-frame rows are fixed)."""
-        return self._rotate_dq(f, phi)
-
-    def _rotate_dq(self, v, phi: float) -> np.ndarray:
-        v = np.asarray(v, dtype=float).copy()
-        c, s = math.cos(phi), math.sin(phi)
-        d, q = v[self._dq_pairs], v[self._dq_pairs + 1]
-        v[self._dq_pairs] = d * c - q * s
-        v[self._dq_pairs + 1] = d * s + q * c
-        return v
-
-    def power_report(self, x, p: Params) -> dict:
-        """Active-power bookkeeping at a solution point.
-
-        Generated power is measured at the device terminals (bus side);
-        pinned sources pick up the KCL slack of their bus including the
-        local shunt.
-        """
-        x = np.asarray(x, dtype=float)
-        outs = {}
-        _, inj_d, inj_q = self._evaluate(x, p, outs)
-        w0 = self.omega0
-        gen = 0.0
-        for src, bp, vi, i_idx, th_idx, *_ in self._sources:
-            vd, vq = x[vi], x[vi + 1]
-            if i_idx < 0:
-                c = next(b.b_sh for b in self.model.buses
-                         if b.id == src.bus) / w0
-                i_d = -inj_d[bp] - w0 * c * vq
-                i_q = -inj_q[bp] + w0 * c * vd
-            else:
-                i_d, i_q = x[i_idx], x[i_idx + 1]
-            gen += vd * i_d + vq * i_q
-        for conv, bp, vi, idx, *_ in self._gfls:
-            o = outs[conv.id]
-            gen += x[vi] * o["inj_d"] + x[vi + 1] * o["inj_q"]
-        for gfm, bp, vi, idx, _pidx in self._gfms:
-            o = outs[gfm.id]
-            gen += x[vi] * o["inj_d"] + x[vi + 1] * o["inj_q"]
-        consumed = 0.0
-        for load, bp, vi in self._zips:
-            i_d, i_q = outs[f"{load.id}.i"]
-            consumed += x[vi] * i_d + x[vi + 1] * i_q
-        for m, bp, vi, idx, ip in self._machines:
-            i_d, i_q = outs[f"{m.id}.i"]
-            consumed += x[vi] * i_d + x[vi + 1] * i_q
-        losses = 0.0
-        pv = p.values
-        for br, fp, tp, vf, vt, idx, ip_r, ip_l in self._branches:
-            losses += pv[ip_r] * (x[idx] ** 2 + x[idx + 1] ** 2)
-        return {"generated": gen, "consumed": consumed,
-                "branch_losses": losses}

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 V_NOM = 1.0
+GAIN_STEP = 1e-4            # forward-difference step on each VAL gain
 DELTA_GAIN_TOL = 1e-6
 KKT_TOL = 1e-8
 
@@ -94,9 +95,6 @@ class SecondaryHistory:
     converged: bool = False
     aborted: str = ""
 
-    def objectives(self):
-        return [entry["objective"] for entry in self.iterations]
-
 
 def _gain_names(sys):
     names = []
@@ -136,7 +134,7 @@ def collect_measurements(sys, x, p: Params,
                                setpoints, conv_currents)
 
 
-def gain_sensitivity(sys, x, p: Params, step: float = 1e-4) -> GainSensitivity:
+def gain_sensitivity(sys, x, p: Params) -> GainSensitivity:
     """Forward differences of |v| and |i_conv| over every VAL gain.
 
     Each column re-solves the equilibrium with one perturbed gain, warm
@@ -153,7 +151,7 @@ def gain_sensitivity(sys, x, p: Params, step: float = 1e-4) -> GainSensitivity:
     s_i = np.zeros((len(conv_ids), len(gain_names)))
     usable = np.ones(len(gain_names), dtype=bool)
     for j, name in enumerate(gain_names):
-        p_j = p.with_value(name, p[name] + step)
+        p_j = p.with_value(name, p[name] + GAIN_STEP)
         try:
             sol = newton_equilibrium(sys, x, p_j)
         except (NonConvergenceError, SingularJacobianError):
@@ -161,8 +159,8 @@ def gain_sensitivity(sys, x, p: Params, step: float = 1e-4) -> GainSensitivity:
             continue
         v_j = np.array([sys.bus_voltage_mag(sol.x, b) for b in bus_ids])
         i_j = np.array([_conv_current(sys, sol.x, c) for c in conv_ids])
-        s_v[:, j] = (v_j - base_v) / step
-        s_i[:, j] = (i_j - base_i) / step
+        s_v[:, j] = (v_j - base_v) / GAIN_STEP
+        s_i[:, j] = (i_j - base_i) / GAIN_STEP
     return GainSensitivity(gain_names, bus_ids, conv_ids, s_v, s_i, usable)
 
 
@@ -223,10 +221,10 @@ def _solve_qp(h_mat, f_vec, a_mat, b_vec, labels):
 
 def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
                  weights: WeightVector, boxes: dict, current_limits: dict,
-                 p: Params, v_nom: float = V_NOM) -> GainUpdate:
+                 p: Params) -> GainUpdate:
     """One constrained weighted least-squares gain update.
 
-    Minimizes ``sum_i w_i (|v_i| + (S dg)_i - v_nom)^2 + rho ||dg||^2``
+    Minimizes ``sum_i w_i (|v_i| + (S dg)_i - V_NOM)^2 + rho ||dg||^2``
     subject to the per-converter gain boxes and the linearized converter
     current limits.  ``boxes`` maps a gain parameter name to (lo, hi) on
     the absolute gain; ``current_limits`` maps a converter id to its rated
@@ -235,7 +233,7 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
     names = sens.gain_names
     n = len(names)
     w = np.array([weights.weights.get(b, 0.0) for b in sens.bus_ids])
-    r = np.array([snapshot.voltages[b] - v_nom for b in sens.bus_ids])
+    r = np.array([snapshot.voltages[b] - V_NOM for b in sens.bus_ids])
     s_v = sens.voltage.copy()
     s_v[:, ~sens.usable] = 0.0
     h_mat = 2.0 * (s_v.T @ (w[:, None] * s_v))
@@ -298,26 +296,25 @@ def _gains_from(p: Params, conv_ids, names=None, delta=None):
     return gains
 
 
-def _objective(sys, x, weights: WeightVector, v_nom: float) -> float:
+def _objective(sys, x, weights: WeightVector) -> float:
     return float(sum(weights.weights.get(b, 0.0)
-                     * (sys.bus_voltage_mag(x, b) - v_nom) ** 2
+                     * (sys.bus_voltage_mag(x, b) - V_NOM) ** 2
                      for b in sys.bus_ids))
 
 
-def _max_weighted_deviation(sys, x, weights: WeightVector,
-                            v_nom: float) -> float:
+def _max_weighted_deviation(sys, x, weights: WeightVector) -> float:
     return float(max(weights.weights.get(b, 0.0)
-                     * abs(sys.bus_voltage_mag(x, b) - v_nom)
+                     * abs(sys.bus_voltage_mag(x, b) - V_NOM)
                      for b in sys.bus_ids))
 
 
 def run_recursive(sys, params: Params | None = None,
                   weights: WeightVector | None = None,
                   max_iter: int = 30, tol_v: float = 0.01,
-                  alpha: float = 0.7, v_nom: float = V_NOM,
-                  x0=None) -> SecondaryHistory:
-    """Measure-update loop until the weighted voltage deviation is inside
-    the band, the update stalls, or the iteration budget runs out.
+                  alpha: float = 0.7) -> SecondaryHistory:
+    """Measure-update loop, started from the system's initial guess, until
+    the weighted voltage deviation is inside the band, the update stalls,
+    or the iteration budget runs out.
 
     The accepted weighted objective never increases: a worse trial point
     halves the trust step (up to five times) and a lost equilibrium
@@ -335,22 +332,21 @@ def run_recursive(sys, params: Params | None = None,
         boxes[f"{conv_id}.g_v"] = (conv.val.g_min, conv.val.g_max)
         boxes[f"{conv_id}.b_v"] = (conv.val.b_min, conv.val.b_max)
         limits[conv_id] = conv.i_max
-    sol = newton_equilibrium(sys, x0 if x0 is not None
-                             else sys.initial_guess(), p)
+    sol = newton_equilibrium(sys, sys.initial_guess(), p)
     x = sol.x
     history = SecondaryHistory()
     for it in range(max_iter):
         snap = collect_measurements(sys, x, p, iteration=it)
-        obj = _objective(sys, x, weights, v_nom)
+        obj = _objective(sys, x, weights)
         entry = {"iteration": it, "snapshot": snap, "objective": obj,
                  "gains": _gains_from(p, sys.gfl_ids()), "update": None,
                  "alpha": 0.0}
-        if _max_weighted_deviation(sys, x, weights, v_nom) <= tol_v:
+        if _max_weighted_deviation(sys, x, weights) <= tol_v:
             history.iterations.append(entry)
             history.converged = True
             return history
         sens = gain_sensitivity(sys, x, p)
-        update = solve_update(snap, sens, weights, boxes, limits, p, v_nom)
+        update = solve_update(snap, sens, weights, boxes, limits, p)
         entry["update"] = update
         if update.no_op or float(np.max(np.abs(update.delta))) <= DELTA_GAIN_TOL:
             history.iterations.append(entry)
@@ -366,7 +362,7 @@ def run_recursive(sys, params: Params | None = None,
             except (NonConvergenceError, SingularJacobianError):
                 a *= 0.5
                 continue
-            if _objective(sys, trial.x, weights, v_nom) <= obj + 1e-14:
+            if _objective(sys, trial.x, weights) <= obj + 1e-14:
                 p, x = p_try, trial.x
                 accepted = True
                 break

@@ -26,6 +26,7 @@ from adnlab.engine import (
     newton_equilibrium,
     spectrum_at,
 )
+from adnlab.errors import ConfigurationError
 from adnlab.network import (
     Bus,
     GridSource,
@@ -86,7 +87,7 @@ class TestNormalForms:
         branch = continue_branch(sys, sol, "mu", settings)
         assert not branch.truncated
         # the branch traverses the fold onto the unstable segment
-        assert branch.lam_values[-1] > 0.5
+        assert branch[-1].lam > 0.5
         records = locate_all(sys, branch, sys.params0)
         snbs = [r for r in records if r.kind == "SNB"]
         assert len(snbs) == 1
@@ -224,6 +225,16 @@ class TestTwoBusNose:
             checked += 1
         assert checked >= 5
 
+    def test_start_outside_range_raises(self):
+        sys = two_bus_system()
+        sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
+        with pytest.raises(ConfigurationError) as info:
+            continue_branch(sys, sol, "line.l", ContinuationSettings(
+                param_min=0.05, param_max=5.0))
+        assert str(info.value) == (
+            f"continuation of 'line.l' starts at {sys.params0['line.l']!r}, "
+            "outside [param_min, param_max] = [0.05, 5.0]")
+
     def test_nonexistent_equilibrium_raises(self):
         sys = two_bus_system()
         p = sys.params0.with_value("lambda", 1.5)   # above the nose
@@ -306,7 +317,7 @@ class TestClassification:
                                  max_steps=500))
         assert branch.truncated
         assert "corrector failed" in branch.message
-        assert branch.lam_values[-1] < 1.01
+        assert branch[-1].lam < 1.01
 
 
 class TestGflHopf:
@@ -398,6 +409,18 @@ class TestBoundary2D:
         assert kinds[0] == "SNB"       # feasible at X=0.5 (nose at 1.25 pu)
         assert kinds[1] == "error"     # infeasible at X=1.0 (nose at 0.625)
         assert boundary.rows[1].message
+
+    def test_start_outside_range_raises_before_any_row(self):
+        sys = two_bus_system()
+        # lambda = 6 is above param_max and above the nose of every row, so
+        # every row would fail and be recorded as an error row
+        base = sys.params0.with_value("lambda", 6.0)
+        grid = [reactance_to_inductance(x) for x in (0.5, 1.0)]
+        with pytest.raises(ConfigurationError, match="starts at 6.0"):
+            trace_boundary_2d(
+                sys, "lambda", "line.l", grid,
+                ContinuationSettings(param_min=0.05, param_max=5.0),
+                params=base)
 
     def test_unsorted_grid_rejected(self):
         sys = two_bus_system()

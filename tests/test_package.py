@@ -3,10 +3,15 @@
 import ast
 import importlib
 import pkgutil
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import adnlab
+
+SRC = Path(adnlab.__file__).resolve().parent
+README = SRC.parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -21,10 +26,9 @@ def test_every_exported_name_resolves():
 
 
 def test_runtime_imports_only_stdlib_and_numpy():
-    src = Path(adnlab.__file__).resolve().parent
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     foreign = []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -35,3 +39,92 @@ def test_runtime_imports_only_stdlib_and_numpy():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign, f"imports outside the stdlib and numpy: {foreign}"
+
+
+def _references(node) -> Counter:
+    """Names read and attributes taken anywhere under ``node``."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute))
+
+
+def _exports(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _top_level_names(tree) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+    return names
+
+
+def test_src_holds_only_exported_or_used_code():
+    """Every class, function and method in ``src/adnlab`` is a dunder, in
+    its module's ``__all__``, an override of a base-class method, or
+    referenced in ``src/adnlab`` outside its own definition; every
+    ``__all__`` entry is defined."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    unused, undefined = [], []
+    for module, tree in trees.items():
+        exported = set(_exports(tree))
+        undefined += [f"{module}.{name}"
+                      for name in sorted(exported - _top_level_names(tree))]
+        overrides = set()     # methods that a base class's callers call
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                bases = getattr(importlib.import_module(f"adnlab.{module}"),
+                                cls.name).__mro__[1:]
+                overrides.update(
+                    id(node) for node in cls.body
+                    if isinstance(node, ast.FunctionDef)
+                    and any(hasattr(base, node.name) for base in bases))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") \
+                    or name in exported or id(node) in overrides:
+                continue
+            if used[name] <= _references(node)[name]:
+                unused.append(f"{module}.{name}")
+    assert not undefined, f"__all__ names undefined: {undefined}"
+    assert not unused, f"neither exported nor used in src: {unused}"
+
+
+def _readme_library_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    return re.search(r"## Library use\s+```python\n(.*?)```", text,
+                     re.DOTALL).group(1)
+
+
+def test_readme_imports_only_exported_names():
+    imports = re.findall(r"^from adnlab\.(\w+) import (.+)$",
+                         README.read_text(encoding="utf-8"), re.MULTILINE)
+    assert imports
+    for module, names in imports:
+        exported = importlib.import_module(f"adnlab.{module}").__all__
+        missing = [n.strip() for n in names.split(",")
+                   if n.strip() not in exported]
+        assert not missing, f"README imports {missing} from adnlab.{module}"
+
+
+def test_readme_library_block_runs(monkeypatch, capsys):
+    monkeypatch.chdir(README.parent)
+    exec(compile(_readme_library_block(), "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    assert "SNB" in printed
