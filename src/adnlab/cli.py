@@ -41,6 +41,12 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
+# Transient runs damp the trapezoid's unresolvable ringing with
+# backward-Euler half steps: the first STARTUP_BE_STEPS steps after the
+# t = 0 discontinuity, then every DAMPED_EVERY-th step.
+STARTUP_BE_STEPS = 2
+DAMPED_EVERY = 25
+
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
@@ -162,26 +168,41 @@ def _cmd_boundary2d(run: _Run, args):
     param1, settings = _continuation_settings(run, args, p)
     param2 = _known_param(p, cfg["param2"])
     grid = list(np.linspace(*args.grid)) if args.grid else cfg["grid"]
-    if param2 == param1:
-        raise ScenarioError(f"boundary2d sweeps {param2!r} against itself; "
-                            "the sweep and continuation parameters must "
-                            "differ")
     boundary = trace_boundary_2d(sys, param1, param2, grid, settings,
                                  params=p)
     run.csv("boundary.csv", (param2, param1 + "_star", "kind"),
             [(row.param2, row.lam, row.kind) for row in boundary.rows])
 
 
-def _cmd_simulate(run: _Run, args):
-    sys, p, sol = _solve_base(run.scenario)
-    cfg = run.scenario.analysis["simulation"]
+def _transient(run: _Run):
+    """Integrate the scenario's ``simulation`` block from its base
+    equilibrium; return the system run, its parameters and the trajectory.
+
+    A source marked ``rotating`` makes the run rotating: it starts from the
+    fixed build's equilibrium with every source angle state at 0.
+    """
+    scenario = run.scenario
+    sys, p, sol = _solve_base(scenario)
+    x0 = sol.x
+    if any(src.rotating for src in scenario.model.sources):
+        fixed, sys = sys, scenario.build(rotating_sources=True)
+        p = scenario.base_params(sys)
+        x0 = np.array([0.0 if name.endswith(".theta_g")
+                       else sol.x[fixed.state_index(name)]
+                       for name in sys.state_names])
+    cfg = scenario.analysis["simulation"]
     try:
-        p_run = p.with_values(cfg["param_steps"]) if cfg["param_steps"] else p
+        p = p.with_values(cfg["param_steps"]) if cfg["param_steps"] else p
     except KeyError as exc:
         raise ScenarioError(f"simulation.param_steps: {exc.args[0]}") from None
-    traj = integrate(sys, sol.x, p_run, t_end=cfg["t_end"], h=cfg["h"],
-                     startup_be_steps=cfg["startup_be_steps"],
-                     damped_every=cfg["damped_every"])
+    traj = integrate(sys, x0, p, t_end=cfg["t_end"], h=cfg["h"],
+                     startup_be_steps=STARTUP_BE_STEPS,
+                     damped_every=DAMPED_EVERY)
+    return sys, p, traj
+
+
+def _cmd_simulate(run: _Run, args):
+    sys, _, traj = _transient(run)
     run.csv("trajectory.csv", ("t",) + sys.state_names,
             ((t, *row.tolist()) for t, row in zip(traj.times, traj.states)))
 
@@ -218,30 +239,7 @@ def _cmd_cf(run: _Run, args):
     cfg = scenario.analysis.get("cf")
     if cfg is None:
         raise ScenarioError("scenario has no analysis.cf block")
-    sys, p, sol = _solve_base(scenario)
-    omega_step = cfg["omega_step"]
-    if omega_step != 0.0:
-        sys_run = scenario.build(rotating_sources=True)
-        x0 = np.zeros(sys_run.n)
-        for i, name in enumerate(sys_run.state_names):
-            if not name.endswith(".theta_g"):
-                x0[i] = sol.x[sys.state_index(name)]
-        p_run = scenario.base_params(sys_run)
-        for src in scenario.model.sources:
-            if src.rotating:
-                p_run = p_run.with_value(f"{src.id}.omega_offset", omega_step)
-        sys = sys_run
-    else:
-        x0 = sol.x
-        p_run = p
-        if cfg["theta_step"] != 0.0:
-            for src in scenario.model.sources:
-                p_run = p_run.with_value(
-                    f"{src.id}.theta",
-                    p_run[f"{src.id}.theta"] + cfg["theta_step"])
-    traj = integrate(sys, x0, p_run, t_end=cfg["t_end"], h=cfg["h"],
-                     startup_be_steps=cfg["startup_be_steps"],
-                     damped_every=cfg["damped_every"])
+    sys, p_run, traj = _transient(run)
     window = cfg["window"]
     omega0 = scenario.omega0
     blocks = [(cf_of_bus(sys, traj, cfg["bus"], omega0, window=window),

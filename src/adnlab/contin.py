@@ -57,7 +57,7 @@ LOCATE_LAM_TOL = 1e-6       # relative parameter gap that ends a bisection
 
 @dataclass(frozen=True)
 class ContinuationSettings:
-    h0: float = 0.01
+    h0: float = 0.02
     h_min: float = 1e-5
     h_max: float = 0.05
     max_steps: int = 2000
@@ -435,10 +435,14 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
     Each row re-solves the base equilibrium at the grid value from the
     system's initial guess, traces the branch over ``param1`` and records
     the first refined bifurcation (or an explicit marker).  Row failures
-    are recorded in-row and the sweep proceeds; a start of ``param1``
-    outside the settings' range raises :class:`ConfigurationError` before
-    any row.
+    are recorded in-row and the sweep proceeds.  A ``param2`` equal to
+    ``param1``, or a start of ``param1`` outside the settings' range,
+    raises :class:`ConfigurationError` before any row.
     """
+    if param2 == param1:
+        raise ConfigurationError(f"boundary2d sweeps {param2!r} against "
+                                 "itself; the sweep and continuation "
+                                 "parameters must differ")
     grid = np.asarray(grid, dtype=float)
     if grid.size and np.any(np.diff(grid) <= 0.0):
         raise ValueError("boundary grid must be strictly increasing")

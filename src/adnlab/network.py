@@ -195,10 +195,10 @@ class GridSource:
     its bus voltage (infinite bus, algebraic rows); otherwise the source
     current is a dynamic state behind ``r_g + j omega0 l_g``.
 
-    ``rotating=True`` adds an angle state ``d(theta)/dt = omega_offset``
-    so grid-frequency steps can be simulated; such a system has no
-    equilibrium and is meant for time-domain studies initialized from the
-    non-rotating twin.
+    ``rotating=True`` adds an angle state ``d(theta_g)/dt = omega_offset``
+    to the ``theta`` parameter, so grid-frequency and phase steps can both
+    be simulated; such a system has no equilibrium and is meant for
+    time-domain studies initialized from the non-rotating twin.
     """
 
     id: str
@@ -607,7 +607,7 @@ class AssembledSystem(DaeSystem):
 
         for (src, bp, vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
              ip_off) in self._sources:
-            theta = xs[th_idx] if th_idx >= 0 else pv[ip_th]
+            theta = pv[ip_th] + xs[th_idx] if th_idx >= 0 else pv[ip_th]
             e_d = pv[ip_e] * math.cos(theta)
             e_q = pv[ip_e] * math.sin(theta)
             if th_idx >= 0:

@@ -9,9 +9,10 @@ byte for byte.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import partial
 
+from .contin import ContinuationSettings
 from .converters import GflConverter, GfmDroop
 from .errors import ConfigurationError, ScenarioError
 from .network import (
@@ -30,7 +31,7 @@ __all__ = ["Scenario", "load_scenario", "loads_scenario"]
 
 _REQUIRED = object()
 
-BASE_FIELDS = {"f_hz": 50.0, "s_mva": 1.0, "v_kv": 1.0}
+BASE_FIELDS = {"f_hz": 50.0}
 BUS_FIELDS = {"id": _REQUIRED, "b_sh": 1e-4, "v_d": 1.0, "v_q": 0.0}
 BRANCH_FIELDS = {"id": _REQUIRED, "from": _REQUIRED, "to": _REQUIRED,
                  "r": 0.0, "x": _REQUIRED}
@@ -56,17 +57,13 @@ GFM_FIELDS = {"id": _REQUIRED, "bus": _REQUIRED, "kind": "gfm_droop",
               "m_p": 6.28, "n_q": 0.05, "v_set": 1.0, "p_set": 0.0,
               "q_set": 0.0, "r_v": 0.02, "x_v": 0.2, "tau_p": 0.02,
               "tau_q": 0.02}
-CONTINUATION_FIELDS = {"param": "lambda", "direction": 1.0, "h0": 0.02,
-                       "h_min": 1e-5, "h_max": 0.05, "max_steps": 2000,
-                       "param_min": 0.0, "param_max": 1e6}
+CONTINUATION_FIELDS = {"param": "lambda", **{
+    f.name: f.default for f in dataclass_fields(ContinuationSettings)}}
 BOUNDARY_FIELDS = {"param2": _REQUIRED, "grid": _REQUIRED}
-SIMULATION_FIELDS = {"t_end": 1.0, "h": 1e-3, "startup_be_steps": 2,
-                     "damped_every": 25, "param_steps": None}
+SIMULATION_FIELDS = {"t_end": 1.0, "h": 1e-3, "param_steps": None}
 SECONDARY_FIELDS = {"weights": None, "default_weight": 1.0, "rho": 1e-8,
                     "alpha": 1.0, "max_iter": 30, "tol_v": 0.01}
-CF_FIELDS = {"bus": _REQUIRED, "converter": None, "window": 2,
-             "t_end": 1.0, "h": 2e-4, "theta_step": 0.0, "omega_step": 0.0,
-             "startup_be_steps": 2, "damped_every": 25}
+CF_FIELDS = {"bus": _REQUIRED, "converter": None, "window": 2}
 ANALYSIS_FIELDS = {"continuation": None, "boundary2d": None,
                    "simulation": None, "secondary": None, "cf": None}
 TOP_FIELDS = {"name": "scenario", "base": None, "buses": _REQUIRED,
@@ -243,14 +240,11 @@ _ANALYSES = (
      ("h_min", "h0", "h_max")),
     ("boundary2d", BOUNDARY_FIELDS, {"param2": str, "grid": _grid}, ()),
     ("simulation", SIMULATION_FIELDS,
-     {"t_end": _positive, "h": _positive, "startup_be_steps": _integer,
-      "damped_every": _integer, "param_steps": _mapping}, ()),
+     {"t_end": _positive, "h": _positive, "param_steps": _mapping}, ()),
     ("secondary", SECONDARY_FIELDS,
      {"weights": _mapping, "max_iter": _integer}, ()),
     ("cf", CF_FIELDS,
-     {"bus": str, "converter": _optional_text, "window": _integer,
-      "t_end": _positive, "h": _positive, "startup_be_steps": _integer,
-      "damped_every": _integer}, ()),
+     {"bus": str, "converter": _optional_text, "window": _integer}, ()),
 )
 
 

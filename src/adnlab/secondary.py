@@ -311,7 +311,7 @@ def _max_weighted_deviation(sys, x, weights: WeightVector) -> float:
 def run_recursive(sys, params: Params | None = None,
                   weights: WeightVector | None = None,
                   max_iter: int = 30, tol_v: float = 0.01,
-                  alpha: float = 0.7) -> SecondaryHistory:
+                  alpha: float = 1.0) -> SecondaryHistory:
     """Measure-update loop, started from the system's initial guess, until
     the weighted voltage deviation is inside the band, the update stalls,
     or the iteration budget runs out.

@@ -84,9 +84,12 @@ def rotate_states(sys, x, phi: float) -> np.ndarray:
 
 def rotate_params(sys, p, phi: float):
     """``p`` with every source angle turned by ``phi``; with
-    :func:`rotate_states` it maps solutions to solutions."""
+    :func:`rotate_states` it maps solutions to solutions.  A rotating
+    source's angle state already turns with the states, so its ``theta``
+    parameter is kept."""
     return p.with_values({f"{s.id}.theta": p[f"{s.id}.theta"] + phi
-                          for s in sys.model.sources})
+                          for s in sys.model.sources
+                          if f"{s.id}.theta_g" not in sys.state_names})
 
 
 def power_balance(sys, x, p) -> dict:

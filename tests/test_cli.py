@@ -110,6 +110,19 @@ class TestCommands:
         assert {"bus", "pll_internal", "synchronization", "regulation",
                 "total"} <= blocks
 
+    def test_simulate_runs_the_rotating_frequency_step(self, tmp_path):
+        # cf_step's source rotates, so simulate runs the same rotating
+        # transient as cf: the source angle grows at omega_offset = 1 rad/s
+        out = tmp_path / "sim_cf"
+        rc = run_command(["simulate", "--scenario",
+                          str(SCENARIO_DIR / "cf_step.json"),
+                          "--out", str(out), "--quiet"])
+        assert rc == EXIT_OK
+        header, rows = read_csv(out / "trajectory.csv")
+        assert float(rows[-1][0]) == pytest.approx(4.0, rel=1e-12)
+        theta_g = float(rows[-1][header.index("grid.theta_g")])
+        assert theta_g == pytest.approx(4.0, rel=1e-9)
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):

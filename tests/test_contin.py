@@ -422,6 +422,13 @@ class TestBoundary2D:
                 ContinuationSettings(param_min=0.05, param_max=5.0),
                 params=base)
 
+    def test_sweep_against_itself_raises(self):
+        # every row would set lambda to its grid value and then trace from
+        # there, so all rows would report the same nose
+        sys = two_bus_system()
+        with pytest.raises(ConfigurationError, match="against itself"):
+            trace_boundary_2d(sys, "lambda", "lambda", [0.3, 0.6])
+
     def test_unsorted_grid_rejected(self):
         sys = two_bus_system()
         with pytest.raises(ValueError):

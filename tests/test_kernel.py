@@ -74,6 +74,19 @@ def test_residual_is_pure_and_fresh(name, rotating):
         assert sys.residual(x, p).tobytes() == f2.tobytes()
 
 
+def test_rotating_source_angle_adds_its_parameter():
+    # the rotating build drives the source EMF at theta + theta_g, so a
+    # phase step given as a theta parameter step moves it there as well
+    sys, p = _system("cf_step", rotating=True)
+    _, x = _points(sys)
+    i = sys.state_index("grid.theta_g")
+    delta = 0.02
+    x[i] = 0.0
+    stepped = sys.residual(x, p.with_value("grid.theta", delta))
+    x[i] = delta
+    assert stepped.tobytes() == sys.residual(x, p).tobytes()
+
+
 @pytest.mark.parametrize("family, index, fields", [
     ("zip_loads", 0, {"v0": 1e-200}),
     ("machines", 0, {"x_s": 1e-170, "x_m": 1e-170, "x_r": 1e-170,

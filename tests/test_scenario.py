@@ -1,12 +1,15 @@
 """Tests for scenario parsing, validation and canonical serialization."""
 
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+from adnlab.contin import ContinuationSettings
 from adnlab.errors import ScenarioError
 from adnlab.scenario import load_scenario, loads_scenario
+from adnlab.secondary import run_recursive
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -102,11 +105,11 @@ class TestParsing:
             lambda d: d.update(analysis={"simulation": {"t_end": -1}}),
             "analysis.simulation.t_end", id="simulation-t_end-negative"),
         pytest.param(
-            lambda d: d.update(analysis={"cf": {"bus": "b2", "h": -2e-4}}),
-            "analysis.cf.h", id="cf-h-negative"),
+            lambda d: d.update(analysis={"simulation": {"h": -2e-4}}),
+            "analysis.simulation.h", id="simulation-h-negative"),
         pytest.param(
-            lambda d: d.update(analysis={"cf": {"bus": "b2", "t_end": 0}}),
-            "analysis.cf.t_end", id="cf-t_end-zero"),
+            lambda d: d.update(analysis={"simulation": {"t_end": 0}}),
+            "analysis.simulation.t_end", id="simulation-t_end-zero"),
         pytest.param(
             lambda d: d.update(analysis={"continuation": {"h0": -1}}),
             "analysis.continuation.h0", id="continuation-h0-negative"),
@@ -127,12 +130,8 @@ class TestParsing:
                                                         "h": 0.3}}),
             "analysis.simulation.t_end", id="simulation-t_end-not-whole-steps"),
         pytest.param(
-            lambda d: d.update(analysis={"cf": {"bus": "b2", "t_end": 1e-4}}),
-            "analysis.cf.t_end", id="cf-t_end-below-one-step"),
-        pytest.param(
-            lambda d: d.update(analysis={"cf": {"bus": "b2", "t_end": 0.1,
-                                                "h": 0.03}}),
-            "analysis.cf.t_end", id="cf-t_end-not-whole-steps"),
+            lambda d: d.update(analysis={"simulation": {"t_end": 1e-4}}),
+            "analysis.simulation.t_end", id="simulation-t_end-below-one-step"),
     ])
     def test_bad_value_names_its_entry(self, edit, where):
         data = json.loads(MINIMAL)
@@ -140,6 +139,21 @@ class TestParsing:
         with pytest.raises(ScenarioError) as info:
             loads_scenario(json.dumps(data))
         assert str(info.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d.update(base={"s_mva": 1}),
+                     "base: unknown key(s) 's_mva'", id="base-s_mva"),
+        # a cf block runs the simulation block; it holds no run settings
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2", "t_end": 4.0}}),
+            "analysis.cf: unknown key(s) 't_end'", id="cf-t_end"),
+    ])
+    def test_retired_key_is_unknown(self, edit, message):
+        data = json.loads(MINIMAL)
+        edit(data)
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(json.dumps(data))
+        assert str(info.value) == message
 
     def test_step_count_whole_up_to_rounding(self):
         data = json.loads(MINIMAL)
@@ -174,6 +188,16 @@ class TestCanonicalForm:
         assert sc.analysis["secondary"]["weights"] == {}
         # the canonical form (and so the scenario hash) holds given blocks only
         assert sc.canonical["analysis"] == {}
+
+    def test_analysis_defaults_are_the_library_defaults(self):
+        sc = loads_scenario(MINIMAL)
+        cont = dict(sc.analysis["continuation"])
+        assert cont.pop("param") == "lambda"
+        assert ContinuationSettings(**cont) == ContinuationSettings()
+        signature = inspect.signature(run_recursive).parameters
+        for key in ("alpha", "max_iter", "tol_v"):
+            assert signature[key].default == \
+                sc.analysis["secondary"][key], key
 
     def test_reactance_to_inductance_conversion(self):
         sc = loads_scenario(MINIMAL)
