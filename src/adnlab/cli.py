@@ -41,12 +41,6 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
-# Transient runs damp the trapezoid's unresolvable ringing with
-# backward-Euler half steps: the first STARTUP_BE_STEPS steps after the
-# t = 0 discontinuity, then every DAMPED_EVERY-th step.
-STARTUP_BE_STEPS = 2
-DAMPED_EVERY = 25
-
 
 def _fmt(value) -> str:
     return format(float(value), ".17g")
@@ -195,9 +189,7 @@ def _transient(run: _Run):
         p = p.with_values(cfg["param_steps"]) if cfg["param_steps"] else p
     except KeyError as exc:
         raise ScenarioError(f"simulation.param_steps: {exc.args[0]}") from None
-    traj = integrate(sys, x0, p, t_end=cfg["t_end"], h=cfg["h"],
-                     startup_be_steps=STARTUP_BE_STEPS,
-                     damped_every=DAMPED_EVERY)
+    traj = integrate(sys, x0, p, t_end=cfg["t_end"], h=cfg["h"])
     return sys, p, traj
 
 

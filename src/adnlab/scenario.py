@@ -192,13 +192,6 @@ def _number(value) -> float:
     return number
 
 
-def _integer(value) -> int:
-    number = _number(value)
-    if not number.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(number)
-
-
 def _mapping(value) -> dict:
     """An object of numbers keyed by name; ``None`` stands for ``{}``."""
     if not isinstance(value, dict | None):
@@ -214,10 +207,10 @@ def _positive(value) -> float:
 
 
 def _count(value) -> int:
-    number = _integer(value)
-    if number < 1:
+    number = _number(value)
+    if not (number.is_integer() and number >= 1):
         raise ValueError(f"{value!r} is not a positive integer")
-    return number
+    return int(number)
 
 
 def _grid(value) -> list:
@@ -242,9 +235,9 @@ _ANALYSES = (
     ("simulation", SIMULATION_FIELDS,
      {"t_end": _positive, "h": _positive, "param_steps": _mapping}, ()),
     ("secondary", SECONDARY_FIELDS,
-     {"weights": _mapping, "max_iter": _integer}, ()),
+     {"weights": _mapping, "max_iter": _count, "alpha": _positive}, ()),
     ("cf", CF_FIELDS,
-     {"bus": str, "converter": _optional_text, "window": _integer}, ()),
+     {"bus": str, "converter": _optional_text, "window": _count}, ()),
 )
 
 
@@ -341,6 +334,20 @@ def loads_scenario(text: str) -> Scenario:
             gfls=tuple(gfls), gfms=tuple(gfms), omega0=omega0)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+
+    # the device ids an analysis block names must exist in the model
+    buses = {bus.id for bus in model.buses}
+    named = [("secondary.weights", bus, buses)
+             for bus in analysis["secondary"]["weights"]]
+    if "cf" in analysis:
+        named.append(("cf.bus", analysis["cf"]["bus"], buses))
+        if analysis["cf"]["converter"] is not None:
+            named.append(("cf.converter", analysis["cf"]["converter"],
+                          {c.id for c in model.gfls + model.gfms}))
+    for key, name, known in named:
+        if name not in known:
+            raise ScenarioError(f"analysis.{key}: unknown id {name!r}; "
+                                f"known: {', '.join(sorted(known))}")
 
     return Scenario(name=str(top["name"]), f_hz=f_hz, canonical=canonical,
                     model=model, analysis=analysis, param_overrides=overrides)

@@ -82,8 +82,6 @@ class GainSensitivity:
 class GainUpdate:
     gains: dict                 # converter id -> (g_v, b_v) after the step
     delta: np.ndarray           # raw optimizer step (before the trust factor)
-    objective_before: float
-    objective_predicted: float
     active_constraints: tuple   # labels of constraints active at the optimum
     multipliers: np.ndarray
     no_op: bool = False
@@ -268,19 +266,12 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
     if not np.any(sens.usable):
         return GainUpdate(
             gains=_gains_from(p, sens.conv_ids), delta=np.zeros(n),
-            objective_before=float(w @ (r * r)),
-            objective_predicted=float(w @ (r * r)),
             active_constraints=(), multipliers=np.zeros(len(a_mat)),
             no_op=True)
 
     delta, mu, active = _solve_qp(h_mat, f_vec, a_mat, b_vec, labels)
-    pred = r + s_v @ delta
     return GainUpdate(
-        gains=_gains_from(p, sens.conv_ids, names, delta),
-        delta=delta,
-        objective_before=float(w @ (r * r)),
-        objective_predicted=float(w @ (pred * pred))
-        + weights.rho * float(delta @ delta),
+        gains=_gains_from(p, sens.conv_ids, names, delta), delta=delta,
         active_constraints=active, multipliers=mu)
 
 
@@ -339,15 +330,13 @@ def run_recursive(sys, params: Params | None = None,
         snap = collect_measurements(sys, x, p, iteration=it)
         obj = _objective(sys, x, weights)
         entry = {"iteration": it, "snapshot": snap, "objective": obj,
-                 "gains": _gains_from(p, sys.gfl_ids()), "update": None,
-                 "alpha": 0.0}
+                 "gains": _gains_from(p, sys.gfl_ids())}
         if _max_weighted_deviation(sys, x, weights) <= tol_v:
             history.iterations.append(entry)
             history.converged = True
             return history
         sens = gain_sensitivity(sys, x, p)
         update = solve_update(snap, sens, weights, boxes, limits, p)
-        entry["update"] = update
         if update.no_op or float(np.max(np.abs(update.delta))) <= DELTA_GAIN_TOL:
             history.iterations.append(entry)
             return history
@@ -367,7 +356,6 @@ def run_recursive(sys, params: Params | None = None,
                 accepted = True
                 break
             a *= 0.5
-        entry["alpha"] = a if accepted else 0.0
         history.iterations.append(entry)
         if not accepted:
             history.aborted = (f"no acceptable step at iteration {it} "

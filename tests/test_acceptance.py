@@ -175,8 +175,7 @@ def test_criterion_4_linearization_consistency():
     x0 = sol.x.copy()
     x0[dyn] += 1e-4 * direction
     t_end = 0.4
-    traj = integrate(sys, x0, p, t_end=t_end, h=2e-4, startup_be_steps=2,
-                     damped_every=25)
+    traj = integrate(sys, x0, p, t_end=t_end, h=2e-4)
     delta = traj.states[:, dyn] - sol.x[dyn]
     s = delta @ w
     t1_idx = len(traj.times) - 1
@@ -335,8 +334,7 @@ def test_criterion_9_complex_frequency():
         if name != "grid.theta_g":
             x0[i] = sol.x[sys0.state_index(name)]
     p = sys.params0.with_value("grid.omega_offset", 1.0)
-    traj = integrate(sys, x0, p, t_end=4.0, h=5e-4, startup_be_steps=2,
-                     damped_every=25)
+    traj = integrate(sys, x0, p, t_end=4.0, h=5e-4)
     dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, p)
     assert cf_additivity_residual(dec) < 1e-6
     bus = cf_of_bus(sys, traj, "b2", OMEGA0, window=2)
@@ -347,8 +345,7 @@ def test_criterion_9_complex_frequency():
 
     # additivity also on an angle-step trajectory of the static twin
     p_step = sys0.params0.with_value("grid.theta", 0.02)
-    traj2 = integrate(sys0, sol.x, p_step, t_end=0.5, h=2e-4,
-                      startup_be_steps=2, damped_every=25)
+    traj2 = integrate(sys0, sol.x, p_step, t_end=0.5, h=2e-4)
     assert cf_additivity_residual(decompose_converter_cf(
         sys0, traj2, "c1", OMEGA0, p_step)) < 1e-6
     report(9, "complex frequency: exact steady nulls, chirp recovery, "

@@ -1,6 +1,9 @@
 """Tests for complex-frequency computation and per-block decomposition."""
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from adnlab.cfreq import (
     derivative,
     pll_internal_frequency,
 )
+from adnlab.cli import EXIT_OK, run_command
 from adnlab.converters import GflConverter, GfmDroop
 from adnlab.engine import integrate, newton_equilibrium
 from adnlab.errors import ConfigurationError, DegenerateVoltageError
@@ -25,6 +29,8 @@ from adnlab.network import (
     reactance_to_inductance,
 )
 from oracles import cf_additivity_residual
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def sampled(fn, t_end=1.0, h=1e-4):
@@ -140,8 +146,7 @@ class TestPllInternalFrequency:
             if name != "grid.theta_g":
                 x0[i] = sol.x[sys0.state_index(name)]
         p = sys.params0.with_value("grid.omega_offset", 1.0)
-        traj = integrate(sys, x0, p, t_end=4.0, h=5e-4, startup_be_steps=2,
-                         damped_every=25)
+        traj = integrate(sys, x0, p, t_end=4.0, h=5e-4)
         bus = cf_of_bus(sys, traj, "b2", OMEGA0, window=2)
         internal = pll_internal_frequency(sys, traj, "c1", p, window=2)
         diff = np.abs(internal.omega - bus.omega)
@@ -197,8 +202,7 @@ class TestDecomposition:
         sys = step_feeder().build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("grid.theta", 0.02)
-        traj = integrate(sys, sol.x, p_step, t_end=0.5, h=2e-4,
-                         startup_be_steps=2, damped_every=25)
+        traj = integrate(sys, sol.x, p_step, t_end=0.5, h=2e-4)
         dec = decompose_converter_cf(sys, traj, "c1", p=p_step)
         assert cf_additivity_residual(dec) < 1e-6
 
@@ -214,8 +218,7 @@ class TestDecomposition:
         sys = model.build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("grid.theta", 0.01)
-        traj = integrate(sys, sol.x, p_step, t_end=1.5, h=1e-4,
-                         startup_be_steps=2)
+        traj = integrate(sys, sol.x, p_step, t_end=1.5, h=1e-4)
         dec = decompose_converter_cf(sys, traj, "c1", p=p_step)
         skip = 5    # one-sided stencils right at the discontinuity
         assert np.max(np.abs(dec.regulation.rho[skip:])) < 1e-3
@@ -234,8 +237,7 @@ class TestDecomposition:
         sys = model.build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("g1.p_set", 0.3)
-        traj = integrate(sys, sol.x, p_step, t_end=2.0, h=5e-4,
-                         startup_be_steps=2, damped_every=25)
+        traj = integrate(sys, sol.x, p_step, t_end=2.0, h=5e-4)
         dec = decompose_converter_cf(sys, traj, "g1", p=p_step)
         assert cf_additivity_residual(dec) < 1e-6
         # the droop swings the angle; the E-magnitude branch carries rho
@@ -255,9 +257,35 @@ class TestSteadyStateNull:
         sys = step_feeder().build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("grid.theta", 0.02)
-        traj = integrate(sys, sol.x, p_step, t_end=1.0, h=2e-4,
-                         startup_be_steps=2, damped_every=25)
+        traj = integrate(sys, sol.x, p_step, t_end=1.0, h=2e-4)
         cf = cf_of_bus(sys, traj, "b2", OMEGA0, window=2)
         tail = slice(-len(traj.times) // 10, None)
         assert np.max(np.abs(cf.rho[tail])) < 1e-4
         assert np.max(np.abs(cf.omega[tail] - OMEGA0)) < 1e-4
+
+
+class TestStepRefinement:
+    def test_cf_csv_converges_as_the_step_halves(self, tmp_path):
+        """``cf`` on cf_step to t = 1 s: halving ``h`` (and doubling the
+        window, so it spans the same seconds) moves the typical rho of the
+        bus and regulation blocks by less than 1e-5."""
+        data = json.loads((SCENARIO_DIR / "cf_step.json").read_text())
+        rho = []
+        for h, window in ((5e-4, 2), (2.5e-4, 4)):
+            data["analysis"]["simulation"].update(t_end=1.0, h=h)
+            data["analysis"]["cf"]["window"] = window
+            path = tmp_path / f"cf_{window}.json"
+            path.write_text(json.dumps(data))
+            out = tmp_path / f"out_{window}"
+            assert run_command(["cf", "--scenario", str(path), "--out",
+                                str(out), "--quiet"]) == EXIT_OK
+            with open(out / "cf.csv", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            rho.append({block: np.array([float(r["rho"]) for r in rows
+                                         if r["block"] == block])
+                        for block in ("bus", "regulation")})
+        coarse, fine = rho
+        keep = np.arange(len(coarse["bus"])) * 5e-4 >= 0.05
+        for block in ("bus", "regulation"):
+            delta = np.abs(fine[block][::2] - coarse[block])[keep]
+            assert np.median(delta) < 1e-5, block

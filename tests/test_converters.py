@@ -181,8 +181,7 @@ class TestGflResidual:
         sys = model.build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("c1.p_ref", 2.5)
-        traj = integrate(sys, sol.x, p_step, t_end=0.4, h=2e-4,
-                         startup_be_steps=2)
+        traj = integrate(sys, sol.x, p_step, t_end=0.4, h=2e-4)
         bound = 1.2 * (1 + 1e-6)
         for x in traj.states[::20]:
             out = sys.outputs(x, p_step)["c1"]

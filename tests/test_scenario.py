@@ -132,6 +132,15 @@ class TestParsing:
         pytest.param(
             lambda d: d.update(analysis={"simulation": {"t_end": 1e-4}}),
             "analysis.simulation.t_end", id="simulation-t_end-below-one-step"),
+        pytest.param(
+            lambda d: d.update(analysis={"secondary": {"max_iter": -3}}),
+            "analysis.secondary.max_iter", id="secondary-max_iter-negative"),
+        pytest.param(
+            lambda d: d.update(analysis={"secondary": {"alpha": 0.0}}),
+            "analysis.secondary.alpha", id="secondary-alpha-zero"),
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2", "window": -4}}),
+            "analysis.cf.window", id="cf-window-negative"),
     ])
     def test_bad_value_names_its_entry(self, edit, where):
         data = json.loads(MINIMAL)
@@ -139,6 +148,22 @@ class TestParsing:
         with pytest.raises(ScenarioError) as info:
             loads_scenario(json.dumps(data))
         assert str(info.value).startswith(f"{where}: ")
+
+    @pytest.mark.parametrize("analysis, where", [
+        pytest.param({"cf": {"bus": "nosuch"}}, "analysis.cf.bus",
+                     id="cf-bus"),
+        pytest.param({"cf": {"bus": "b2", "converter": "c9"}},
+                     "analysis.cf.converter", id="cf-converter"),
+        pytest.param({"secondary": {"weights": {"b2": 1.0, "b9": 5.0}}},
+                     "analysis.secondary.weights", id="secondary-weights"),
+    ])
+    def test_unknown_id_names_its_key(self, analysis, where):
+        data = json.loads(MINIMAL)
+        data["converters"] = [{"id": "c1", "bus": "b2"}]
+        data["analysis"] = analysis
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(json.dumps(data))
+        assert str(info.value).startswith(f"{where}: unknown id ")
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda d: d.update(base={"s_mva": 1}),

@@ -82,8 +82,7 @@ class TestShowcaseBenchmark:
     def test_disturbance_simulation_runs_clean(self, showcase):
         scenario, sys, p, sol = showcase
         p_step = p.with_values({"im1.t_mech": 0.45, "lambda": 1.15})
-        traj = integrate(sys, sol.x, p_step, t_end=1.0, h=5e-4,
-                         startup_be_steps=2, damped_every=25)
+        traj = integrate(sys, sol.x, p_step, t_end=1.0, h=5e-4)
         assert np.all(np.isfinite(traj.states))
         # machine picks up the extra torque with a higher slip
         assert traj.column("im1.s")[-1] > sol.x[sys.state_index("im1.s")]
@@ -116,8 +115,7 @@ class TestTapLimit:
         # the weakened source makes the regulation target unreachable: the
         # rate window parks the tap at the limit while the voltage stays low
         p_step = sys.params0.with_value("grid.e_mag", 0.9)
-        traj = integrate(sys, sol.x, p_step, t_end=80.0, h=0.02,
-                         startup_be_steps=2, damped_every=25)
+        traj = integrate(sys, sol.x, p_step, t_end=80.0, h=0.02)
         n = traj.column("ltc1.n")
         assert n[-1] <= ltc.n_max + 0.02
         rate = (n[-1] - n[-50]) / (49 * 0.02)
