@@ -7,6 +7,7 @@ constraints, so the same machinery covers the pure-ODE default models and
 DAE variants (pinned source buses, algebraic virtual-admittance branches).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,8 +367,12 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float,
     L-stable, so modes far above the step rate decay instead of ringing;
     BDF2 is second order (Brenan, Campbell and Petzold, *Numerical
     Solution of Initial-Value Problems in Differential-Algebraic
-    Equations*, SIAM 1996).  Each step is solved by Newton to an inf-norm
-    of 1e-10 with a lazily refreshed Jacobian.
+    Equations*, SIAM 1996).  Newton starts each step from the linear
+    extrapolation ``2 x_n - x_(n-1)`` (the first from ``x_0``), as DASSL's
+    predictor does, and stops at an inf-norm residual of 1e-10.  Its
+    corrections apply the inverse of a lazily refreshed iteration matrix
+    (simplified Newton; Hairer and Wanner, *Solving Ordinary Differential
+    Equations II*, IV.8).
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -376,58 +381,65 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float,
     out = np.empty((n_steps + 1, sys.n))
     out[0] = x0
     stepper = _Stepper(sys, p)
-    base, a = out[0], h
+    base, guess, a = out[0], out[0], h
     for step in range(n_steps):
-        out[step + 1] = stepper.step(base, out[step], a, float(times[step + 1]))
+        out[step + 1] = stepper.step(base, out[step], guess, a,
+                                     float(times[step + 1]))
         base = (4.0 * out[step + 1] - out[step]) / 3.0
+        guess = 2.0 * out[step + 1] - out[step]
         a = 2.0 * h / 3.0
     return Trajectory(times, out, sys.state_names)
 
 
 class _Stepper:
-    """Implicit step solver with a lazily refreshed Jacobian."""
+    """Implicit step solver with a lazily refreshed, inverted iteration
+    matrix."""
 
     def __init__(self, sys, p):
         self.sys = sys
         self.p = p
         self.m = sys.mass(p)
         self.dyn = self.m > 0.0
-        self._jac_step = None
+        self._inv = None
         self._jac_a = None
         self._steps_since_jac = 0
 
-    def step(self, base, x, a, t_next):
+    def step(self, base, x, guess, a, t_next):
         """Solve ``m (z - base) = a F(z)`` on dynamic rows and ``F(z) = 0``
-        on algebraic rows by Newton from ``x``; return ``z``.
+        on algebraic rows by simplified Newton from ``guess``; return ``z``.
 
         The iteration matrix ``m - a J`` (``J`` on algebraic rows) is
-        rebuilt when ``a`` changes, every 50 steps, and once more from
-        ``x`` when Newton fails.
+        rebuilt and inverted when ``a`` changes and every 50 steps.  When
+        Newton fails or meets a non-finite residual, it retries once from
+        the accepted state ``x`` with a matrix rebuilt there.
         """
-        z = x.copy()
+        z = guess
         for attempt in range(2):
             if (self._jac_a != a or self._steps_since_jac >= 50
                     or attempt > 0):
                 jac = jacobian_fd(self.sys, z, self.p)
-                self._jac_step = -a * jac
-                self._jac_step[self.dyn] += np.diag(self.m)[self.dyn]
-                self._jac_step[~self.dyn] = jac[~self.dyn]
+                step_matrix = -a * jac
+                step_matrix[self.dyn] += np.diag(self.m)[self.dyn]
+                step_matrix[~self.dyn] = jac[~self.dyn]
+                try:
+                    self._inv = np.linalg.inv(step_matrix)
+                except np.linalg.LinAlgError as exc:
+                    raise IntegrationError(
+                        f"singular step Jacobian at t={t_next:.6g}s",
+                        time=t_next) from exc
                 self._jac_a = a
                 self._steps_since_jac = 0
             for _ in range(25):
                 f = self.sys.residual(z, self.p)
                 res = np.where(self.dyn, self.m * (z - base) - a * f, f)
-                if float(np.max(np.abs(res))) <= STEP_NEWTON_TOL:
+                err = float(np.max(np.abs(res)))
+                if err <= STEP_NEWTON_TOL:
                     self._steps_since_jac += 1
                     return z
-                try:
-                    dz = np.linalg.solve(self._jac_step, -res)
-                except np.linalg.LinAlgError as exc:
-                    raise IntegrationError(
-                        f"singular step Jacobian at t={t_next:.6g}s",
-                        time=t_next) from exc
-                z = z + dz
-            z = x.copy()   # retry once with a fresh Jacobian
+                if not math.isfinite(err):
+                    break
+                z = z - self._inv @ res
+            z = x   # retry once from the accepted state
         raise IntegrationError(
             f"step Newton failed at t={t_next:.6g}s; try a smaller step "
             "size", time=t_next)

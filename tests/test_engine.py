@@ -1,6 +1,7 @@
 """Tests for the numerical engine: Newton, Jacobians, spectra, integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,15 +223,43 @@ class TestIntegrate:
                          h=1e-3)
         assert np.max(np.abs(traj.states[:, 1] - 2.0 * traj.states[:, 0])) < 1e-9
 
+    def test_matches_the_bdf2_recursion(self):
+        """The extrapolated start moves only where Newton begins: on a
+        linear DAE, ``integrate`` lands on the backward-Euler-then-BDF2
+        recursion solved directly."""
+        a = np.array([[-1.0, 0.0, 0.5], [1.0, -2.0, 0.0],
+                      [1.0, 1.0, -1.0]])
+        m = np.array([1.0, 1.0, 0.0])
+        sys = DaeSystem(3, lambda x, p: a @ x, lambda p: m, Params((), []))
+        h, x0 = 0.01, np.array([1.0, 0.0, 1.0])
+        traj = integrate(sys, x0, sys.params0, t_end=1.0, h=h)
+
+        def bdf_step(base, coef):
+            # dynamic rows: m (z - base) = coef A z; algebraic row: A z = 0
+            lhs = np.where(m[:, None] > 0.0, np.diag(m) - coef * a, a)
+            return np.linalg.solve(lhs, np.where(m > 0.0, m * base, 0.0))
+
+        ref = [x0, bdf_step(x0, h)]
+        while len(ref) < len(traj.times):
+            ref.append(bdf_step((4.0 * ref[-1] - ref[-2]) / 3.0, 2.0 * h / 3.0))
+        assert np.max(np.abs(traj.states - np.array(ref))) < 1e-12
+
     def test_one_residual_call_per_newton_check(self, monkeypatch):
         """Outside Jacobians, the only residual calls are one per
-        step-Newton iteration: each solve plus each step's converged
-        check."""
+        step-Newton iteration: each correction plus each step's converged
+        check.  Each step-Jacobian build is inverted once, and every
+        correction applies that inverse instead of a linear solve."""
         from adnlab import engine
 
         a = np.array([[-1.0, 2.0, 0.5], [-2.0, -1.0, 0.0],
                       [1.0, 0.0, -1.0]])
-        calls = {"residual": 0, "jacobian": 0, "solve": 0}
+        calls = {"residual": 0, "jacobian": 0, "build": 0, "inv": 0,
+                 "correction": 0, "solve": 0}
+
+        class CountedInverse(np.ndarray):
+            def __matmul__(self, other):
+                calls["correction"] += 1
+                return np.asarray(self) @ other
 
         def residual(x, p):
             calls["residual"] += 1
@@ -240,23 +269,33 @@ class TestIntegrate:
             before = calls["residual"]
             jac = jacobian_fd(*args)
             calls["jacobian"] += calls["residual"] - before
+            calls["build"] += 1
             return jac
 
-        solve = np.linalg.solve
+        inv, solve = np.linalg.inv, np.linalg.solve
+
+        def counted_inv(matrix):
+            calls["inv"] += 1
+            return inv(matrix).view(CountedInverse)
 
         def counted_solve(*args):
             calls["solve"] += 1
             return solve(*args)
 
         monkeypatch.setattr(engine, "jacobian_fd", counted_jacobian)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(np.linalg, "solve", counted_solve)
         sys = DaeSystem(3, residual, lambda p: np.array([1.0, 1.0, 0.0]),
                         Params((), []))
         traj = integrate(sys, np.array([1.0, 0.0, 1.0]), sys.params0,
                          t_end=0.2, h=0.01)
         steps = len(traj.times) - 1
-        assert calls["solve"] >= steps
-        assert calls["residual"] - calls["jacobian"] == calls["solve"] + steps
+        assert calls["build"] >= 1
+        assert calls["inv"] == calls["build"]
+        assert calls["solve"] == 0
+        assert calls["correction"] >= steps
+        assert (calls["residual"] - calls["jacobian"]
+                == calls["correction"] + steps)
 
     def test_bad_step_rejected(self):
         sys = linear_system(-np.eye(1))
@@ -264,10 +303,25 @@ class TestIntegrate:
             integrate(sys, np.array([1.0]), sys.params0, t_end=1.0, h=0.0)
 
     def test_failure_carries_time_stamp(self):
-        # finite-time blow-up: x' = x^2, x(0)=1 diverges at t=1
-        sys = DaeSystem(1, lambda x, p: np.array([x[0] ** 2]),
-                        lambda p: np.ones(1), Params((), []))
-        with pytest.raises(IntegrationError) as err:
-            integrate(sys, np.array([1.0]), sys.params0, t_end=2.0, h=1e-3)
+        # finite-time blow-up: x' = x^2, x(0)=1 diverges at t=1.  A step
+        # attempt ends at its first non-finite residual, so no residual call
+        # gets a non-finite state and the integrator's arithmetic raises no
+        # RuntimeWarning (the model's own overflow to inf is silenced).
+        states = []
+
+        def res(x, p):
+            states.append(x.copy())
+            with np.errstate(over="ignore"):
+                return np.array([x[0] ** 2])
+
+        sys = DaeSystem(1, res, lambda p: np.ones(1), Params((), []))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IntegrationError) as err:
+                integrate(sys, np.array([1.0]), sys.params0, t_end=2.0,
+                          h=1e-3)
         assert err.value.time is not None
         assert 0.9 < err.value.time <= 2.0
+        assert np.all(np.isfinite(states))
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
