@@ -113,9 +113,9 @@ def cf_from_trajectory(times, v_d, v_q, omega_frame: float,
 def cf_of_bus(sys, traj: Trajectory, bus_id: str, omega_frame: float,
               window: int = 1) -> CfSeries:
     """Complex frequency of a bus voltage along a trajectory."""
-    vi = sys.state_index(f"{bus_id}.vd")
-    return cf_from_trajectory(traj.times, traj.states[:, vi],
-                              traj.states[:, vi + 1], omega_frame, window)
+    return cf_from_trajectory(
+        traj.times, traj.states[:, sys.state_index(f"{bus_id}.vd")],
+        traj.states[:, sys.state_index(f"{bus_id}.vq")], omega_frame, window)
 
 
 # The converter outputs the cf series read: what pll_internal_frequency

@@ -95,6 +95,8 @@ class GfmDroop:
             raise ModelValidationError("Q/V droop slope must be non-negative")
         if self.l_v <= 0.0:
             raise ModelValidationError("virtual inductance must be positive")
+        if self.tau_p < 0.0 or self.tau_q < 0.0:
+            raise ModelValidationError("filter time constants must be non-negative")
 
 
 def pll_project(vd: float, vq: float, theta: float):

@@ -272,10 +272,11 @@ def newton_equilibrium(sys: DaeSystem, x0, p: Params) -> EquilibriumSolution:
         damping = 1.0
         while True:
             x_trial = x + damping * dx
-            f_trial = sys.residual(x_trial, p)
-            norm_trial = float(np.max(np.abs(f_trial)))
-            if np.isfinite(norm_trial) and norm_trial < norm:
-                break
+            if np.all(np.isfinite(x_trial)):   # an overflowed trial fails
+                f_trial = sys.residual(x_trial, p)
+                norm_trial = float(np.max(np.abs(f_trial)))
+                if np.isfinite(norm_trial) and norm_trial < norm:
+                    break
             damping *= 0.5
             if damping < NEWTON_MIN_DAMPING:
                 worst = int(np.argmax(np.abs(f)))
@@ -331,7 +332,16 @@ def _state_matrix_and_condition(sys: DaeSystem, x_star, p: Params):
                 f"algebraic block is numerically singular (cond={cond:.3e})")
     else:
         reduced = f_x
-    return reduced / m[dyn][:, None], cond
+    with np.errstate(all="ignore"):     # a denormal mass is reported below
+        reduced = reduced / m[dyn][:, None]
+    bad = np.flatnonzero(~np.all(np.isfinite(reduced), axis=1))
+    if bad.size:
+        row = int(dyn[bad[0]])
+        raise NonConvergenceError(
+            f"non-finite state matrix row {sys.state_names[row]!r} "
+            f"(mass {m[row]:.3g})", worst_index=row,
+            worst_name=sys.state_names[row])
+    return reduced, cond
 
 
 def eigenvalues(matrix) -> SpectrumReport:

@@ -15,9 +15,8 @@ class DegenerateVoltageError(AdnlabError):
     """A voltage magnitude fell to or below the floor where current
     injections become ill-defined."""
 
-    def __init__(self, message, bus=None, time=None):
+    def __init__(self, message, time=None):
         super().__init__(message)
-        self.bus = bus
         self.time = time
 
 

@@ -135,14 +135,15 @@ class InductionMachine:
     h: float = 0.6
     t_mech: float = 0.5
     s0: float = 0.02         # initial slip guess
-    omega0: float = OMEGA0
 
     def __post_init__(self):
         if self.h <= 0.0:
             raise ModelValidationError(f"machine {self.id!r}: inertia must be positive")
-        if self.t0_prime <= 0.0 or self.x_prime <= 0.0:
+        # t0' = (x_r + x_m) / (omega0 r_r) is positive with these
+        if not (self.r_r > 0.0 and self.x_r + self.x_m > 0.0
+                and self.x_prime > 0.0):
             raise ModelValidationError(
-                f"machine {self.id!r}: derived time constant / transient "
+                f"machine {self.id!r}: r_r, x_r + x_m and the transient "
                 "reactance must be positive")
         if self.r_s * self.r_s + self.x_prime * self.x_prime == 0.0:
             raise ModelValidationError(          # the residual divides by it
@@ -157,10 +158,6 @@ class InductionMachine:
     @cached_property
     def x_prime(self) -> float:
         return self.x_s + self.x_m * self.x_r / (self.x_m + self.x_r)
-
-    @cached_property
-    def t0_prime(self) -> float:
-        return (self.x_r + self.x_m) / (self.omega0 * self.r_r)
 
 
 @dataclass(frozen=True)
@@ -239,26 +236,28 @@ def zip_injection(load: ZipLoad, vd: float, vq: float, lam: float):
     # constant-current and constant-power parts share the guarded divisor
     p_ip = lam * load.p0 * (load.a_i * vmag / load.v0 + load.a_p)
     q_ip = lam * load.q0 * (load.b_i * vmag / load.v0 + load.b_p)
-    den = vmag * veff
+    den = max(vmag, 1e-300) * veff
     i_d += (p_ip * vd + q_ip * vq) / den
     i_q += (p_ip * vq - q_ip * vd) / den
     return i_d, i_q
 
 
 def im_rates(m: InductionMachine, vd: float, vq: float, s: float,
-             e_d: float, e_q: float, lam: float, t_mech: float):
+             e_d: float, e_q: float, lam: float, t_mech: float, t0p: float,
+             omega0: float):
     """Third-order machine residual rates and stator current.
 
     ``t_mech`` is the mechanical load torque at ``lam = 1``; it is passed
     in, not read from ``m``, so the assembled system can vary it as a
-    parameter.  Returns ``(f_s, f_ed, f_eq, i_d, i_q)`` where the slip row
-    has mass ``2h`` and the EMF rows mass ``t0'``; the stator current
+    parameter.  ``t0p`` is the open-circuit time constant
+    ``t0' = (x_r + x_m) / (omega0 r_r)`` at the network's nominal speed
+    ``omega0``.  Returns ``(f_s, f_ed, f_eq, i_d, i_q)`` where the slip
+    row has mass ``2h`` and the EMF rows mass ``t0'``; the stator current
     follows ``(v - e')/(r_s + j x')`` in motor convention and the
     electrical torque is ``Re(e' conj(i))``.
     """
     xp = m.x_prime
     x0 = m.x0
-    t0p = m.t0_prime
     den = m.r_s * m.r_s + xp * xp
     dd = vd - e_d
     dq = vq - e_q
@@ -266,8 +265,8 @@ def im_rates(m: InductionMachine, vd: float, vq: float, s: float,
     i_q = (dq * m.r_s - dd * xp) / den
     t_e = e_d * i_d + e_q * i_q
     f_s = lam * t_mech - t_e
-    f_ed = t0p * m.omega0 * s * e_q - e_d - (x0 - xp) * i_q
-    f_eq = -t0p * m.omega0 * s * e_d - e_q + (x0 - xp) * i_d
+    f_ed = t0p * omega0 * s * e_q - e_d - (x0 - xp) * i_q
+    f_eq = -t0p * omega0 * s * e_d - e_q + (x0 - xp) * i_d
     return f_s, f_ed, f_eq, i_d, i_q
 
 
@@ -313,6 +312,10 @@ class NetworkModel:
                 raise ModelValidationError(
                     f"gfm {gfm.id!r}: virtual impedance is too small, its "
                     "squared magnitude underflows")
+        for m in self.machines:
+            if self.omega0 * m.r_r == 0.0:    # t0' divides by it
+                raise ModelValidationError(
+                    f"machine {m.id!r}: omega0 * r_r underflows")
         bus_set = set(ids)
         for group, attr in ((self.sources, "bus"), (self.zip_loads, "bus"),
                             (self.machines, "bus"), (self.gfls, "bus"),
@@ -358,31 +361,42 @@ class AssembledSystem(DaeSystem):
 
     State layout: bus voltage pairs, then branch currents, source currents
     (Thevenin only) and angles (rotating only), LTC current/tap, machine
-    (slip, e') triples, GFL converter states and GFM droop states.  All
+    (slip, e') triples, GFL converter states and GFM droop states.  Each
+    state is declared once, with its mass and initial guess.  All
     runtime-variable quantities are read from the parameter vector through
     indices precomputed here, and the shunt terms of the bus rows and each
     converter's limiter are set up here too.  One evaluation reads the
-    states and parameter values once as Python floats, accumulates in
-    Python lists and converts the residual to an array once.  The layout
-    also declares, row by row, the states each residual row reads: the
-    sparsity pattern that :func:`~adnlab.engine.jacobian_fd` colours.
+    states and parameter values once as Python floats, adds each device's
+    injection straight into the KCL rows of its bus and converts the
+    residual to an array once.  The layout also declares, row by row, the
+    states each residual row reads: the sparsity pattern that
+    :func:`~adnlab.engine.jacobian_fd` colours.
     """
 
     def __init__(self, model: NetworkModel, rotating_sources: bool = False):
         self.model = model
-        self.omega0 = model.omega0
-        self.rotating = rotating_sources
+        self.omega0 = w0 = model.omega0
 
         names = []
         reads = []             # per residual row, the states it reads
-        mass_const = []
-        mass_param = []        # (state index, parameter name) fixed up below
+        masses = []
+        mass_param = []        # (state index, parameter index)
+        guess = []
         pnames, pvals = ["lambda"], [1.0]
 
-        def add_states(*labels):
-            names.extend(labels)
-            reads.extend(set() for _ in labels)
-            return len(names) - len(labels)
+        def add_states(dev_id, *states):
+            """Declare the states ``(name, mass, initial guess)`` of one
+            device, labelled ``dev_id.name``; a mass given as text is the
+            parameter of that name.  Return the first state's index."""
+            for name, mass, x0 in states:
+                if isinstance(mass, str):
+                    mass_param.append((len(names), pnames.index(mass)))
+                    mass = 0.0
+                names.append(f"{dev_id}.{name}")
+                reads.append(set())
+                masses.append(mass)
+                guess.append(x0)
+            return len(names) - len(states)
 
         def add_param(name, value):
             pnames.append(name)
@@ -390,51 +404,44 @@ class AssembledSystem(DaeSystem):
             return len(pnames) - 1
 
         self.bus_ids = tuple(b.id for b in model.buses)
-        self.bus_pos = {b.id: i for i, b in enumerate(model.buses)}
         self.vidx = {}
-        pinned_sources = {}
+        pinned = set()
         for src in model.sources:
             if src.pinned:
-                if src.bus in pinned_sources:
+                if src.bus in pinned:
                     raise ModelValidationError(
                         f"bus {src.bus!r} pinned by more than one source")
-                pinned_sources[src.bus] = src
-        self.pinned = pinned_sources
+                pinned.add(src.bus)
 
         def inject(bus_id, d_reads, q_reads):
             """Declare what a device's injection reads in its bus's KCL
             rows; a pinned bus has source rows instead."""
-            if bus_id not in pinned_sources:
+            if bus_id not in pinned:
                 vi = self.vidx[bus_id]
                 reads[vi].update(d_reads)
                 reads[vi + 1].update(q_reads)
 
         for bus in model.buses:
-            vi = add_states(f"{bus.id}.vd", f"{bus.id}.vq")
-            self.vidx[bus.id] = vi
-            c = 0.0 if bus.id in pinned_sources else bus.b_sh / model.omega0
-            mass_const += [c, c]
+            c = 0.0 if bus.id in pinned else bus.b_sh / w0
+            vi = self.vidx[bus.id] = add_states(
+                bus.id, ("vd", c, bus.v_d), ("vq", c, bus.v_q))
             inject(bus.id, {vi + 1}, {vi})    # shunt
-        # KCL rows of the buses no source pins: (bus, first row, w0 * c)
-        self._free_buses = tuple(
-            (bp, self.vidx[b.id], model.omega0 * (b.b_sh / model.omega0))
-            for bp, b in enumerate(model.buses) if b.id not in pinned_sources)
+        # KCL rows of the buses no source pins: (first row, w0 * c)
+        self._free_buses = tuple((self.vidx[b.id], w0 * (b.b_sh / w0))
+                                 for b in model.buses if b.id not in pinned)
 
         self._branches = []
         for br in model.branches:
-            idx = add_states(f"{br.id}.id", f"{br.id}.iq")
+            ip_r = add_param(f"{br.id}.r", br.r)
+            ip_l = add_param(f"{br.id}.l", br.l)
+            l = f"{br.id}.l"
+            idx = add_states(br.id, ("id", l, 0.0), ("iq", l, 0.0))
             vf, vt = self.vidx[br.from_bus], self.vidx[br.to_bus]
             reads[idx].update((vf, vt, idx, idx + 1))
             reads[idx + 1].update((vf + 1, vt + 1, idx, idx + 1))
             inject(br.from_bus, {idx}, {idx + 1})
             inject(br.to_bus, {idx}, {idx + 1})
-            ip_r = add_param(f"{br.id}.r", br.r)
-            ip_l = add_param(f"{br.id}.l", br.l)
-            mass_const += [0.0, 0.0]
-            mass_param += [(idx, ip_l), (idx + 1, ip_l)]
-            self._branches.append((br, self.bus_pos[br.from_bus],
-                                   self.bus_pos[br.to_bus], vf, vt, idx,
-                                   ip_r, ip_l))
+            self._branches.append((vf, vt, idx, ip_r, ip_l))
 
         self._sources = []
         for src in model.sources:
@@ -444,15 +451,13 @@ class AssembledSystem(DaeSystem):
             i_idx = th_idx = -1
             ip_rg = ip_lg = ip_off = -1
             if not src.pinned:
-                i_idx = add_states(f"{src.id}.id", f"{src.id}.iq")
                 ip_rg = add_param(f"{src.id}.r_g", src.r_g)
                 ip_lg = add_param(f"{src.id}.l_g", src.l_g)
-                mass_const += [0.0, 0.0]
-                mass_param += [(i_idx, ip_lg), (i_idx + 1, ip_lg)]
+                l_g = f"{src.id}.l_g"
+                i_idx = add_states(src.id, ("id", l_g, 0.0), ("iq", l_g, 0.0))
             if rotating_sources and src.rotating:
-                th_idx = add_states(f"{src.id}.theta_g")
+                th_idx = add_states(src.id, ("theta_g", 1.0, 0.0))
                 ip_off = add_param(f"{src.id}.omega_offset", 0.0)
-                mass_const += [1.0]
             emf = {th_idx} if th_idx >= 0 else set()
             if i_idx < 0:
                 reads[vi].update(emf | {vi})
@@ -461,12 +466,14 @@ class AssembledSystem(DaeSystem):
                 reads[i_idx].update(emf | {vi, i_idx, i_idx + 1})
                 reads[i_idx + 1].update(emf | {vi + 1, i_idx, i_idx + 1})
                 inject(src.bus, {i_idx}, {i_idx + 1})
-            self._sources.append((src, self.bus_pos[src.bus], vi, i_idx,
-                                  th_idx, ip_e, ip_th, ip_rg, ip_lg, ip_off))
+            self._sources.append((vi, i_idx, th_idx, ip_e, ip_th, ip_rg,
+                                  ip_lg, ip_off))
 
         self._ltcs = []
         for ltc in model.ltcs:
-            idx = add_states(f"{ltc.id}.id", f"{ltc.id}.iq", f"{ltc.id}.n")
+            l_t = ltc.x_t / w0
+            idx = add_states(ltc.id, ("id", l_t, 0.0), ("iq", l_t, 0.0),
+                             ("n", ltc.t_ltc, ltc.n0))
             vf, vt = self.vidx[ltc.from_bus], self.vidx[ltc.to_bus]
             reads[idx].update((vf, vt, idx + 1, idx + 2))
             reads[idx + 1].update((vf + 1, vt + 1, idx, idx + 2))
@@ -474,48 +481,47 @@ class AssembledSystem(DaeSystem):
             inject(ltc.from_bus, {idx, idx + 2}, {idx + 1, idx + 2})
             inject(ltc.to_bus, {idx}, {idx + 1})
             ip_vref = add_param(f"{ltc.id}.v_ref", ltc.v_ref)
-            l_t = ltc.x_t / model.omega0
-            mass_const += [l_t, l_t, ltc.t_ltc]
-            self._ltcs.append((ltc, self.bus_pos[ltc.from_bus],
-                               self.bus_pos[ltc.to_bus], vf, vt, idx,
-                               ip_vref, l_t))
+            self._ltcs.append((ltc, vf, vt, idx, ip_vref, l_t))
 
         self._machines = []
         for m in model.machines:
             vi = self.vidx[m.bus]
-            idx = add_states(f"{m.id}.s", f"{m.id}.ed", f"{m.id}.eq")
+            t0p = (m.x_r + m.x_m) / (w0 * m.r_r)
+            idx = add_states(m.id, ("s", 2.0 * m.h, m.s0), ("ed", t0p, 0.95),
+                             ("eq", t0p, 0.0))
             stator = {vi, vi + 1, idx + 1, idx + 2}   # the current reads these
             reads[idx].update(stator)
             reads[idx + 1].update(stator | {idx})
             reads[idx + 2].update(stator | {idx})
             inject(m.bus, stator, stator)
             ip_tm = add_param(f"{m.id}.t_mech", m.t_mech)
-            mass_const += [2.0 * m.h, m.t0_prime, m.t0_prime]
-            self._machines.append((m, self.bus_pos[m.bus], vi, idx, ip_tm))
+            self._machines.append((m, vi, idx, ip_tm, t0p))
 
         self._zips = []
         for load in model.zip_loads:
             vi = self.vidx[load.bus]
             inject(load.bus, {vi, vi + 1}, {vi, vi + 1})
-            self._zips.append((load, self.bus_pos[load.bus], vi))
+            self._zips.append((load, vi))
 
         GFL_PARAMS = ("p_ref", "q0", "kq", "v_ref", "kp_pll", "ki_pll",
                       "kp_cc", "ki_cc", "k_aw", "i_max")
         self._gfls = []
         for conv in model.gfls:
             vi = self.vidx[conv.bus]
-            idx = add_states(f"{conv.id}.theta", f"{conv.id}.eps",
-                             f"{conv.id}.id", f"{conv.id}.iq",
-                             f"{conv.id}.xid", f"{conv.id}.xiq")
-            mass_const += [1.0, 1.0, conv.l_f, conv.l_f, 1.0, 1.0]
+            i_q = -(conv.q0 + conv.kq * (conv.v_ref - 1.0))
+            idx = add_states(conv.id, ("theta", 1.0, 0.0), ("eps", 1.0, 0.0),
+                             ("id", conv.l_f, conv.p_ref),
+                             ("iq", conv.l_f, i_q),
+                             ("xid", 1.0, conv.r_f * conv.p_ref),
+                             ("xiq", 1.0, conv.r_f * i_q))
             pidx = tuple(add_param(f"{conv.id}.{nm}", getattr(conv, nm))
                          for nm in GFL_PARAMS)
             v_pll = {vi, vi + 1, idx}       # bus voltage in the PLL frame
             vm_d = vm_q = v_pll
             vm_idx = -1
             if conv.tau_meas > 0.0:
-                vm_idx = add_states(f"{conv.id}.vmd", f"{conv.id}.vmq")
-                mass_const += [conv.tau_meas, conv.tau_meas]
+                vm_idx = add_states(conv.id, ("vmd", conv.tau_meas, 1.0),
+                                    ("vmq", conv.tau_meas, 0.0))
                 vm_d, vm_q = {vm_idx}, {vm_idx + 1}
                 reads[vm_idx].update(v_pll | vm_d)
                 reads[vm_idx + 1].update(v_pll | vm_q)
@@ -529,10 +535,9 @@ class AssembledSystem(DaeSystem):
                            add_param(f"{conv.id}.v_nom", conv.val.v_nom))
                 corr = vm_d | vm_q
             elif conv.val_mode == "dval":
-                real = dval_realization(conv.val.g_v, conv.val.b_v,
-                                        model.omega0)
-                dv_idx = add_states(f"{conv.id}.ivd", f"{conv.id}.ivq")
-                mass_const += [real.l_mag, real.l_mag]
+                real = dval_realization(conv.val.g_v, conv.val.b_v, w0)
+                dv_idx = add_states(conv.id, ("ivd", real.l_mag, 0.0),
+                                    ("ivq", real.l_mag, 0.0))
                 corr = {dv_idx, dv_idx + 1}
                 reads[dv_idx].update(vm_d | corr)
                 reads[dv_idx + 1].update(vm_q | corr)
@@ -544,8 +549,8 @@ class AssembledSystem(DaeSystem):
             reads[idx + 4].update(iref | {idx + 2})
             reads[idx + 5].update(iref | {idx + 3})
             inject(conv.bus, {idx, idx + 2, idx + 3}, {idx, idx + 2, idx + 3})
-            self._gfls.append((conv, self.bus_pos[conv.bus], vi, idx, pidx,
-                               val_idx, real, vm_idx, dv_idx))
+            self._gfls.append((conv, vi, idx, pidx, val_idx, real, vm_idx,
+                               dv_idx))
         # the limiter of each converter, rebuilt when its i_max changes
         self._limiters = [SmoothLimiter(conv.i_max, conv.limiter_k)
                           for conv in model.gfls]
@@ -554,20 +559,21 @@ class AssembledSystem(DaeSystem):
         self._gfms = []
         for gfm in model.gfms:
             vi = self.vidx[gfm.bus]
-            idx = add_states(f"{gfm.id}.theta", f"{gfm.id}.pf",
-                             f"{gfm.id}.qf")
+            idx = add_states(gfm.id, ("theta", 1.0, 0.0),
+                             ("pf", gfm.tau_p, 0.0), ("qf", gfm.tau_q, 0.0))
             out = {vi, vi + 1, idx, idx + 2}    # the injection reads these
             reads[idx].add(idx + 1)
             reads[idx + 1].update(out | {idx + 1})
             reads[idx + 2].update(out)
             inject(gfm.bus, out, out)
-            mass_const += [1.0, gfm.tau_p, gfm.tau_q]
             pidx = tuple(add_param(f"{gfm.id}.{nm}", getattr(gfm, nm))
                          for nm in GFM_PARAMS)
-            self._gfms.append((gfm, self.bus_pos[gfm.bus], vi, idx, pidx))
+            self._gfms.append((gfm, vi, idx, pidx))
 
-        self._mass_base = np.array(mass_const)
+        self._converters = {c.id: c for c in (*model.gfls, *model.gfms)}
+        self._mass_base = np.array(masses, dtype=float)
         self._mass_param = tuple(mass_param)
+        self._guess = np.array(guess, dtype=float)
         params0 = Params(pnames, np.array(pvals))
         super().__init__(len(names), self._evaluate, self._mass_impl,
                          params0, state_names=names,
@@ -591,21 +597,20 @@ class AssembledSystem(DaeSystem):
         xs = x.tolist()
         pv = p.values.tolist()
         lam = pv[0]
-        inj_d = [0.0] * len(self.bus_ids)
-        inj_q = [0.0] * len(self.bus_ids)
         f = [0.0] * self.n
+        pins = []              # source rows of pinned buses, set last
 
-        for br, fp, tp, vf, vt, idx, ip_r, ip_l in self._branches:
+        for vf, vt, idx, ip_r, ip_l in self._branches:
             i_d, i_q = xs[idx], xs[idx + 1]
             r, l = pv[ip_r], pv[ip_l]
             f[idx] = xs[vf] - xs[vt] - r * i_d + w0 * l * i_q
             f[idx + 1] = xs[vf + 1] - xs[vt + 1] - r * i_q - w0 * l * i_d
-            inj_d[fp] -= i_d
-            inj_q[fp] -= i_q
-            inj_d[tp] += i_d
-            inj_q[tp] += i_q
+            f[vf] -= i_d
+            f[vf + 1] -= i_q
+            f[vt] += i_d
+            f[vt + 1] += i_q
 
-        for (src, bp, vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
+        for (vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
              ip_off) in self._sources:
             theta = pv[ip_th] + xs[th_idx] if th_idx >= 0 else pv[ip_th]
             e_d = pv[ip_e] * math.cos(theta)
@@ -613,44 +618,43 @@ class AssembledSystem(DaeSystem):
             if th_idx >= 0:
                 f[th_idx] = pv[ip_off]
             if i_idx < 0:
-                f[vi] = e_d - xs[vi]
-                f[vi + 1] = e_q - xs[vi + 1]
+                pins.append((vi, e_d, e_q))
             else:
                 i_d, i_q = xs[i_idx], xs[i_idx + 1]
                 r_g, l_g = pv[ip_rg], pv[ip_lg]
                 f[i_idx] = e_d - xs[vi] - r_g * i_d + w0 * l_g * i_q
                 f[i_idx + 1] = e_q - xs[vi + 1] - r_g * i_q - w0 * l_g * i_d
-                inj_d[bp] += i_d
-                inj_q[bp] += i_q
+                f[vi] += i_d
+                f[vi + 1] += i_q
 
-        for ltc, fp, tp, vf, vt, idx, ip_vref, l_t in self._ltcs:
+        for ltc, vf, vt, idx, ip_vref, l_t in self._ltcs:
             i_d, i_q, n_tap = xs[idx], xs[idx + 1], xs[idx + 2]
             f[idx] = n_tap * xs[vf] - xs[vt] + w0 * l_t * i_q
             f[idx + 1] = n_tap * xs[vf + 1] - xs[vt + 1] - w0 * l_t * i_d
             f[idx + 2] = ltc_rate(ltc, math.hypot(xs[vt], xs[vt + 1]), n_tap,
                                   pv[ip_vref])
-            inj_d[fp] -= n_tap * i_d
-            inj_q[fp] -= n_tap * i_q
-            inj_d[tp] += i_d
-            inj_q[tp] += i_q
+            f[vf] -= n_tap * i_d
+            f[vf + 1] -= n_tap * i_q
+            f[vt] += i_d
+            f[vt + 1] += i_q
 
-        for m, bp, vi, idx, ip_tm in self._machines:
+        for m, vi, idx, ip_tm, t0p in self._machines:
             f[idx], f[idx + 1], f[idx + 2], i_d, i_q = im_rates(
                 m, xs[vi], xs[vi + 1], xs[idx], xs[idx + 1], xs[idx + 2], lam,
-                pv[ip_tm])
-            inj_d[bp] -= i_d
-            inj_q[bp] -= i_q
+                pv[ip_tm], t0p, w0)
+            f[vi] -= i_d
+            f[vi + 1] -= i_q
             if outputs is not None:
                 outputs[f"{m.id}.i"] = (i_d, i_q)
 
-        for load, bp, vi in self._zips:
+        for load, vi in self._zips:
             i_d, i_q = zip_injection(load, xs[vi], xs[vi + 1], lam)
-            inj_d[bp] -= i_d
-            inj_q[bp] -= i_q
+            f[vi] -= i_d
+            f[vi + 1] -= i_q
             if outputs is not None:
                 outputs[f"{load.id}.i"] = (i_d, i_q)
 
-        for k, (conv, bp, vi, idx, pidx, val_idx, real, vm_idx,
+        for k, (conv, vi, idx, pidx, val_idx, real, vm_idx,
                 dv_idx) in enumerate(self._gfls):
             vd, vq = xs[vi], xs[vi + 1]
             if vm_idx >= 0:
@@ -682,25 +686,28 @@ class AssembledSystem(DaeSystem):
                 dv_q = -vm_q
                 f[dv_idx], f[dv_idx + 1] = dval_rate(
                     real, xs[dv_idx], xs[dv_idx + 1], dv_d, dv_q, w0)
-            inj_d[bp] += rates[8]
-            inj_q[bp] += rates[9]
+            f[vi] += rates[8]
+            f[vi + 1] += rates[9]
             if outputs is not None:
                 outputs[conv.id] = out
 
-        for gfm, bp, vi, idx, pidx in self._gfms:
+        for gfm, vi, idx, pidx in self._gfms:
             out = None if outputs is None else {}
             f[idx], f[idx + 1], f[idx + 2], i_d, i_q = gfm_rates(
                 w0, xs[idx], xs[idx + 1], xs[idx + 2], xs[vi], xs[vi + 1],
                 pv[pidx[0]], pv[pidx[1]], pv[pidx[2]], pv[pidx[3]],
                 pv[pidx[4]], gfm.r_v, gfm.l_v, gfm.tau_p, gfm.tau_q, out)
-            inj_d[bp] += i_d
-            inj_q[bp] += i_q
+            f[vi] += i_d
+            f[vi + 1] += i_q
             if outputs is not None:
                 outputs[gfm.id] = out
 
-        for bp, vi, wc in self._free_buses:
-            f[vi] = inj_d[bp] + wc * xs[vi + 1]
-            f[vi + 1] = inj_q[bp] - wc * xs[vi]
+        for vi, wc in self._free_buses:
+            f[vi] += wc * xs[vi + 1]
+            f[vi + 1] -= wc * xs[vi]
+        for vi, e_d, e_q in pins:
+            f[vi] = e_d - xs[vi]
+            f[vi + 1] = e_q - xs[vi + 1]
         return np.fromiter(f, float, self.n)
 
     def _activity_impl(self, x, p: Params):
@@ -709,30 +716,13 @@ class AssembledSystem(DaeSystem):
         outputs = {}
         self._evaluate(x, p, outputs)
         return {conv.id: outputs[conv.id]["activity"]
-                for conv, *_ in self._gfls}
+                for conv in self.model.gfls}
 
     # ------------------------------------------------------------------
     # helpers
 
     def initial_guess(self) -> np.ndarray:
-        x = np.zeros(self.n)
-        for bus in self.model.buses:
-            vi = self.vidx[bus.id]
-            x[vi], x[vi + 1] = bus.v_d, bus.v_q
-        for ltc, fp, tp, vf, vt, idx, ip_vref, l_t in self._ltcs:
-            x[idx + 2] = ltc.n0
-        for m, bp, vi, idx, ip_tm in self._machines:
-            x[idx] = m.s0
-            x[idx + 1], x[idx + 2] = 0.95, 0.0
-        for conv, bp, vi, idx, pidx, val_idx, real, vm_idx, dv_idx in self._gfls:
-            q_ref = conv.q0 + conv.kq * (conv.v_ref - 1.0)
-            x[idx + 2] = conv.p_ref
-            x[idx + 3] = -q_ref
-            x[idx + 4] = conv.r_f * x[idx + 2]
-            x[idx + 5] = conv.r_f * x[idx + 3]
-            if vm_idx >= 0:
-                x[vm_idx] = 1.0
-        return x
+        return self._guess.copy()
 
     def bus_voltage(self, x, bus_id: str):
         vi = self.vidx[bus_id]
@@ -752,22 +742,10 @@ class AssembledSystem(DaeSystem):
         return out
 
     def gfl_ids(self):
-        return tuple(conv.id for conv, *_ in self._gfls)
+        return tuple(conv.id for conv in self.model.gfls)
 
     def gfm_ids(self):
-        return tuple(gfm.id for gfm, *_ in self._gfms)
-
-    def gfl_state_index(self, conv_id: str) -> int:
-        for conv, bp, vi, idx, *_ in self._gfls:
-            if conv.id == conv_id:
-                return idx
-        raise KeyError(f"unknown converter {conv_id!r}")
+        return tuple(gfm.id for gfm in self.model.gfms)
 
     def converter(self, conv_id: str) -> GflConverter:
-        for conv, *_ in self._gfls:
-            if conv.id == conv_id:
-                return conv
-        for gfm, *_ in self._gfms:
-            if gfm.id == conv_id:
-                return gfm
-        raise KeyError(f"unknown converter {conv_id!r}")
+        return self._converters[conv_id]

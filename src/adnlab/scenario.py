@@ -150,10 +150,6 @@ def _device(cls, data, omega0, /, **extra):
     return cls(**kwargs)
 
 
-def _machine(data, omega0):
-    return _device(InductionMachine, data, omega0, omega0=omega0)
-
-
 def _gfl(data, omega0):
     val = data["val"]
     return _device(GflConverter, data, omega0, val_mode=str(val["mode"]),
@@ -166,7 +162,7 @@ _FAMILIES = (("buses", BUS_FIELDS, partial(_device, Bus)),
              ("branches", BRANCH_FIELDS, partial(_device, RlBranch)),
              ("sources", SOURCE_FIELDS, partial(_device, GridSource)),
              ("zip_loads", ZIP_FIELDS, partial(_device, ZipLoad)),
-             ("machines", MACHINE_FIELDS, _machine),
+             ("machines", MACHINE_FIELDS, partial(_device, InductionMachine)),
              ("ltcs", LTC_FIELDS, partial(_device, LtcTransformer)))
 
 

@@ -80,7 +80,6 @@ class GainSensitivity:
 
 @dataclass(frozen=True)
 class GainUpdate:
-    gains: dict                 # converter id -> (g_v, b_v) after the step
     delta: np.ndarray           # raw optimizer step (before the trust factor)
     active_constraints: tuple   # labels of constraints active at the optimum
     multipliers: np.ndarray
@@ -163,8 +162,8 @@ def gain_sensitivity(sys, x, p: Params) -> GainSensitivity:
 
 
 def _conv_current(sys, x, conv_id):
-    idx = sys.gfl_state_index(conv_id)
-    return float(np.hypot(x[idx + 2], x[idx + 3]))
+    return float(np.hypot(x[sys.state_index(f"{conv_id}.id")],
+                          x[sys.state_index(f"{conv_id}.iq")]))
 
 
 def _solve_qp(h_mat, f_vec, a_mat, b_vec, labels):
@@ -264,27 +263,12 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
     b_vec = np.array(rhs)
 
     if not np.any(sens.usable):
-        return GainUpdate(
-            gains=_gains_from(p, sens.conv_ids), delta=np.zeros(n),
-            active_constraints=(), multipliers=np.zeros(len(a_mat)),
-            no_op=True)
+        return GainUpdate(delta=np.zeros(n), active_constraints=(),
+                          multipliers=np.zeros(len(a_mat)), no_op=True)
 
     delta, mu, active = _solve_qp(h_mat, f_vec, a_mat, b_vec, labels)
-    return GainUpdate(
-        gains=_gains_from(p, sens.conv_ids, names, delta), delta=delta,
-        active_constraints=active, multipliers=mu)
+    return GainUpdate(delta=delta, active_constraints=active, multipliers=mu)
 
-
-def _gains_from(p: Params, conv_ids, names=None, delta=None):
-    gains = {}
-    for conv_id in conv_ids:
-        g = p[f"{conv_id}.g_v"]
-        b = p[f"{conv_id}.b_v"]
-        if names is not None:
-            g += delta[names.index(f"{conv_id}.g_v")]
-            b += delta[names.index(f"{conv_id}.b_v")]
-        gains[conv_id] = (float(g), float(b))
-    return gains
 
 
 def _objective(sys, x, weights: WeightVector) -> float:
@@ -330,7 +314,8 @@ def run_recursive(sys, params: Params | None = None,
         snap = collect_measurements(sys, x, p, iteration=it)
         obj = _objective(sys, x, weights)
         entry = {"iteration": it, "snapshot": snap, "objective": obj,
-                 "gains": _gains_from(p, sys.gfl_ids())}
+                 "gains": {c: (p[f"{c}.g_v"], p[f"{c}.b_v"])
+                           for c in sys.gfl_ids()}}
         if _max_weighted_deviation(sys, x, weights) <= tol_v:
             history.iterations.append(entry)
             history.converged = True

@@ -102,6 +102,19 @@ class TestNewton:
         with pytest.raises(SingularJacobianError):
             newton_equilibrium(sys, np.array([5.0, 5.0]), sys.params0)
 
+    def test_overflowed_trial_is_not_evaluated(self):
+        # the full step overflows (the root lies beyond the float range):
+        # each trial must count as failed without a residual call
+        def res(x, p):
+            assert np.all(np.isfinite(x)), "residual of an overflowed trial"
+            return 1e-12 * x - 1e297
+
+        sys = DaeSystem(1, res, lambda p: np.ones(1), Params((), []))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonConvergenceError, match="stalled"):
+                newton_equilibrium(sys, np.array([1.7e308]), sys.params0)
+
     def test_invariant_under_state_reordering(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(4, 4)) - 3 * np.eye(4)
@@ -150,6 +163,13 @@ class TestReducedStateMatrix:
         sys = DaeSystem(2, res, lambda p: np.array([1.0, 0.0]), Params((), []))
         with pytest.raises(SingularJacobianError):
             reduced_state_matrix(sys, np.zeros(2), sys.params0)
+
+    def test_denormal_mass_names_its_row(self):
+        sys = DaeSystem(2, lambda x, p: -x, lambda p: np.array([1.0, 5e-324]),
+                        Params((), []), state_names=("a", "b"))
+        with pytest.raises(NonConvergenceError, match="'b'") as err:
+            reduced_state_matrix(sys, np.zeros(2), sys.params0)
+        assert err.value.worst_index == 1
 
 
 class TestEigenvalues:

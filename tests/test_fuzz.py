@@ -1,0 +1,118 @@
+"""Device-field fuzzing: no bad number in a device ends in a traceback.
+
+Every schema key of every ``showcase.json`` device, defaulted keys and
+the ``val`` sub-keys included, is set in turn to each value of
+:data:`VALUES`, and ``equilibrium`` runs in-process on the result.  The
+run must exit 0 (a model that still solves), 2 (one ``error:`` line) or
+64, and no exception may escape ``run_command``.  The sweep runs a fixed
+half of the mutations, every second one in schema order, to stay within
+a few seconds; the defects the sweep found are pinned by name as well.
+"""
+
+import json
+import traceback
+from pathlib import Path
+
+import pytest
+
+from adnlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_command
+from adnlab.scenario import (BRANCH_FIELDS, BUS_FIELDS, GFL_FIELDS,
+                             GFM_FIELDS, LTC_FIELDS, MACHINE_FIELDS,
+                             SOURCE_FIELDS, VAL_FIELDS, ZIP_FIELDS)
+
+SHOWCASE = Path(__file__).resolve().parent.parent / "scenarios" / "showcase.json"
+
+VALUES = (0, -1, 5e-324, 1e200, -1e200, 1e308)
+
+_SCHEMAS = {"buses": BUS_FIELDS, "branches": BRANCH_FIELDS,
+            "sources": SOURCE_FIELDS, "zip_loads": ZIP_FIELDS,
+            "machines": MACHINE_FIELDS, "ltcs": LTC_FIELDS}
+
+# Mutations that ended in a traceback before they were mended.
+REPRODUCERS = (
+    ("buses", "f1", "b_sh", 1e308),         # Newton evaluated an overflow
+    ("converters", "bat", "tau_p", -1),     # negative GFM filter constant
+    ("converters", "bat", "tau_q", -1),
+    ("machines", "im1", "r_r", 0),          # t0' divided by zero
+    ("buses", "f1", "v_d", 5e-324),         # ZIP divisor underflowed
+    ("buses", "f3", "v_d", 5e-324),
+    ("converters", "pv1", "tau_meas", 5e-324),  # denormal mass
+    ("machines", "im1", "h", 5e-324),
+    ("ltcs", "ltc", "t_ltc", 5e-324),
+    ("converters", "bat", "tau_p", 5e-324),
+)
+
+
+def _mutations(scenario):
+    """``(family, device id, key, value)`` over every schema key."""
+    for family, entries in scenario.items():
+        if not isinstance(entries, list):
+            continue
+        for entry in entries:
+            if family == "converters":
+                gfm = entry.get("kind") == "gfm_droop"
+                keys = list(GFM_FIELDS if gfm else GFL_FIELDS)
+                if not gfm:
+                    keys.remove("val")
+                    keys += [f"val.{k}" for k in VAL_FIELDS]
+            else:
+                keys = list(_SCHEMAS[family])
+            for key in keys:
+                for value in VALUES:
+                    yield family, entry["id"], key, value
+
+
+def _mutated(scenario, family, device, key, value):
+    data = json.loads(json.dumps(scenario))
+    entry = next(e for e in data[family] if e["id"] == device)
+    if key.startswith("val."):
+        entry = entry.setdefault("val", {})
+        key = key[len("val."):]
+    entry[key] = value
+    return data
+
+
+def _run(tmp_path, capsys, data):
+    """The failure of one mutated run as text, or ``None`` if it is clean."""
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    try:
+        code = run_command(["equilibrium", "--scenario", str(path),
+                            "--out", str(tmp_path / "out"), "--quiet"])
+    except BaseException:        # an escaping SystemExit fails too
+        return traceback.format_exc(limit=-1).strip().splitlines()[-1]
+    err = capsys.readouterr().err
+    if code not in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE):
+        return f"exit {code}"
+    if code == EXIT_NUMERICAL and not (err.startswith("error: ")
+                                       and err.count("\n") == 1):
+        return f"exit 2 without one error line: {err!r}"
+    return None
+
+
+def test_sweep_covers_every_key():
+    scenario = json.loads(SHOWCASE.read_text())
+    mutations = list(_mutations(scenario))
+    assert len(mutations) == 146 * len(VALUES)    # 146 device keys
+    assert set(REPRODUCERS) <= set(mutations)
+
+
+@pytest.mark.parametrize("family, device, key, value", REPRODUCERS,
+                         ids=[f"{d}.{k}={v}" for _, d, k, v in REPRODUCERS])
+def test_reproducer_exits_cleanly(tmp_path, capsys, family, device, key,
+                                  value):
+    scenario = json.loads(SHOWCASE.read_text())
+    failure = _run(tmp_path, capsys,
+                   _mutated(scenario, family, device, key, value))
+    assert failure is None
+
+
+def test_device_field_sweep(tmp_path, capsys):
+    scenario = json.loads(SHOWCASE.read_text())
+    failures = []
+    for mutation in list(_mutations(scenario))[::2]:
+        failure = _run(tmp_path, capsys, _mutated(scenario, *mutation))
+        if failure is not None:
+            failures.append(f"{mutation}: {failure}")
+    assert not failures, "\n".join(failures)

@@ -11,6 +11,7 @@ from adnlab.converters import GflConverter
 from adnlab.engine import newton_equilibrium, spectrum_at
 from adnlab.errors import ModelValidationError
 from adnlab.network import (
+    OMEGA0,
     Bus,
     GridSource,
     InductionMachine,
@@ -112,10 +113,11 @@ class TestZipLoad:
 
 
 class TestInductionMachine:
+    # t0' (here 1.0) enters neither the slip row nor the stator current
     def test_zero_torque_balance(self):
         m = InductionMachine("m", "b", t_mech=0.0)
         f_s, _, _, i_d, i_q = im_rates(m, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0,
-                                       m.t_mech)
+                                       m.t_mech, 1.0, OMEGA0)
         # e' = 0 gives zero electrical torque, so the slip rate vanishes
         assert f_s == pytest.approx(0.0, abs=1e-15)
 
@@ -123,7 +125,7 @@ class TestInductionMachine:
         m = InductionMachine("m", "b")
         e_d, e_q = 0.7, -0.2
         _, _, _, i_d, i_q = im_rates(m, 0.0, 0.0, 0.05, e_d, e_q, 1.0,
-                                     m.t_mech)
+                                     m.t_mech, 1.0, OMEGA0)
         den = complex(m.r_s, m.x_prime)
         expected = -complex(e_d, e_q) / den
         assert i_d == pytest.approx(expected.real, rel=1e-12)
@@ -154,6 +156,33 @@ class TestInductionMachine:
     def test_invariants_validated(self):
         with pytest.raises(ModelValidationError):
             InductionMachine("m", "b", h=0.0)
+        with pytest.raises(ModelValidationError, match="r_r"):
+            InductionMachine("m", "b", r_r=0.0)
+        with pytest.raises(ModelValidationError, match="underflows"):
+            NetworkModel(buses=(Bus("b"),), omega0=1e-30,
+                         machines=(InductionMachine("m", "b", r_r=1e-300),))
+
+    def test_time_constant_and_slip_coupling_at_network_frequency(self):
+        w60 = 2.0 * math.pi * 60.0
+        m = InductionMachine("im", "b2")
+        model = NetworkModel(
+            buses=(Bus("b1"), Bus("b2")),
+            branches=(RlBranch("line", "b1", "b2", r=0.01,
+                               l=reactance_to_inductance(0.05, w60)),),
+            sources=(GridSource("grid", "b1"),),
+            machines=(m,), omega0=w60)
+        sys = model.build()
+        t0p = (m.x_r + m.x_m) / (w60 * m.r_r)
+        ed = sys.state_index("im.ed")
+        mass = sys.mass(sys.params0)
+        assert mass[ed] == mass[ed + 1] == pytest.approx(t0p, rel=1e-15)
+        x = sys.initial_guess()
+        x[sys.state_index("im.s")] = 0.05
+        x[ed + 1] = 0.3
+        f_ed = sys.residual(x, sys.params0)[ed]
+        i_q = sys.outputs(x, sys.params0)["im.i"][1]
+        expected = t0p * w60 * 0.05 * 0.3 - x[ed] - (m.x0 - m.x_prime) * i_q
+        assert f_ed == pytest.approx(expected, rel=1e-12)
 
 
 class TestLtc:
