@@ -330,7 +330,12 @@ def run_command(argv) -> int:
     try:
         scenario = load_scenario(args.scenario)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:     # a file by that name, or no permission
+            print(f"error: --out {args.out}: cannot create the output "
+                  f"directory: {exc.strerror}", file=_sys.stderr)
+            return EXIT_USAGE
         run = _Run(scenario, out_dir, args.command, args.quiet)
         _HANDLERS[args.command](run, args)
         run.manifest()

@@ -209,12 +209,22 @@ def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
     Raises :class:`ConfigurationError` when the start lies outside
     ``[settings.param_min, settings.param_max]``.
     """
+    for branch in _trace(sys, start, param, settings):
+        pass
+    return branch
+
+
+def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
+           settings: ContinuationSettings):
+    """The loop of :func:`continue_branch`: yields the branch, one object
+    that grows in place, after the start and after each accepted point."""
     p = start.params
     lam = p[param]
     _check_start(param, lam, settings)
     branch = Branch(param=param)
     sol = newton_equilibrium(sys, start.x, p)
     branch.points.append(_point_fingerprint(sys, sol.x, p, lam, 0.0))
+    yield branch
     tangent = _initial_tangent(sys, param, p, sol.x, settings.direction)
 
     h = settings.h0
@@ -245,6 +255,7 @@ def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
         pk = p.with_value(param, lam_new)
         branch.points.append(
             _point_fingerprint(sys, x_new, pk, lam_new, s_new))
+        yield branch
         tangent = ds_vec / np.linalg.norm(ds_vec)
         x, cur_lam, s = x_new, lam_new, s_new
         if iters <= 3:
@@ -254,7 +265,6 @@ def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
                 easy_streak = 0
         else:
             easy_streak = 0
-    return branch
 
 
 def _check_start(param: str, start: float, settings: ContinuationSettings):
@@ -303,30 +313,7 @@ def _classify(branch: Branch) -> list:
     pts = branch.points
     found = []
     for i in range(1, len(pts)):
-        a, b = pts[i - 1], pts[i]
-        seg = []   # (kind, lo, hi, limiter, bracket)
-        # fold: lam direction reverses at an interior point
-        if i + 1 < len(pts):
-            c = pts[i + 1]
-            if (b.lam - a.lam) * (c.lam - b.lam) < 0.0 \
-                    and _flips(a, c, "SNB"):
-                bracket = (a, b) if _flips(a, b, "SNB") else \
-                    (b, c) if _flips(b, c, "SNB") else (a, c)
-                seg.append(("SNB", a, c, None, bracket))
-        ha, hb = _test_value(a, "HB"), _test_value(b, "HB")
-        if np.isfinite(ha) and np.isfinite(hb) and ha * hb < 0.0:
-            floor = HB_NOISE_REL * max(1.0, 0.5 * (a.hb_im + b.hb_im))
-            if max(abs(ha), abs(hb)) > floor:
-                seg.append(("HB", a, b, None, (a, b)))
-        for name in a.activities:
-            if _flips(a, b, "LIB", name) and a.n_unstable != b.n_unstable \
-                    and not seg:
-                seg.append(("LIB", a, b, name, (a, b)))
-        ca = _test_value(a, "SIB-candidate")
-        cb = _test_value(b, "SIB-candidate")
-        if ca * cb < 0.0 and cb > ca:
-            seg.append(("SIB-candidate", a, b, None, (a, b)))
-        for kind, lo, hi, limiter, bracket in seg:
+        for kind, lo, hi, limiter, bracket in _segment(pts, i):
             s = 0.5 * (lo.s + hi.s)
             # overlapping fold windows can report one fold twice
             if any(r.kind == kind and abs(r.s - s) < 1e-12 for r, _ in found):
@@ -339,6 +326,35 @@ def _classify(branch: Branch) -> list:
                 n_unstable_before=lo.n_unstable,
                 n_unstable_after=hi.n_unstable, limiter=limiter), bracket))
     return found
+
+
+def _segment(pts, i: int) -> list:
+    """The events of the segment from ``pts[i - 1]`` to ``pts[i]``, each
+    ``(kind, lo, hi, limiter, bracket)``.  A fold also reads the look-ahead
+    point ``pts[i + 1]``; without it no fold is reported."""
+    a, b = pts[i - 1], pts[i]
+    seg = []
+    # fold: lam direction reverses at an interior point
+    if i + 1 < len(pts):
+        c = pts[i + 1]
+        if (b.lam - a.lam) * (c.lam - b.lam) < 0.0 and _flips(a, c, "SNB"):
+            bracket = (a, b) if _flips(a, b, "SNB") else \
+                (b, c) if _flips(b, c, "SNB") else (a, c)
+            seg.append(("SNB", a, c, None, bracket))
+    ha, hb = _test_value(a, "HB"), _test_value(b, "HB")
+    if np.isfinite(ha) and np.isfinite(hb) and ha * hb < 0.0:
+        floor = HB_NOISE_REL * max(1.0, 0.5 * (a.hb_im + b.hb_im))
+        if max(abs(ha), abs(hb)) > floor:
+            seg.append(("HB", a, b, None, (a, b)))
+    for name in a.activities:
+        if _flips(a, b, "LIB", name) and a.n_unstable != b.n_unstable \
+                and not seg:
+            seg.append(("LIB", a, b, name, (a, b)))
+    ca = _test_value(a, "SIB-candidate")
+    cb = _test_value(b, "SIB-candidate")
+    if ca * cb < 0.0 and cb > ca:
+        seg.append(("SIB-candidate", a, b, None, (a, b)))
+    return seg
 
 
 def _crossing_eigenvalue(kind: str, lo: BranchPoint, hi: BranchPoint):
@@ -433,9 +449,10 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
     """First-bifurcation boundary over a grid of a second parameter.
 
     Each row re-solves the base equilibrium at the grid value from the
-    system's initial guess, traces the branch over ``param1`` and records
-    the first refined bifurcation (or an explicit marker).  Row failures
-    are recorded in-row and the sweep proceeds.  A ``param2`` equal to
+    system's initial guess, traces the branch over ``param1`` up to its
+    first limit (:func:`_until_first_limit`) and records the first
+    refined bifurcation (or an explicit marker).  Row failures are
+    recorded in-row and the sweep proceeds.  A ``param2`` equal to
     ``param1``, or a start of ``param1`` outside the settings' range,
     raises :class:`ConfigurationError` before any row.
     """
@@ -456,7 +473,7 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
         p_row = base_p.with_value(param2, float(g))
         try:
             sol = newton_equilibrium(sys, guess, p_row)
-            branch = continue_branch(sys, sol, param1, settings)
+            branch = _until_first_limit(sys, sol, param1, settings)
             records = locate_all(sys, branch, p_row)
             if records:
                 first = min(records, key=lambda r: r.s)
@@ -467,6 +484,19 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
             rows.append(BoundaryRow(float(g), "error", float("nan"),
                                     str(exc)))
     return Boundary2D(param1, param2, tuple(rows))
+
+
+def _until_first_limit(sys: DaeSystem, start: EquilibriumSolution,
+                       param: str, settings: ContinuationSettings) -> Branch:
+    """The branch traced until the segment before its newest point, which
+    then has its fold look-ahead, holds a record; or in full.  Records of
+    later segments lie at larger ``s`` (a fold on segment ``i`` is centred
+    on ``(s[i-1], s[i+1])``, any other record on ``(s[i-1], s[i])``), so the
+    first record of this prefix is the first of the whole branch."""
+    for branch in _trace(sys, start, param, settings):
+        if len(branch) >= 3 and _segment(branch.points[-3:], 1):
+            break
+    return branch
 
 
 def limit_cycle_amplitude(sys: DaeSystem, hb: BifurcationRecord, param: str,

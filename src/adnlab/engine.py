@@ -73,13 +73,23 @@ class Params:
     def with_value(self, name: str, value: float) -> "Params":
         vals = self.values.copy()
         vals[self.index(name)] = value
-        return Params(self.names, vals)
+        return self._sibling(vals)
 
     def with_values(self, mapping) -> "Params":
         vals = self.values.copy()
         for name, value in mapping.items():
             vals[self.index(name)] = value
-        return Params(self.names, vals)
+        return self._sibling(vals)
+
+    def _sibling(self, vals: np.ndarray) -> "Params":
+        """New values under these names; the names and their index, checked
+        once in ``__init__``, are shared rather than rebuilt."""
+        new = object.__new__(Params)
+        new.names = self.names
+        new._index = self._index
+        vals.flags.writeable = False
+        new.values = vals
+        return new
 
     def __repr__(self):
         items = ", ".join(f"{n}={v:.6g}" for n, v in zip(self.names, self.values))
@@ -239,7 +249,9 @@ def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
         xm[cols] -= h[cols]
         fp = sys.residual(xp, p)
         fm = sys.residual(xm, p)
-        entries = (fp[rows] - fm[rows]) / (2.0 * h[owner])
+        # a non-finite difference is reported below, not warned about
+        with np.errstate(invalid="ignore", over="ignore"):
+            entries = (fp[rows] - fm[rows]) / (2.0 * h[owner])
         if not np.all(np.isfinite(entries)):
             k = int(np.flatnonzero(~np.isfinite(entries))[0])
             bad = int(rows[k])

@@ -7,9 +7,8 @@ functions that are C1, odd where applicable, and converge to the hard
 characteristic on the saturated region as the sharpness grows.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ModelValidationError
 
@@ -47,12 +46,9 @@ class SmoothLimiter:
         return sat(self, x)
 
 
-def sat(lim: SmoothLimiter, x):
-    """Smooth saturation ``limit * tanh(k * x / limit)`` of a float or an
-    array."""
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
-    return lim.limit * np.tanh(lim.k * x / lim.limit)
+def sat(lim: SmoothLimiter, x: float) -> float:
+    """Smooth saturation ``limit * tanh(k * x / limit)``."""
+    return lim.limit * math.tanh(lim.k * x / lim.limit)
 
 
 def sat_vector(lim: SmoothLimiter, xd: float, xq: float):
@@ -62,14 +58,14 @@ def sat_vector(lim: SmoothLimiter, xd: float, xq: float):
     unchanged.  Converter current limiting is a rated-capacity constraint
     on the magnitude, so no per-axis clipping is performed.
     """
-    mag = float(np.hypot(xd, xq))
+    mag = math.hypot(xd, xq)
     if mag == 0.0:
         return 0.0, 0.0
-    scale = float(sat(lim, mag)) / mag
+    scale = sat(lim, mag) / mag
     return xd * scale, xq * scale
 
 
-def smooth_deadband(d: float, k: float, e):
+def smooth_deadband(d: float, k: float, e: float) -> float:
     """Smooth deadband: ~0 for |e| <= d, ~(e - d*sign(e)) outside.
 
     Implemented as ``e`` minus a smoothly clipped copy of ``e`` with
@@ -78,8 +74,6 @@ def smooth_deadband(d: float, k: float, e):
     at the origin is ``tanh(k) < 1``, which keeps the result odd and
     strictly increasing for every ``k >= 1``.
     """
-    if not isinstance(e, float):
-        e = np.asarray(e, dtype=float)
     if d == 0.0:
         return e + 0.0
     z = e / d
@@ -87,20 +81,21 @@ def smooth_deadband(d: float, k: float, e):
     return e - clipped
 
 
-_LN2 = np.log(2.0)
+_LN2 = math.log(2.0)
 
 
-def _lncosh(z):
+def _lncosh(z: float) -> float:
     """Overflow-safe log(cosh(z))."""
     a = abs(z)
-    return a + np.log1p(np.exp(-2.0 * a)) - _LN2
+    return a + math.log1p(math.exp(-2.0 * a)) - _LN2
 
 
 _WINDOW_GAIN = 2.6
 _WINDOW_INSET = 1.5
 
 
-def rate_window(n: float, n_min: float, n_max: float, k: float, direction: float):
+def rate_window(n: float, n_min: float, n_max: float, k: float,
+                direction: float) -> float:
     """Multiplier in (0, 1) suppressing motion toward a nearby limit.
 
     The distance to the limit that ``direction`` pushes toward is
@@ -119,7 +114,7 @@ def rate_window(n: float, n_min: float, n_max: float, k: float, direction: float
         u = (n - n_min) / span
     else:
         return 1.0
-    return 0.5 * (1.0 + np.tanh(_WINDOW_GAIN * (k * u - _WINDOW_INSET)))
+    return 0.5 * (1.0 + math.tanh(_WINDOW_GAIN * (k * u - _WINDOW_INSET)))
 
 
 def anti_windup_rate(e, u, u_sat, k_aw: float):

@@ -277,7 +277,7 @@ def ltc_rate(t: LtcTransformer, v_reg: float, n: float, v_ref: float) -> float:
     The smooth deadband acts on the regulation error ``v_ref - v_reg`` and
     the rate window suppresses motion toward a nearby tap limit.
     """
-    err = float(smooth_deadband(t.d_band, t.k_s, v_ref - v_reg))
+    err = smooth_deadband(t.d_band, t.k_s, v_ref - v_reg)
     return err * rate_window(n, t.n_min, t.n_max, t.k_s, err)
 
 

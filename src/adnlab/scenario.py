@@ -139,12 +139,12 @@ def _device(cls, data, omega0, /, **extra):
     kwargs = dict(extra)
     for key, value in data.items():
         if key in _TEXT:
-            kwargs[_TEXT[key]] = str(value)
+            kwargs[_TEXT[key]] = _text(value)
         elif key in _REACTANCE:
             kwargs[_REACTANCE[key]] = reactance_to_inductance(_number(value),
                                                               omega0)
         elif key == "rotating":
-            kwargs[key] = bool(value)
+            kwargs[key] = _flag(value)
         elif key not in _NOT_FIELDS:
             kwargs[key] = _number(value)
     return cls(**kwargs)
@@ -181,7 +181,10 @@ def _finite_float(text):
 
 
 def _number(value) -> float:
-    """A scenario number: anything ``float`` accepts that is finite."""
+    """A scenario number: anything but a bool that ``float`` accepts and
+    that is finite."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is a bool, not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
@@ -216,8 +219,20 @@ def _grid(value) -> list:
     return grid
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
+
+
 def _optional_text(value):
-    return str(value) if value else None
+    return None if value is None else _text(value)
 
 
 # Analysis blocks in schema order: key, fields, the converter of each
@@ -225,15 +240,15 @@ def _optional_text(value):
 # decrease in the order given.
 _ANALYSES = (
     ("continuation", CONTINUATION_FIELDS,
-     {"param": str, "max_steps": _count, "h_min": _positive},
+     {"param": _text, "max_steps": _count, "h_min": _positive},
      ("h_min", "h0", "h_max")),
-    ("boundary2d", BOUNDARY_FIELDS, {"param2": str, "grid": _grid}, ()),
+    ("boundary2d", BOUNDARY_FIELDS, {"param2": _text, "grid": _grid}, ()),
     ("simulation", SIMULATION_FIELDS,
      {"t_end": _positive, "h": _positive, "param_steps": _mapping}, ()),
     ("secondary", SECONDARY_FIELDS,
      {"weights": _mapping, "max_iter": _count, "alpha": _positive}, ()),
     ("cf", CF_FIELDS,
-     {"bus": str, "converter": _optional_text, "window": _count}, ()),
+     {"bus": _text, "converter": _optional_text, "window": _count}, ()),
 )
 
 
@@ -251,6 +266,7 @@ def loads_scenario(text: str) -> Scenario:
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
     top = _apply(TOP_FIELDS, raw, "scenario")
+    name = _build("name", _text, top["name"])
     base = _apply(BASE_FIELDS, top["base"] or {}, "base")
     f_hz = _build("base", _number, base["f_hz"])
     if not f_hz > 0.0:
@@ -345,7 +361,7 @@ def loads_scenario(text: str) -> Scenario:
             raise ScenarioError(f"analysis.{key}: unknown id {name!r}; "
                                 f"known: {', '.join(sorted(known))}")
 
-    return Scenario(name=str(top["name"]), f_hz=f_hz, canonical=canonical,
+    return Scenario(name=name, f_hz=f_hz, canonical=canonical,
                     model=model, analysis=analysis, param_overrides=overrides)
 
 

@@ -14,6 +14,7 @@ to run the quasi-stationary VAL (the dynamic realization would change the
 mass matrix with the gains; the two coincide at every equilibrium).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,10 +116,10 @@ def collect_measurements(sys, x, p: Params,
     load_currents = {}
     for load in sys.model.zip_loads:
         i_d, i_q = outs[f"{load.id}.i"]
-        load_currents[load.id] = float(np.hypot(i_d, i_q))
+        load_currents[load.id] = math.hypot(i_d, i_q)
     for m in sys.model.machines:
         i_d, i_q = outs[f"{m.id}.i"]
-        load_currents[m.id] = float(np.hypot(i_d, i_q))
+        load_currents[m.id] = math.hypot(i_d, i_q)
     setpoints = {}
     conv_currents = {}
     for conv_id in sys.gfl_ids():
@@ -162,8 +163,8 @@ def gain_sensitivity(sys, x, p: Params) -> GainSensitivity:
 
 
 def _conv_current(sys, x, conv_id):
-    return float(np.hypot(x[sys.state_index(f"{conv_id}.id")],
-                          x[sys.state_index(f"{conv_id}.iq")]))
+    return math.hypot(x[sys.state_index(f"{conv_id}.id")],
+                      x[sys.state_index(f"{conv_id}.iq")])
 
 
 def _solve_qp(h_mat, f_vec, a_mat, b_vec, labels):

@@ -1,10 +1,15 @@
 """Independent reference implementations the tests compare the model
 against: analytic slopes of the smooth limits, the ideal hard clip they
 converge to, the steady-state induction-machine circuit, the frame
-rotation of an assembled network, its active-power balance and the
-additivity of the complex-frequency blocks."""
+rotation of an assembled network, its active-power balance, the
+additivity of the complex-frequency blocks and a boundary row from the
+whole branch."""
 
 import numpy as np
+
+from adnlab.contin import BoundaryRow, continue_branch, locate_all
+from adnlab.engine import newton_equilibrium
+from adnlab.errors import NonConvergenceError, SingularJacobianError
 
 
 def sat_slope(lim, x):
@@ -154,3 +159,21 @@ def cf_additivity_residual(dec) -> float:
                                    + getattr(dec.regulation, k)
                                    - getattr(dec.total, k))))
                for k in ("rho", "omega"))
+
+
+def full_trace_boundary_row(sys, param1, param2, value, settings, params):
+    """One row of :func:`adnlab.contin.trace_boundary_2d`, computed from the
+    whole branch: the equilibrium at ``param2 = value`` from the initial
+    guess, the branch over ``param1`` traced to its end, every record
+    located, and the record of smallest ``s`` kept."""
+    p_row = params.with_value(param2, float(value))
+    try:
+        sol = newton_equilibrium(sys, sys.initial_guess(), p_row)
+        branch = continue_branch(sys, sol, param1, settings)
+        records = locate_all(sys, branch, p_row)
+    except (NonConvergenceError, SingularJacobianError) as exc:
+        return BoundaryRow(float(value), "error", float("nan"), str(exc))
+    if not records:
+        return BoundaryRow(float(value), "none", float("nan"))
+    first = min(records, key=lambda r: r.s)
+    return BoundaryRow(float(value), first.kind, first.lam)

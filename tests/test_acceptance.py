@@ -134,8 +134,8 @@ def test_criterion_3_smooth_limit_convergence():
     errors = []
     for k in (1, 2, 5, 10, 20, 50):
         lim = SmoothLimiter(limit, float(k))
-        errors.append(float(np.max(np.abs(hard_clip(limit, xs)
-                                          - sat(lim, xs)))))
+        errors.append(float(np.max(np.abs(
+            hard_clip(limit, xs) - np.array([sat(lim, x) for x in xs])))))
     assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-4 * limit
 

@@ -147,6 +147,9 @@ class TestExitCodes:
         ("converters", "i_max", -1),
         ("branches", "r", "abc"),
         ("converters", "limiter_k", 0.5),
+        ("buses", "b_sh", True),          # a bool is not a number
+        ("sources", "rotating", "yes"),   # a flag is true or false
+        ("buses", "id", 5),               # an id is a string
     ])
     def test_bad_device_field_is_one_error_line(self, tmp_path, capsys,
                                                 section, key, value):
@@ -160,6 +163,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {section}[0]: ")
         assert err.count("\n") == 1
+
+    def test_non_text_name_is_one_error_line(self, tmp_path, capsys):
+        scenario = json.loads((SCENARIO_DIR / "gfl_feeder.json").read_text())
+        scenario["name"] = 5
+        path = tmp_path / "bad_name.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command(["equilibrium", "--scenario", str(path),
+                          "--out", str(tmp_path / "n"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: name: ")
+        assert err.count("\n") == 1
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        rc = run_command(["equilibrium", "--scenario",
+                          str(SCENARIO_DIR / "two_bus.json"),
+                          "--out", str(out), "--quiet"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}: ")
+        assert err.count("\n") == 1
+        assert out.read_text() == "not a directory\n"
 
     def test_boundary2d_rejects_sweep_against_itself(self, tmp_path, capsys):
         out = tmp_path / "self"

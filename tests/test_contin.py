@@ -1,10 +1,13 @@
 """Tests for pseudo-arclength continuation and bifurcation machinery."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adnlab.contin
+import adnlab.engine
 from adnlab.contin import (
     Branch,
     BranchPoint,
@@ -35,6 +38,10 @@ from adnlab.network import (
     ZipLoad,
     reactance_to_inductance,
 )
+from adnlab.scenario import load_scenario
+from oracles import full_trace_boundary_row
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def fold_system():
@@ -388,6 +395,62 @@ class TestBoundary2D:
         products = [row.lam * 0.8 * x for row, x in
                     zip(boundary.rows, (0.25, 0.5, 1.0))]
         assert max(products) - min(products) <= 0.01 * max(products)
+
+    @staticmethod
+    def bundled(name):
+        """A bundled scenario's system, base parameters, continuation
+        parameter and settings, as the ``boundary2d`` command reads them."""
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+        sys = scenario.build()
+        cfg = dict(scenario.analysis["continuation"])
+        param = cfg.pop("param")
+        return (scenario, sys, scenario.base_params(sys), param,
+                ContinuationSettings(**cfg))
+
+    @pytest.mark.parametrize("name, param2, grid, kind", [
+        ("two_bus", None, None, "SNB"),       # the scenario's own grid
+        ("gfl_feeder", "c1.kq", [0.0, 0.5, 1.0], "HB"),
+        ("showcase", "im1.t_mech", [0.27, 0.30, 0.33], "SNB"),
+    ])
+    def test_rows_equal_the_full_trace(self, name, param2, grid, kind):
+        # a row stops at its first limit; the whole branch gives the same
+        # row, to the bit
+        scenario, sys, p, param, settings = self.bundled(name)
+        if grid is None:
+            param2 = scenario.analysis["boundary2d"]["param2"]
+            grid = scenario.analysis["boundary2d"]["grid"]
+        rows = trace_boundary_2d(sys, param, param2, grid, settings,
+                                 params=p).rows
+        expected = [full_trace_boundary_row(sys, param, param2, g, settings,
+                                            p) for g in grid]
+        assert [r.kind for r in expected] == [kind] * len(grid)
+        assert [(r.param2, r.kind, r.lam.hex(), r.message) for r in rows] \
+            == [(r.param2, r.kind, r.lam.hex(), r.message) for r in expected]
+
+    def test_bundled_two_bus_work(self, monkeypatch):
+        # the whole branches took 1 033 Jacobians and 10 580 residuals
+        counts = {"residual": 0, "jacobian": 0}
+        residual = adnlab.engine.DaeSystem.residual
+        jacobian = adnlab.engine.jacobian_fd
+
+        def counted_residual(self, x, p):
+            counts["residual"] += 1
+            return residual(self, x, p)
+
+        def counted_jacobian(sys, x, p):
+            counts["jacobian"] += 1
+            return jacobian(sys, x, p)
+
+        monkeypatch.setattr(adnlab.engine.DaeSystem, "residual",
+                            counted_residual)
+        for module in (adnlab.engine, adnlab.contin):
+            monkeypatch.setattr(module, "jacobian_fd", counted_jacobian)
+        scenario, sys, p, param, settings = self.bundled("two_bus")
+        cfg = scenario.analysis["boundary2d"]
+        trace_boundary_2d(sys, param, cfg["param2"], cfg["grid"], settings,
+                          params=p)
+        assert counts["jacobian"] <= 600
+        assert counts["residual"] <= 6000
 
     def test_empty_grid(self):
         sys = two_bus_system()

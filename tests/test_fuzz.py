@@ -7,10 +7,13 @@ run must exit 0 (a model that still solves), 2 (one ``error:`` line) or
 64, and no exception may escape ``run_command``.  The sweep runs a fixed
 half of the mutations, every second one in schema order, to stay within
 a few seconds; the defects the sweep found are pinned by name as well.
+A ``RuntimeWarning`` fails a run too: numpy prints it to stderr beside the
+``error:`` line.
 """
 
 import json
 import traceback
+import warnings
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,10 @@ REPRODUCERS = (
     ("machines", "im1", "h", 5e-324),
     ("ltcs", "ltc", "t_ltc", 5e-324),
     ("converters", "bat", "tau_p", 5e-324),
+    # these printed a numpy RuntimeWarning beside the error line
+    ("buses", "f1", "v_d", -1e200),         # FD difference of infinities
+    ("ltcs", "ltc", "d_band", 5e-324),      # numpy-scalar log-cosh
+    ("ltcs", "ltc", "k_s", 5e-324),
 )
 
 
@@ -77,12 +84,18 @@ def _run(tmp_path, capsys, data):
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(data))
     capsys.readouterr()
-    try:
-        code = run_command(["equilibrium", "--scenario", str(path),
-                            "--out", str(tmp_path / "out"), "--quiet"])
-    except BaseException:        # an escaping SystemExit fails too
-        return traceback.format_exc(limit=-1).strip().splitlines()[-1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = run_command(["equilibrium", "--scenario", str(path),
+                                "--out", str(tmp_path / "out"), "--quiet"])
+        except BaseException:        # an escaping SystemExit fails too
+            return traceback.format_exc(limit=-1).strip().splitlines()[-1]
     err = capsys.readouterr().err
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning):
+            return (f"RuntimeWarning at {Path(w.filename).name}:{w.lineno}: "
+                    f"{w.message}")
     if code not in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE):
         return f"exit {code}"
     if code == EXIT_NUMERICAL and not (err.startswith("error: ")

@@ -7,6 +7,7 @@ import pytest
 
 from adnlab.limits import (
     SmoothLimiter,
+    _lncosh,
     anti_windup_rate,
     rate_window,
     sat,
@@ -34,25 +35,26 @@ class TestSat:
     def test_odd_and_bounded(self):
         lim = SmoothLimiter(2.0, 5.0)
         xs = np.linspace(-30.0, 30.0, 301)
-        ys = sat(lim, xs)
-        assert np.allclose(ys, -sat(lim, -xs), atol=1e-15)
+        ys = np.array([sat(lim, x) for x in xs])
+        assert np.allclose(ys, [-sat(lim, -x) for x in xs], atol=1e-15)
         assert np.all(np.abs(ys) <= 2.0)
         # strictly below the limit wherever tanh has not rounded to 1
-        mid = np.linspace(-3.0, 3.0, 301)
-        assert np.all(np.abs(sat(lim, mid)) < 2.0)
-        assert np.all(np.diff(sat(lim, mid)) > 0.0)
+        mid = np.array([sat(lim, x) for x in np.linspace(-3.0, 3.0, 301)])
+        assert np.all(np.abs(mid) < 2.0)
+        assert np.all(np.diff(mid) > 0.0)
 
     def test_lipschitz_constant_is_k(self):
         lim = SmoothLimiter(1.5, 7.0)
         xs = np.linspace(-5.0, 5.0, 2001)
-        slopes = np.diff(sat(lim, xs)) / np.diff(xs)
+        slopes = np.diff([sat(lim, x) for x in xs]) / np.diff(xs)
         assert np.max(np.abs(slopes)) <= 7.0 + 1e-9
         assert sat_slope(lim, 0.0) == pytest.approx(7.0, rel=1e-12)
 
     def test_pointwise_convergence_on_saturated_region(self):
         xs = np.concatenate([np.linspace(1.0, 4.0, 31),
                              np.linspace(-4.0, -1.0, 31)])
-        err = [np.max(np.abs(hard_clip(1.0, xs) - sat(SmoothLimiter(1.0, k), xs)))
+        err = [np.max(np.abs(hard_clip(1.0, xs)
+                             - [sat(SmoothLimiter(1.0, k), x) for x in xs]))
                for k in (1, 2, 5, 10, 20, 50)]
         assert all(e2 <= e1 + 1e-15 for e1, e2 in zip(err, err[1:]))
         assert err[-1] < 1e-4
@@ -119,18 +121,19 @@ class TestSmoothDeadband:
 
     def test_odd_on_grid(self):
         es = np.linspace(-0.5, 0.5, 101)
-        y = smooth_deadband(0.07, 20.0, es)
-        assert np.allclose(y, -smooth_deadband(0.07, 20.0, -es), atol=1e-15)
+        y = [smooth_deadband(0.07, 20.0, e) for e in es]
+        assert np.allclose(y, [-smooth_deadband(0.07, 20.0, -e) for e in es],
+                           atol=1e-15)
 
     def test_monotone_nondecreasing(self):
         es = np.linspace(-1.0, 1.0, 4001)
-        y = smooth_deadband(0.1, 30.0, es)
+        y = [smooth_deadband(0.1, 30.0, e) for e in es]
         assert np.all(np.diff(y) >= -1e-14)
 
     def test_small_inside_band(self):
         d, k = 0.1, 20.0
         inside = np.linspace(-0.8 * d, 0.8 * d, 41)
-        y = smooth_deadband(d, k, inside)
+        y = [smooth_deadband(d, k, e) for e in inside]
         assert np.max(np.abs(y)) < 0.02 * d
 
     def test_fd_slope_matches_analytic(self):
@@ -171,6 +174,18 @@ class TestRateWindow:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             rate_window(1.0, 1.1, 0.9, 50.0, 1.0)
+
+
+class TestFloatKernel:
+    """Every limiter returns a Python float for float inputs, so the
+    residual code that uses it stays in float arithmetic."""
+
+    def test_float_in_float_out(self):
+        lim = SmoothLimiter(1.2, 5.0)
+        values = [sat(lim, 0.7), *sat_vector(lim, 3.0, 4.0),
+                  smooth_deadband(0.1, 10.0, 0.3), _lncosh(-2.5),
+                  rate_window(1.05, 0.9, 1.1, 50.0, 1.0)]
+        assert [type(v) for v in values] == [float] * 6
 
 
 class TestAntiWindup:

@@ -99,6 +99,13 @@ class TestParsing:
          "analysis.boundary2d.grid"),
         (lambda d: d.update(analysis={"cf": {"bus": "b2", "window": "two"}}),
          "analysis.cf.window"),
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2",
+                                                "converter": False}}),
+            "analysis.cf.converter", id="cf-converter-false"),
+        pytest.param(lambda d: d.update(analysis={"continuation": {
+            "param": 5}}), "analysis.continuation.param",
+            id="continuation-param-number"),
         pytest.param(lambda d: d.update(analysis={"simulation": {"h": 0}}),
                      "analysis.simulation.h", id="simulation-h-zero"),
         pytest.param(
