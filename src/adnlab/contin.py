@@ -432,15 +432,21 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
 def locate_all(sys: DaeSystem, branch: Branch, p: Params) -> list:
     """Classify a branch and refine every record by bisection of the
     bracket it was found in."""
-    refined = []
-    for rec, (lo, hi) in _classify(branch):
-        try:
-            located = locate_bifurcation(
-                sys, branch.param, p, lo, hi, rec.kind, rec.limiter)
-            refined.append(replace(located, s=rec.s))
-        except (NonConvergenceError, SingularJacobianError, ValueError):
-            refined.append(rec)   # keep the coarse record
-    return refined
+    return [_refine(sys, branch.param, p, rec, bracket)
+            for rec, bracket in _classify(branch)]
+
+
+def _refine(sys: DaeSystem, param: str, p: Params, rec: BifurcationRecord,
+            bracket) -> BifurcationRecord:
+    """``rec`` bisected in ``bracket``, keeping its coarse ``s``; or ``rec``
+    itself when the bisection fails."""
+    lo, hi = bracket
+    try:
+        located = locate_bifurcation(sys, param, p, lo, hi, rec.kind,
+                                     rec.limiter)
+        return replace(located, s=rec.s)
+    except (NonConvergenceError, SingularJacobianError, ValueError):
+        return rec   # keep the coarse record
 
 
 def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
@@ -474,9 +480,12 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
         try:
             sol = newton_equilibrium(sys, guess, p_row)
             branch = _until_first_limit(sys, sol, param1, settings)
-            records = locate_all(sys, branch, p_row)
-            if records:
-                first = min(records, key=lambda r: r.s)
+            found = _classify(branch)
+            if found:
+                # refined records keep their coarse s, so the first coarse
+                # record is the first refined one
+                rec, bracket = min(found, key=lambda f: f[0].s)
+                first = _refine(sys, param1, p_row, rec, bracket)
                 rows.append(BoundaryRow(float(g), first.kind, first.lam))
             else:
                 rows.append(BoundaryRow(float(g), "none", float("nan")))

@@ -49,15 +49,19 @@ class Params:
 
     __slots__ = ("names", "values", "_index")
 
-    def __init__(self, names, values):
+    def __init__(self, names, values, index=None):
+        """``index``, the name index of a Params with these same names, is
+        shared instead of rebuilt and checked again."""
         self.names = tuple(names)
-        self.values = np.asarray(values, dtype=float).copy()
+        self.values = np.array(values, dtype=float)
         self.values.flags.writeable = False
         if len(self.names) != self.values.size:
             raise ValueError("parameter names and values differ in length")
-        self._index = {n: i for i, n in enumerate(self.names)}
-        if len(self._index) != len(self.names):
-            raise ValueError("duplicate parameter name")
+        if index is None:
+            index = {n: i for i, n in enumerate(self.names)}
+            if len(index) != len(self.names):
+                raise ValueError("duplicate parameter name")
+        self._index = index
 
     def __getitem__(self, name: str) -> float:
         return float(self.values[self._index[name]])
@@ -73,23 +77,13 @@ class Params:
     def with_value(self, name: str, value: float) -> "Params":
         vals = self.values.copy()
         vals[self.index(name)] = value
-        return self._sibling(vals)
+        return Params(self.names, vals, self._index)
 
     def with_values(self, mapping) -> "Params":
         vals = self.values.copy()
         for name, value in mapping.items():
             vals[self.index(name)] = value
-        return self._sibling(vals)
-
-    def _sibling(self, vals: np.ndarray) -> "Params":
-        """New values under these names; the names and their index, checked
-        once in ``__init__``, are shared rather than rebuilt."""
-        new = object.__new__(Params)
-        new.names = self.names
-        new._index = self._index
-        vals.flags.writeable = False
-        new.values = vals
-        return new
+        return Params(self.names, vals, self._index)
 
     def __repr__(self):
         items = ", ".join(f"{n}={v:.6g}" for n, v in zip(self.names, self.values))

@@ -266,7 +266,7 @@ def loads_scenario(text: str) -> Scenario:
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
     top = _apply(TOP_FIELDS, raw, "scenario")
-    name = _build("name", _text, top["name"])
+    scenario_name = _build("name", _text, top["name"])
     base = _apply(BASE_FIELDS, top["base"] or {}, "base")
     f_hz = _build("base", _number, base["f_hz"])
     if not f_hz > 0.0:
@@ -361,7 +361,7 @@ def loads_scenario(text: str) -> Scenario:
             raise ScenarioError(f"analysis.{key}: unknown id {name!r}; "
                                 f"known: {', '.join(sorted(known))}")
 
-    return Scenario(name=name, f_hz=f_hz, canonical=canonical,
+    return Scenario(name=scenario_name, f_hz=f_hz, canonical=canonical,
                     model=model, analysis=analysis, param_overrides=overrides)
 
 

@@ -109,6 +109,8 @@ class TestCommands:
         blocks = {row[3] for row in rows}
         assert {"bus", "pll_internal", "synchronization", "regulation",
                 "total"} <= blocks
+        manifest = json.loads((tmp_path / "cf" / "manifest.json").read_text())
+        assert manifest["scenario"] == "cf-frequency-step"
 
     def test_simulate_runs_the_rotating_frequency_step(self, tmp_path):
         # cf_step's source rotates, so simulate runs the same rotating

@@ -161,6 +161,8 @@ class TestParsing:
                      id="cf-bus"),
         pytest.param({"cf": {"bus": "b2", "converter": "c9"}},
                      "analysis.cf.converter", id="cf-converter"),
+        pytest.param({"cf": {"bus": "b2", "converter": ""}},
+                     "analysis.cf.converter", id="cf-converter-empty"),
         pytest.param({"secondary": {"weights": {"b2": 1.0, "b9": 5.0}}},
                      "analysis.secondary.weights", id="secondary-weights"),
     ])
@@ -245,6 +247,7 @@ class TestBundledScenarios:
             sc = load_scenario(path)
             sys = sc.build()
             assert sys.n > 0
+            assert sc.name == json.loads(path.read_text())["name"]
 
     def test_showcase_has_every_device_family(self):
         sc = load_scenario(SCENARIO_DIR / "showcase.json")
