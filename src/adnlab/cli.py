@@ -40,21 +40,49 @@ COMMANDS = ("equilibrium", "continue", "boundary2d", "simulate",
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
+# Most --grid rows one boundary2d run may ask for; each row traces a branch.
+MAX_GRID_POINTS = 1000
 
 
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
+# Lines formatted before one write; a chunk stays a few hundred kB on the
+# widest bundled trajectory, so memory does not grow with the file.
+CSV_CHUNK_LINES = 256
 
 
 def _write_csv(path: Path, header, rows):
-    """Write ``rows`` line by line; return the file's sha256 and size."""
+    """Write ``header`` and ``rows``; return the file's sha256 and size.
+
+    The first row sets the template of every row: ``%.17g`` where it
+    holds a number (17 significant digits round-trip a float64) and
+    ``%s`` where it holds a string.  A later row with a string where the
+    first had a number, or the reverse, raises ``TypeError``.  Lines are
+    written and hashed in chunks of :data:`CSV_CHUNK_LINES`.
+    """
     digest = hashlib.sha256()
     with open(path, "wb") as handle:
-        for row in itertools.chain((header,), rows):
-            line = ",".join(cell if isinstance(cell, str) else _fmt(cell)
-                            for cell in row).encode("utf-8") + b"\n"
-            handle.write(line)
-            digest.update(line)
+        def flush(lines):
+            data = "".join(lines).encode("utf-8")
+            handle.write(data)
+            digest.update(data)
+            lines.clear()
+
+        lines = [",".join(header) + "\n"]
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            template = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                                for cell in first) + "\n"
+            text = [i for i, cell in enumerate(first) if isinstance(cell, str)]
+            for row in itertools.chain((first,), rows):
+                for i in text:
+                    if not isinstance(row[i], str):
+                        raise TypeError(
+                            f"{path.name}: column {i} holds {row[i]!r}; "
+                            "the first row has a string there")
+                lines.append(template % tuple(row))
+                if len(lines) >= CSV_CHUNK_LINES:
+                    flush(lines)
+        flush(lines)
         return digest.hexdigest(), handle.tell()
 
 
@@ -269,18 +297,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid_spec(text: str):
-    """``a:b:n`` with finite ``a < b`` and ``n >= 1``."""
+    """``a:b:n`` with finite ``a < b`` and ``1 <= n <= MAX_GRID_POINTS``."""
     try:
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
         valid = math.isfinite(lo) and math.isfinite(hi) and lo < hi \
-            and num >= 1
+            and 1 <= num <= MAX_GRID_POINTS
     except ValueError:
         valid = False
     if not valid:
         raise argparse.ArgumentTypeError(
-            f"grid spec must be a:b:n with finite a < b and n >= 1, "
-            f"got {text!r}")
+            f"grid spec must be a:b:n with finite a < b and 1 <= n <= "
+            f"{MAX_GRID_POINTS}, got {text!r}")
     return lo, hi, num
 
 

@@ -120,6 +120,7 @@ class DaeSystem:
                 raise ValueError("pattern length does not match n")
         self.pattern = pattern
         self._groups = None
+        self._fd_index = None
 
     def residual(self, x, p: Params) -> np.ndarray:
         f = np.asarray(self._residual_fn(np.asarray(x, dtype=float), p), dtype=float)
@@ -184,6 +185,27 @@ class DaeSystem:
             self._groups = tuple(groups)
         return self._groups
 
+    def _difference_index(self) -> tuple:
+        """Flat index arrays over every :meth:`column_groups` group, in
+        group order, computed on first use.
+
+        Returns ``(colour, group, rows, owner)``: the group of each state,
+        and for every Jacobian entry a difference gives, its group, its
+        residual row and its state column.
+        """
+        if self._fd_index is None:
+            groups = self.column_groups()
+            colour = np.empty(self.n, dtype=int)
+            for k, (cols, _, _) in enumerate(groups):
+                colour[cols] = k
+            self._fd_index = (
+                colour,
+                np.repeat(np.arange(len(groups)),
+                          [rows.size for _, rows, _ in groups]),
+                np.concatenate([rows for _, rows, _ in groups]),
+                np.concatenate([owner for _, _, owner in groups]))
+        return self._fd_index
+
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
@@ -229,31 +251,38 @@ def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
     ``1e-6 * max(1, |x_j|)``.
 
     The columns of each :meth:`DaeSystem.column_groups` group are
-    perturbed together, one ``+h``/``-h`` residual pair per group.  A row
-    reads at most one column of a group, so each entry equals the one
-    column-by-column differencing gives, bit for bit.
+    perturbed together, one ``+h``/``-h`` residual pair per group.  The
+    ``2g`` perturbed states of the ``g`` groups are built as one array
+    and the residual is called once per state; every entry is then
+    gathered, differenced, checked and scattered in one pass, through
+    flat index arrays cached beside the groups.  A row reads at most one
+    column of a group, so each entry equals the one column-by-column
+    differencing gives, bit for bit.  A non-finite entry raises
+    :class:`NonConvergenceError` naming the first one in group order.
     """
     x = np.asarray(x, dtype=float)
     h = 1e-6 * np.maximum(1.0, np.abs(x))
+    colour, group, rows, owner = sys._difference_index()
+    g = len(sys.column_groups())
+    cols = np.arange(sys.n)
+    # rows 0..g-1 of the stack are the +h states, rows g..2g-1 the -h ones
+    states = np.tile(x, (2 * g, 1))
+    states[colour, cols] = x + h
+    states[colour + g, cols] = x - h
+    f = np.array([sys.residual(state, p) for state in states])
+    # a non-finite difference is reported below, not warned about
+    with np.errstate(invalid="ignore", over="ignore"):
+        entries = (f[group, rows] - f[group + g, rows]) / (2.0 * h[owner])
+    finite = np.isfinite(entries)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        bad = int(rows[k])
+        raise NonConvergenceError(
+            f"non-finite Jacobian entry in equation {sys.state_names[bad]!r} "
+            f"w.r.t. state {sys.state_names[owner[k]]!r}",
+            worst_index=bad, worst_name=sys.state_names[bad])
     jac = np.zeros((sys.n, sys.n))
-    for cols, rows, owner in sys.column_groups():
-        xp = x.copy()
-        xm = x.copy()
-        xp[cols] += h[cols]
-        xm[cols] -= h[cols]
-        fp = sys.residual(xp, p)
-        fm = sys.residual(xm, p)
-        # a non-finite difference is reported below, not warned about
-        with np.errstate(invalid="ignore", over="ignore"):
-            entries = (fp[rows] - fm[rows]) / (2.0 * h[owner])
-        if not np.all(np.isfinite(entries)):
-            k = int(np.flatnonzero(~np.isfinite(entries))[0])
-            bad = int(rows[k])
-            raise NonConvergenceError(
-                f"non-finite Jacobian entry in equation {sys.state_names[bad]!r} "
-                f"w.r.t. state {sys.state_names[owner[k]]!r}",
-                worst_index=bad, worst_name=sys.state_names[bad])
-        jac[rows, owner] = entries
+    jac[rows, owner] = entries
     return jac
 
 

@@ -31,6 +31,9 @@ __all__ = ["Scenario", "load_scenario", "loads_scenario"]
 
 _REQUIRED = object()
 
+# Most integration steps a simulation block may ask for.
+MAX_STEPS = 10 ** 6
+
 BASE_FIELDS = {"f_hz": 50.0}
 BUS_FIELDS = {"id": _REQUIRED, "b_sh": 1e-4, "v_d": 1.0, "v_q": 0.0}
 BRANCH_FIELDS = {"id": _REQUIRED, "from": _REQUIRED, "to": _REQUIRED,
@@ -272,10 +275,10 @@ def loads_scenario(text: str) -> Scenario:
     if not f_hz > 0.0:
         raise ScenarioError("base: f_hz must be positive")
     omega0 = 2.0 * math.pi * f_hz
-    overrides = _build("params", lambda: {
-        str(k): _number(v) for k, v in dict(top["params"]).items()})
+    overrides = _build("params", _mapping, top["params"])
 
-    canonical = {"name": top["name"], "base": base, "params": dict(top["params"])}
+    canonical = {"name": top["name"], "base": base,
+                 "params": dict(top["params"] or {})}
 
     devices = {}
     for key, fields, make in _FAMILIES:
@@ -327,8 +330,14 @@ def loads_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"{where}.{hi}: {values[hi]!r} is below "
                                     f"{lo} = {values[lo]!r}")
         if "t_end" in values:
-            # a fixed-step integration must land on t_end
+            # integrate allocates every sample up front, so the step count
+            # is bounded before anything runs
             steps = values["t_end"] / values["h"]
+            if not steps <= MAX_STEPS:
+                raise ScenarioError(
+                    f"{where}.t_end: {values['t_end']!r} takes {steps:.10g} "
+                    f"steps of h = {values['h']!r}, more than {MAX_STEPS}")
+            # a fixed-step integration must land on t_end
             if abs(steps - round(steps)) > 1e-9 * steps:
                 raise ScenarioError(
                     f"{where}.t_end: {values['t_end']!r} is not a whole "

@@ -1,11 +1,24 @@
 """Tests for the command-line front end."""
 
+import hashlib
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adnlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_command
+from adnlab.cli import (
+    CSV_CHUNK_LINES,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_GRID_POINTS,
+    _grid_spec,
+    _write_csv,
+    run_command,
+)
+from adnlab.scenario import MAX_STEPS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -297,6 +310,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("num", [MAX_GRID_POINTS + 1, 10 ** 12])
+    def test_grid_above_point_bound_is_usage_error(self, tmp_path, capsys,
+                                                   num):
+        # gfl_feeder has no boundary2d block, so without the bound the run
+        # would stop at exit 2 before tracing any row
+        rc = run_command(["boundary2d", "--scenario",
+                          str(SCENARIO_DIR / "gfl_feeder.json"),
+                          "--out", str(tmp_path / "g"), "--quiet",
+                          "--grid", f"0.5:1:{num}"])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+
+    def test_grid_point_bound(self):
+        # parsing allocates nothing, so the largest accepted n is safe here
+        assert _grid_spec(f"0.5:1:{MAX_GRID_POINTS}") == (0.5, 1.0,
+                                                          MAX_GRID_POINTS)
+
+    def test_step_count_above_bound_exits_2_before_running(self, tmp_path,
+                                                           capsys):
+        # an infinite step count cannot reach an allocation even unchecked:
+        # round(inf) raises first
+        scenario = json.loads((SCENARIO_DIR / "cf_step.json").read_text())
+        scenario["analysis"]["simulation"].update(t_end=1e300, h=1e-300)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command(["cf", "--scenario", str(path),
+                          "--out", str(tmp_path / "o"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: analysis.simulation.t_end: ")
+        assert f"more than {MAX_STEPS}" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_non_numeric_analysis_setting_is_one_error_line(self, tmp_path,
                                                            capsys):
         scenario = json.loads((SCENARIO_DIR / "gfl_feeder.json").read_text())
@@ -356,3 +403,47 @@ class TestManifestAndDeterminism:
         assert rc == EXIT_OK
         header, rows = read_csv(out / "boundary.csv")
         assert len(rows) == 2
+
+
+def per_cell_csv(header, rows) -> bytes:
+    """Reference writer: one line per row, every number formatted on its
+    own with ``format(float(v), ".17g")``."""
+    return b"".join(
+        ",".join(cell if isinstance(cell, str) else format(float(cell), ".17g")
+                 for cell in row).encode("utf-8") + b"\n"
+        for row in itertools.chain((header,), rows))
+
+
+class TestCsvWriter:
+    CELLS = (float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+             -1.7976931348623157e308, 7, -2 ** 60, True, np.float64(0.1),
+             np.float64(-0.0), np.int64(-3), np.float32(0.1), 2.0 / 3.0)
+
+    def check(self, path, header, rows):
+        sha, size = _write_csv(path, header, iter(rows))
+        data = path.read_bytes()
+        assert data == per_cell_csv(header, rows)
+        assert (sha, size) == (hashlib.sha256(data).hexdigest(), len(data))
+
+    def test_same_bytes_as_per_cell_writer(self, tmp_path):
+        cells = itertools.cycle(self.CELLS)
+        rows = [(f"r{k}", *itertools.islice(cells, 4), "blk", k * 1e-4)
+                for k in range(2 * CSV_CHUNK_LINES + 3)]
+        self.check(tmp_path / "mixed.csv", ("id", "a", "b", "c", "d",
+                                            "block", "t"), rows)
+
+    @pytest.mark.parametrize("count", [0, 1, CSV_CHUNK_LINES - 1,
+                                       CSV_CHUNK_LINES, CSV_CHUNK_LINES + 1])
+    def test_same_bytes_at_chunk_edges(self, tmp_path, count):
+        rng = np.random.default_rng(count)
+        rows = [(float(t), *row.tolist())
+                for t, row in zip(rng.normal(size=count),
+                                  rng.normal(size=(count, 3)))]
+        self.check(tmp_path / "numbers.csv", ("t", "x", "y", "z"), rows)
+
+    @pytest.mark.parametrize("second", [(1.0, 2.0), ("b", "c")],
+                             ids=["number-for-string", "string-for-number"])
+    def test_row_layout_differing_from_the_first_raises(self, tmp_path,
+                                                         second):
+        with pytest.raises(TypeError):
+            _write_csv(tmp_path / "bad.csv", ("k", "v"), [("a", 1.0), second])

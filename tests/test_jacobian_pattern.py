@@ -108,3 +108,31 @@ def test_system_without_pattern_is_dense():
     groups = sys.column_groups()
     assert [g.tolist() for g, _, _ in groups] == [[0], [1], [2]]
     assert all(np.array_equal(rows, np.arange(3)) for _, rows, _ in groups)
+
+
+def test_two_residual_calls_per_group(case, monkeypatch):
+    sys, p, points = case
+    calls = []
+    residual = sys.residual
+    monkeypatch.setattr(sys, "residual",
+                        lambda x, p: calls.append(1) or residual(x, p))
+    jacobian_fd(sys, points[0][0], p)
+    assert len(calls) == 2 * len(sys.column_groups())
+
+
+def test_nonfinite_entries_in_two_groups_name_the_first_in_group_order():
+    # group 0 holds states a and c, group 1 holds b (row a reads a and b);
+    # at b = c = 0 the sqrt rows give a nan difference in both groups, and
+    # the first in group order (equation c) is not the first row (a)
+    def residual(x, p):
+        with np.errstate(invalid="ignore"):
+            return np.array([x[0] + np.sqrt(x[1]), x[1], np.sqrt(x[2])])
+
+    sys = DaeSystem(3, residual, lambda p: np.ones(3), Params((), []),
+                    state_names=("a", "b", "c"),
+                    pattern=((0, 1), (1,), (2,)))
+    assert [g.tolist() for g, _, _ in sys.column_groups()] == [[0, 2], [1]]
+    with pytest.raises(NonConvergenceError,
+                       match=r"equation 'c' w\.r\.t\. state 'c'") as err:
+        jacobian_fd(sys, np.array([1.0, 0.0, 0.0]), sys.params0)
+    assert err.value.worst_name == "c"

@@ -8,7 +8,7 @@ import pytest
 
 from adnlab.contin import ContinuationSettings
 from adnlab.errors import ScenarioError
-from adnlab.scenario import load_scenario, loads_scenario
+from adnlab.scenario import MAX_STEPS, load_scenario, loads_scenario
 from adnlab.secondary import run_recursive
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -140,6 +140,14 @@ class TestParsing:
             lambda d: d.update(analysis={"simulation": {"t_end": 1e-4}}),
             "analysis.simulation.t_end", id="simulation-t_end-below-one-step"),
         pytest.param(
+            lambda d: d.update(analysis={"simulation": {"t_end": 1e3,
+                                                        "h": 1e-4}}),
+            "analysis.simulation.t_end", id="simulation-steps-above-bound"),
+        pytest.param(
+            lambda d: d.update(analysis={"simulation": {"t_end": 1e300,
+                                                        "h": 1e-300}}),
+            "analysis.simulation.t_end", id="simulation-steps-overflow"),
+        pytest.param(
             lambda d: d.update(analysis={"secondary": {"max_iter": -3}}),
             "analysis.secondary.max_iter", id="secondary-max_iter-negative"),
         pytest.param(
@@ -188,6 +196,29 @@ class TestParsing:
         with pytest.raises(ScenarioError) as info:
             loads_scenario(json.dumps(data))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("params, kind", [([1], "list"), ("x", "str")])
+    def test_params_must_be_an_object(self, params, kind):
+        data = json.loads(MINIMAL)
+        data["params"] = params
+        with pytest.raises(ScenarioError) as info:
+            loads_scenario(json.dumps(data))
+        assert str(info.value) == f"params: expected an object, got {kind}"
+
+    def test_params_null_stands_for_no_overrides(self):
+        data = json.loads(MINIMAL)
+        data["params"] = None
+        sc = loads_scenario(json.dumps(data))
+        assert sc.param_overrides == {}
+        assert sc.canonical_json() == loads_scenario(MINIMAL).canonical_json()
+
+    def test_step_count_bound_is_inclusive(self):
+        # loading allocates nothing, so the largest step count is safe here
+        data = json.loads(MINIMAL)
+        data["analysis"] = {"simulation": {"t_end": MAX_STEPS * 1e-3,
+                                           "h": 1e-3}}
+        sc = loads_scenario(json.dumps(data))
+        assert sc.analysis["simulation"]["t_end"] == MAX_STEPS * 1e-3
 
     def test_step_count_whole_up_to_rounding(self):
         data = json.loads(MINIMAL)
