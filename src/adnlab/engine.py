@@ -44,10 +44,12 @@ class Params:
 
     Parameter names are registered once at assembly time; values are read
     with ``p["name"]`` and varied with :meth:`with_value`, which returns a
-    new instance so residual evaluation stays pure.
+    new instance so residual evaluation stays pure.  ``floats`` holds the
+    values as a tuple of Python floats, made once, for residual kernels
+    to read.
     """
 
-    __slots__ = ("names", "values", "_index")
+    __slots__ = ("names", "values", "floats", "_index")
 
     def __init__(self, names, values, index=None):
         """``index``, the name index of a Params with these same names, is
@@ -55,6 +57,7 @@ class Params:
         self.names = tuple(names)
         self.values = np.array(values, dtype=float)
         self.values.flags.writeable = False
+        self.floats = tuple(self.values.tolist())
         if len(self.names) != self.values.size:
             raise ValueError("parameter names and values differ in length")
         if index is None:
@@ -447,16 +450,20 @@ class _Stepper:
         self.dyn = self.m > 0.0
         self._inv = None
         self._jac_a = None
+        self._av = None
         self._steps_since_jac = 0
 
     def step(self, base, x, guess, a, t_next):
         """Solve ``m (z - base) = a F(z)`` on dynamic rows and ``F(z) = 0``
         on algebraic rows by simplified Newton from ``guess``; return ``z``.
 
-        The iteration matrix ``m - a J`` (``J`` on algebraic rows) is
-        rebuilt and inverted when ``a`` changes and every 50 steps.  When
-        Newton fails or meets a non-finite residual, it retries once from
-        the accepted state ``x`` with a matrix rebuilt there.
+        The step residual is ``m (z - base) - av F(z)`` with ``av`` equal
+        to ``a`` on dynamic rows and ``-1`` on algebraic ones, where ``m``
+        is zero.  The iteration matrix ``m - a J`` (``J`` on algebraic
+        rows) is rebuilt and inverted when ``a`` changes and every 50
+        steps.  When Newton fails or meets a non-finite residual, it
+        retries once from the accepted state ``x`` with a matrix rebuilt
+        there.
         """
         z = guess
         for attempt in range(2):
@@ -473,11 +480,12 @@ class _Stepper:
                         f"singular step Jacobian at t={t_next:.6g}s",
                         time=t_next) from exc
                 self._jac_a = a
+                self._av = np.where(self.dyn, a, -1.0)
                 self._steps_since_jac = 0
             for _ in range(25):
                 f = self.sys.residual(z, self.p)
-                res = np.where(self.dyn, self.m * (z - base) - a * f, f)
-                err = float(np.max(np.abs(res)))
+                res = self.m * (z - base) - self._av * f
+                err = float(abs(res).max())
                 if err <= STEP_NEWTON_TOL:
                     self._steps_since_jac += 1
                     return z

@@ -16,7 +16,7 @@ into the bus; loads return consumed current and are subtracted.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -354,6 +354,11 @@ class NetworkModel:
         return AssembledSystem(self, rotating_sources)
 
 
+@lru_cache(maxsize=64)
+def _compile_kernel(source: str):
+    """Code object of a generated residual kernel, memoised by its source
+    text, so systems of one layout compile it once."""
+    return compile(source, "<adnlab residual kernel>", "exec")
 
 
 class AssembledSystem(DaeSystem):
@@ -365,10 +370,11 @@ class AssembledSystem(DaeSystem):
     state is declared once, with its mass and initial guess.  All
     runtime-variable quantities are read from the parameter vector through
     indices precomputed here, and the shunt terms of the bus rows and each
-    converter's limiter are set up here too.  One evaluation reads the
-    states and parameter values once as Python floats, adds each device's
-    injection straight into the KCL rows of its bus and converts the
-    residual to an array once.  The layout also declares, row by row, the
+    converter's limiter are set up here too.  From this layout the system
+    generates one straight-line residual kernel (:meth:`_kernel_source`),
+    compiled on the first evaluation; an evaluation passes it the states
+    and the parameter values as Python floats and converts the residual
+    to an array once.  The layout also declares, row by row, the
     states each residual row reads: the sparsity pattern that
     :func:`~adnlab.engine.jacobian_fd` colours.
     """
@@ -574,6 +580,7 @@ class AssembledSystem(DaeSystem):
         self._mass_base = np.array(masses, dtype=float)
         self._mass_param = tuple(mass_param)
         self._guess = np.array(guess, dtype=float)
+        self._kernel = None
         params0 = Params(pnames, np.array(pvals))
         super().__init__(len(names), self._evaluate, self._mass_impl,
                          params0, state_names=names,
@@ -591,124 +598,179 @@ class AssembledSystem(DaeSystem):
         return m
 
     def _evaluate(self, x, p: Params, outputs: dict | None = None):
-        """Residual vector; ``outputs``, when given, receives every
+        """Residual vector from the generated kernel, which is compiled on
+        the first evaluation; ``outputs``, when given, receives every
         device's auxiliary outputs."""
-        w0 = self.omega0
-        xs = x.tolist()
-        pv = p.values.tolist()
-        lam = pv[0]
-        f = [0.0] * self.n
-        pins = []              # source rows of pinned buses, set last
+        if self._kernel is None:
+            source, env = self._kernel_source()
+            scope = {}
+            exec(_compile_kernel(source), globals(), scope)
+            self._kernel = scope["bind"](env)
+        return np.fromiter(self._kernel(x.tolist(), p.floats, outputs),
+                           float, self.n)
+
+    def _kernel_source(self):
+        """Source of this layout's residual kernel and the objects it
+        binds by name.
+
+        The source defines ``bind(env)``, which unpacks ``env`` into
+        names and returns ``kernel(x, p, outputs)``.  The kernel reads the
+        states ``x`` and the parameter values ``p`` as Python floats into
+        locals ``x0 ...`` and ``p0 ...`` and returns the residual as a
+        list.  Branch, source and LTC rows, and the shunt and pin rows of
+        the buses, are written out with literal indices.  Each device
+        kernel is called once per device, by its name in this module, so
+        a wrapper set on that name after build sees the call.  The KCL
+        row of a free bus sums its device injections from ``0.0`` in
+        device order and adds the shunt term last: the float operations,
+        and their order, of the loop in ``tests/oracles.py``.  Device
+        objects, ids and float constants reach the kernel through
+        ``env``, so the source holds no scenario text.
+        """
+        labels, env = ["w0", "lims"], [self.omega0, self._limiters]
+
+        def bind(obj):
+            labels.append(f"k{len(labels)}")
+            env.append(obj)
+            return labels[-1]
+
+        body = []
+        kcl = {}               # bus row -> injection terms, in device order
+        pins = {}              # bus row -> source row of a pinned bus
+        outs = []              # (bound output key, value), in device order
+
+        def inject(vi, d_term, q_term):
+            """Add a device's terms to the KCL rows of the bus at ``vi``."""
+            kcl.setdefault(vi, []).append(d_term)
+            kcl.setdefault(vi + 1, []).append(q_term)
 
         for vf, vt, idx, ip_r, ip_l in self._branches:
-            i_d, i_q = xs[idx], xs[idx + 1]
-            r, l = pv[ip_r], pv[ip_l]
-            f[idx] = xs[vf] - xs[vt] - r * i_d + w0 * l * i_q
-            f[idx + 1] = xs[vf + 1] - xs[vt + 1] - r * i_q - w0 * l * i_d
-            f[vf] -= i_d
-            f[vf + 1] -= i_q
-            f[vt] += i_d
-            f[vt + 1] += i_q
+            i_d, i_q, r, l = f"x{idx}", f"x{idx + 1}", f"p{ip_r}", f"p{ip_l}"
+            body += [f"f{idx} = x{vf} - x{vt} - {r} * {i_d} + w0 * {l} * {i_q}",
+                     f"f{idx + 1} = x{vf + 1} - x{vt + 1} - {r} * {i_q} "
+                     f"- w0 * {l} * {i_d}"]
+            inject(vf, f"- {i_d}", f"- {i_q}")
+            inject(vt, f"+ {i_d}", f"+ {i_q}")
 
-        for (vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
-             ip_off) in self._sources:
-            theta = pv[ip_th] + xs[th_idx] if th_idx >= 0 else pv[ip_th]
-            e_d = pv[ip_e] * math.cos(theta)
-            e_q = pv[ip_e] * math.sin(theta)
+        for k, (vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
+                ip_off) in enumerate(self._sources):
+            e_d, e_q, theta = f"e{k}_d", f"e{k}_q", f"p{ip_th}"
             if th_idx >= 0:
-                f[th_idx] = pv[ip_off]
+                body += [f"e{k}_th = p{ip_th} + x{th_idx}",
+                         f"f{th_idx} = p{ip_off}"]
+                theta = f"e{k}_th"
+            body += [f"{e_d} = p{ip_e} * math.cos({theta})",
+                     f"{e_q} = p{ip_e} * math.sin({theta})"]
             if i_idx < 0:
-                pins.append((vi, e_d, e_q))
-            else:
-                i_d, i_q = xs[i_idx], xs[i_idx + 1]
-                r_g, l_g = pv[ip_rg], pv[ip_lg]
-                f[i_idx] = e_d - xs[vi] - r_g * i_d + w0 * l_g * i_q
-                f[i_idx + 1] = e_q - xs[vi + 1] - r_g * i_q - w0 * l_g * i_d
-                f[vi] += i_d
-                f[vi + 1] += i_q
+                pins[vi] = f"{e_d} - x{vi}"
+                pins[vi + 1] = f"{e_q} - x{vi + 1}"
+                continue
+            i_d, i_q = f"x{i_idx}", f"x{i_idx + 1}"
+            r_g, l_g = f"p{ip_rg}", f"p{ip_lg}"
+            body += [f"f{i_idx} = {e_d} - x{vi} - {r_g} * {i_d} "
+                     f"+ w0 * {l_g} * {i_q}",
+                     f"f{i_idx + 1} = {e_q} - x{vi + 1} - {r_g} * {i_q} "
+                     f"- w0 * {l_g} * {i_d}"]
+            inject(vi, f"+ {i_d}", f"+ {i_q}")
 
         for ltc, vf, vt, idx, ip_vref, l_t in self._ltcs:
-            i_d, i_q, n_tap = xs[idx], xs[idx + 1], xs[idx + 2]
-            f[idx] = n_tap * xs[vf] - xs[vt] + w0 * l_t * i_q
-            f[idx + 1] = n_tap * xs[vf + 1] - xs[vt + 1] - w0 * l_t * i_d
-            f[idx + 2] = ltc_rate(ltc, math.hypot(xs[vt], xs[vt + 1]), n_tap,
-                                  pv[ip_vref])
-            f[vf] -= n_tap * i_d
-            f[vf + 1] -= n_tap * i_q
-            f[vt] += i_d
-            f[vt + 1] += i_q
+            i_d, i_q, n_tap = f"x{idx}", f"x{idx + 1}", f"x{idx + 2}"
+            l_t = bind(l_t)
+            body += [f"f{idx} = {n_tap} * x{vf} - x{vt} + w0 * {l_t} * {i_q}",
+                     f"f{idx + 1} = {n_tap} * x{vf + 1} - x{vt + 1} "
+                     f"- w0 * {l_t} * {i_d}",
+                     f"f{idx + 2} = ltc_rate({bind(ltc)}, "
+                     f"math.hypot(x{vt}, x{vt + 1}), {n_tap}, p{ip_vref})"]
+            inject(vf, f"- {n_tap} * {i_d}", f"- {n_tap} * {i_q}")
+            inject(vt, f"+ {i_d}", f"+ {i_q}")
 
-        for m, vi, idx, ip_tm, t0p in self._machines:
-            f[idx], f[idx + 1], f[idx + 2], i_d, i_q = im_rates(
-                m, xs[vi], xs[vi + 1], xs[idx], xs[idx + 1], xs[idx + 2], lam,
-                pv[ip_tm], t0p, w0)
-            f[vi] -= i_d
-            f[vi + 1] -= i_q
-            if outputs is not None:
-                outputs[f"{m.id}.i"] = (i_d, i_q)
+        for k, (m, vi, idx, ip_tm, t0p) in enumerate(self._machines):
+            i_d, i_q = f"m{k}_d", f"m{k}_q"
+            body.append(f"f{idx}, f{idx + 1}, f{idx + 2}, {i_d}, {i_q} = "
+                        f"im_rates({bind(m)}, x{vi}, x{vi + 1}, x{idx}, "
+                        f"x{idx + 1}, x{idx + 2}, p0, p{ip_tm}, {bind(t0p)}, "
+                        "w0)")
+            inject(vi, f"- {i_d}", f"- {i_q}")
+            outs.append((bind(f"{m.id}.i"), f"({i_d}, {i_q})"))
 
-        for load, vi in self._zips:
-            i_d, i_q = zip_injection(load, xs[vi], xs[vi + 1], lam)
-            f[vi] -= i_d
-            f[vi + 1] -= i_q
-            if outputs is not None:
-                outputs[f"{load.id}.i"] = (i_d, i_q)
+        for k, (load, vi) in enumerate(self._zips):
+            i_d, i_q = f"z{k}_d", f"z{k}_q"
+            body.append(f"{i_d}, {i_q} = zip_injection({bind(load)}, x{vi}, "
+                        f"x{vi + 1}, p0)")
+            inject(vi, f"- {i_d}", f"- {i_q}")
+            outs.append((bind(f"{load.id}.i"), f"({i_d}, {i_q})"))
 
         for k, (conv, vi, idx, pidx, val_idx, real, vm_idx,
                 dv_idx) in enumerate(self._gfls):
-            vd, vq = xs[vi], xs[vi + 1]
+            out = f"g{k}_out"
+            body.append(f"{out} = None if outputs is None else {{}}")
             if vm_idx >= 0:
-                vm_d, vm_q = xs[vm_idx], xs[vm_idx + 1]
+                vm_d, vm_q = f"x{vm_idx}", f"x{vm_idx + 1}"
+                vm_rows = f"f{vm_idx}, f{vm_idx + 1}"
             else:
-                vm_d, vm_q = pll_project(vd, vq, xs[idx])
-            corr_d = corr_q = 0.0
+                vm_d, vm_q, vm_rows = f"g{k}_vd", f"g{k}_vq", "_, _"
+                body.append(f"{vm_d}, {vm_q} = pll_project(x{vi}, x{vi + 1}, "
+                            f"x{idx})")
+            corr = "0.0, 0.0"
             if val_idx is not None:
-                dv_d = pv[val_idx[2]] - vm_d
-                dv_q = -vm_q
-                corr_d, corr_q = qval_correction(pv[val_idx[0]],
-                                                 pv[val_idx[1]], dv_d, dv_q)
+                g_v, b_v, v_nom = val_idx
+                corr = f"g{k}_cd, g{k}_cq"
+                body.append(f"{corr} = qval_correction(p{g_v}, p{b_v}, "
+                            f"p{v_nom} - {vm_d}, -{vm_q})")
             elif real is not None:
-                corr_d, corr_q = xs[dv_idx], xs[dv_idx + 1]
-            # pidx: consecutive indices in GFL_PARAMS order, i_max last
-            i_max = pv[pidx[-1]]
-            lim = self._limiters[k]
-            if lim.limit != i_max:
-                lim = self._limiters[k] = SmoothLimiter(i_max, conv.limiter_k)
-            out = None if outputs is None else {}
-            rates = gfl_rates(w0, *xs[idx:idx + 6], vd, vq, vm_d, vm_q,
-                              corr_d, corr_q, *pv[pidx[0]:pidx[-1]], lim,
-                              conv.l_f, conv.r_f, out)
-            f[idx:idx + 6] = rates[:6]
-            if vm_idx >= 0:
-                f[vm_idx], f[vm_idx + 1] = rates[6], rates[7]
+                corr = f"x{dv_idx}, x{dv_idx + 1}"
+            # pidx: indices in GFL_PARAMS order, i_max last
+            i_max, lim = f"p{pidx[-1]}", f"g{k}_lim"
+            states = ", ".join(f"x{idx + j}" for j in range(6))
+            gains = ", ".join(f"p{j}" for j in pidx[:-1])
+            rows = ", ".join(f"f{idx + j}" for j in range(6))
+            body += [f"{lim} = lims[{k}]",
+                     f"if {lim}.limit != {i_max}:",
+                     f"    {lim} = lims[{k}] = SmoothLimiter({i_max}, "
+                     f"{bind(conv.limiter_k)})",
+                     f"{rows}, {vm_rows}, g{k}_d, g{k}_q = gfl_rates(w0, "
+                     f"{states}, x{vi}, x{vi + 1}, {vm_d}, {vm_q}, {corr}, "
+                     f"{gains}, {lim}, {bind(conv.l_f)}, {bind(conv.r_f)}, "
+                     f"{out})"]
             if real is not None:
-                dv_d = conv.val.v_nom - vm_d
-                dv_q = -vm_q
-                f[dv_idx], f[dv_idx + 1] = dval_rate(
-                    real, xs[dv_idx], xs[dv_idx + 1], dv_d, dv_q, w0)
-            f[vi] += rates[8]
-            f[vi + 1] += rates[9]
-            if outputs is not None:
-                outputs[conv.id] = out
+                body.append(f"f{dv_idx}, f{dv_idx + 1} = dval_rate("
+                            f"{bind(real)}, x{dv_idx}, x{dv_idx + 1}, "
+                            f"{bind(conv.val.v_nom)} - {vm_d}, -{vm_q}, w0)")
+            inject(vi, f"+ g{k}_d", f"+ g{k}_q")
+            outs.append((bind(conv.id), out))
 
-        for gfm, vi, idx, pidx in self._gfms:
-            out = None if outputs is None else {}
-            f[idx], f[idx + 1], f[idx + 2], i_d, i_q = gfm_rates(
-                w0, xs[idx], xs[idx + 1], xs[idx + 2], xs[vi], xs[vi + 1],
-                pv[pidx[0]], pv[pidx[1]], pv[pidx[2]], pv[pidx[3]],
-                pv[pidx[4]], gfm.r_v, gfm.l_v, gfm.tau_p, gfm.tau_q, out)
-            f[vi] += i_d
-            f[vi + 1] += i_q
-            if outputs is not None:
-                outputs[gfm.id] = out
+        for k, (gfm, vi, idx, pidx) in enumerate(self._gfms):
+            out = f"h{k}_out"
+            body.append(f"{out} = None if outputs is None else {{}}")
+            gains = ", ".join(f"p{j}" for j in pidx)
+            consts = ", ".join(bind(getattr(gfm, name))
+                               for name in ("r_v", "l_v", "tau_p", "tau_q"))
+            body.append(f"f{idx}, f{idx + 1}, f{idx + 2}, h{k}_d, h{k}_q = "
+                        f"gfm_rates(w0, x{idx}, x{idx + 1}, x{idx + 2}, "
+                        f"x{vi}, x{vi + 1}, {gains}, {consts}, {out})")
+            inject(vi, f"+ h{k}_d", f"+ h{k}_q")
+            outs.append((bind(gfm.id), out))
 
         for vi, wc in self._free_buses:
-            f[vi] += wc * xs[vi + 1]
-            f[vi + 1] -= wc * xs[vi]
-        for vi, e_d, e_q in pins:
-            f[vi] = e_d - xs[vi]
-            f[vi + 1] = e_q - xs[vi + 1]
-        return np.fromiter(f, float, self.n)
+            wc = bind(wc)
+            inject(vi, f"+ {wc} * x{vi + 1}", f"- {wc} * x{vi}")
+        body += [f"f{row} = " + " ".join(["0.0", *terms])
+                 for row, terms in kcl.items() if row not in pins]
+        body += [f"f{row} = {expr}" for row, expr in pins.items()]
+        if outs:
+            body += ["if outputs is not None:",
+                     *(f"    outputs[{key}] = {value}" for key, value in outs)]
+        n_p = len(self.params0.names)
+        lines = ["def bind(env):",
+                 f"    {', '.join(labels)}, = env",
+                 "    def kernel(x, p, outputs):",
+                 f"        {', '.join(f'x{i}' for i in range(self.n))}, = x",
+                 f"        {', '.join(f'p{i}' for i in range(n_p))}, = p",
+                 *(f"        {line}" for line in body),
+                 f"        return [{', '.join(f'f{i}' for i in range(self.n))}]",
+                 "    return kernel",
+                 ""]
+        return "\n".join(lines), tuple(env)
 
     def _activity_impl(self, x, p: Params):
         if not self._gfls:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 
-__all__ = ["ValGains", "DvalRealization", "qval_correction", "dval_realization"]
+__all__ = ["ValGains", "DvalRealization", "qval_correction", "dval_realization",
+           "dval_rate"]
 
 
 @dataclass(frozen=True)

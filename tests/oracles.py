@@ -2,14 +2,21 @@
 against: analytic slopes of the smooth limits, the ideal hard clip they
 converge to, the steady-state induction-machine circuit, the frame
 rotation of an assembled network, its active-power balance, the
-additivity of the complex-frequency blocks and a boundary row from the
-whole branch."""
+additivity of the complex-frequency blocks, a boundary row from the
+whole branch and the residual of an assembled network from a loop over
+its devices."""
+
+import math
 
 import numpy as np
 
 from adnlab.contin import BoundaryRow, continue_branch, locate_all
+from adnlab.converters import gfl_rates, gfm_rates, pll_project
 from adnlab.engine import newton_equilibrium
 from adnlab.errors import NonConvergenceError, SingularJacobianError
+from adnlab.limits import SmoothLimiter
+from adnlab.network import im_rates, ltc_rate, zip_injection
+from adnlab.val import dval_rate, qval_correction
 
 
 def sat_slope(lim, x):
@@ -177,3 +184,127 @@ def full_trace_boundary_row(sys, param1, param2, value, settings, params):
         return BoundaryRow(float(value), "none", float("nan"))
     first = min(records, key=lambda r: r.s)
     return BoundaryRow(float(value), first.kind, first.lam)
+
+
+def reference_residual(sys, x, p, outputs=None):
+    """Residual of an assembled network from a loop over its devices, as
+    :class:`adnlab.network.AssembledSystem` evaluated it before its kernel
+    was generated; ``outputs``, when given, receives every device's
+    auxiliary outputs.  A converter whose ``i_max`` differs from its
+    cached limiter gets a fresh one, and the cache is left alone."""
+    w0 = sys.omega0
+    xs = np.asarray(x, dtype=float).tolist()
+    pv = p.values.tolist()
+    lam = pv[0]
+    f = [0.0] * sys.n
+    pins = []              # source rows of pinned buses, set last
+
+    for vf, vt, idx, ip_r, ip_l in sys._branches:
+        i_d, i_q = xs[idx], xs[idx + 1]
+        r, l = pv[ip_r], pv[ip_l]
+        f[idx] = xs[vf] - xs[vt] - r * i_d + w0 * l * i_q
+        f[idx + 1] = xs[vf + 1] - xs[vt + 1] - r * i_q - w0 * l * i_d
+        f[vf] -= i_d
+        f[vf + 1] -= i_q
+        f[vt] += i_d
+        f[vt + 1] += i_q
+
+    for (vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
+         ip_off) in sys._sources:
+        theta = pv[ip_th] + xs[th_idx] if th_idx >= 0 else pv[ip_th]
+        e_d = pv[ip_e] * math.cos(theta)
+        e_q = pv[ip_e] * math.sin(theta)
+        if th_idx >= 0:
+            f[th_idx] = pv[ip_off]
+        if i_idx < 0:
+            pins.append((vi, e_d, e_q))
+        else:
+            i_d, i_q = xs[i_idx], xs[i_idx + 1]
+            r_g, l_g = pv[ip_rg], pv[ip_lg]
+            f[i_idx] = e_d - xs[vi] - r_g * i_d + w0 * l_g * i_q
+            f[i_idx + 1] = e_q - xs[vi + 1] - r_g * i_q - w0 * l_g * i_d
+            f[vi] += i_d
+            f[vi + 1] += i_q
+
+    for ltc, vf, vt, idx, ip_vref, l_t in sys._ltcs:
+        i_d, i_q, n_tap = xs[idx], xs[idx + 1], xs[idx + 2]
+        f[idx] = n_tap * xs[vf] - xs[vt] + w0 * l_t * i_q
+        f[idx + 1] = n_tap * xs[vf + 1] - xs[vt + 1] - w0 * l_t * i_d
+        f[idx + 2] = ltc_rate(ltc, math.hypot(xs[vt], xs[vt + 1]), n_tap,
+                              pv[ip_vref])
+        f[vf] -= n_tap * i_d
+        f[vf + 1] -= n_tap * i_q
+        f[vt] += i_d
+        f[vt + 1] += i_q
+
+    for m, vi, idx, ip_tm, t0p in sys._machines:
+        f[idx], f[idx + 1], f[idx + 2], i_d, i_q = im_rates(
+            m, xs[vi], xs[vi + 1], xs[idx], xs[idx + 1], xs[idx + 2], lam,
+            pv[ip_tm], t0p, w0)
+        f[vi] -= i_d
+        f[vi + 1] -= i_q
+        if outputs is not None:
+            outputs[f"{m.id}.i"] = (i_d, i_q)
+
+    for load, vi in sys._zips:
+        i_d, i_q = zip_injection(load, xs[vi], xs[vi + 1], lam)
+        f[vi] -= i_d
+        f[vi + 1] -= i_q
+        if outputs is not None:
+            outputs[f"{load.id}.i"] = (i_d, i_q)
+
+    for k, (conv, vi, idx, pidx, val_idx, real, vm_idx,
+            dv_idx) in enumerate(sys._gfls):
+        vd, vq = xs[vi], xs[vi + 1]
+        if vm_idx >= 0:
+            vm_d, vm_q = xs[vm_idx], xs[vm_idx + 1]
+        else:
+            vm_d, vm_q = pll_project(vd, vq, xs[idx])
+        corr_d = corr_q = 0.0
+        if val_idx is not None:
+            dv_d = pv[val_idx[2]] - vm_d
+            dv_q = -vm_q
+            corr_d, corr_q = qval_correction(pv[val_idx[0]],
+                                             pv[val_idx[1]], dv_d, dv_q)
+        elif real is not None:
+            corr_d, corr_q = xs[dv_idx], xs[dv_idx + 1]
+        # pidx: consecutive indices in GFL_PARAMS order, i_max last
+        i_max = pv[pidx[-1]]
+        lim = sys._limiters[k]
+        if lim.limit != i_max:
+            lim = SmoothLimiter(i_max, conv.limiter_k)
+        out = None if outputs is None else {}
+        rates = gfl_rates(w0, *xs[idx:idx + 6], vd, vq, vm_d, vm_q,
+                          corr_d, corr_q, *pv[pidx[0]:pidx[-1]], lim,
+                          conv.l_f, conv.r_f, out)
+        f[idx:idx + 6] = rates[:6]
+        if vm_idx >= 0:
+            f[vm_idx], f[vm_idx + 1] = rates[6], rates[7]
+        if real is not None:
+            dv_d = conv.val.v_nom - vm_d
+            dv_q = -vm_q
+            f[dv_idx], f[dv_idx + 1] = dval_rate(
+                real, xs[dv_idx], xs[dv_idx + 1], dv_d, dv_q, w0)
+        f[vi] += rates[8]
+        f[vi + 1] += rates[9]
+        if outputs is not None:
+            outputs[conv.id] = out
+
+    for gfm, vi, idx, pidx in sys._gfms:
+        out = None if outputs is None else {}
+        f[idx], f[idx + 1], f[idx + 2], i_d, i_q = gfm_rates(
+            w0, xs[idx], xs[idx + 1], xs[idx + 2], xs[vi], xs[vi + 1],
+            pv[pidx[0]], pv[pidx[1]], pv[pidx[2]], pv[pidx[3]],
+            pv[pidx[4]], gfm.r_v, gfm.l_v, gfm.tau_p, gfm.tau_q, out)
+        f[vi] += i_d
+        f[vi + 1] += i_q
+        if outputs is not None:
+            outputs[gfm.id] = out
+
+    for vi, wc in sys._free_buses:
+        f[vi] += wc * xs[vi + 1]
+        f[vi + 1] -= wc * xs[vi]
+    for vi, e_d, e_q in pins:
+        f[vi] = e_d - xs[vi]
+        f[vi + 1] = e_q - xs[vi + 1]
+    return np.fromiter(f, float, sys.n)

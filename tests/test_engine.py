@@ -43,6 +43,16 @@ class TestParams:
         with pytest.raises(ValueError):
             p.values[0] = 3.0
 
+    def test_floats_are_the_values_as_one_tuple(self):
+        p = Params(("a", "b"), [1, 2.5])
+        assert isinstance(p.floats, tuple)
+        assert list(p.floats) == p.values.tolist()
+        assert all(type(v) is float for v in p.floats)
+        q = p.with_value("b", 5.0)
+        assert q.floats == (1.0, 5.0) and q.floats is not p.floats
+        assert p.floats == (1.0, 2.5)
+        assert p.with_values({"a": 3.0}).floats == (3.0, 2.5)
+
 
 class TestJacobianFd:
     def test_linear_system_exact(self):

@@ -6,17 +6,31 @@ reject it, but only as a ``ModelValidationError``: never as a
 device constant the residual divides by is checked when the model is
 built.  And the residual is a pure function of ``(x, p)``: it leaves
 ``x`` alone, returns a fresh array and repeats bit for bit.
+
+The residual comes from a kernel generated per layout.  It gives the
+bits of the device loop in ``tests/oracles.py``, its source holds no
+scenario text, and it looks the device functions up at call time.
 """
 
 import json
+import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from adnlab import network
 from adnlab.cli import EXIT_NUMERICAL, run_command
-from adnlab.errors import ModelValidationError
+from adnlab.converters import GflConverter, GfmDroop
+from adnlab.engine import jacobian_fd
+from adnlab.errors import ModelValidationError, NonConvergenceError
+from adnlab.network import (Bus, GridSource, InductionMachine, LtcTransformer,
+                            NetworkModel, RlBranch, ZipLoad)
 from adnlab.scenario import load_scenario
+from adnlab.val import ValGains
+from feeders import MIXED_ZIP
+from oracles import reference_residual
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIOS = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
@@ -105,3 +119,143 @@ def test_divisor_that_underflows_is_one_error_line(tmp_path, capsys, family,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "underflows" in err
     assert err.count("\n") == 1
+
+
+def _bits(value):
+    """A float, or a tuple or dict of them, as comparable bytes; dict
+    entries keep their order."""
+    if isinstance(value, dict):
+        return [(key, _bits(v)) for key, v in value.items()]
+    if isinstance(value, tuple):
+        return [_bits(v) for v in value]
+    return struct.pack("<d", value)
+
+
+def _generated(sys, x, q):
+    return sys.residual(x, q), sys.outputs(x, q)
+
+
+def _reference(sys, x, q):
+    out = {}
+    f = reference_residual(sys, x, q)
+    reference_residual(sys, x, q, out)
+    return f, out
+
+
+def _outcome(evaluate, sys, x, q):
+    """The residual and outputs as bytes, or the model error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            f, out = evaluate(sys, x, q)
+    except ModelValidationError as exc:
+        return repr(exc)
+    return f.tobytes(), _bits(out)
+
+
+@pytest.mark.parametrize("rotating", [False, True])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_kernel_matches_the_reference_loop(name, rotating):
+    sys, p = _system(name, rotating)
+    rng = np.random.default_rng(11)
+    x0 = sys.initial_guess()
+    states = [x0 + scale * rng.standard_normal(sys.n)
+              for scale in (0.0, 0.05, 0.05, 0.5, 0.5)]
+    params = [p] + [p.with_value(param, value) for param in p.names
+                    for value in (0.0, -1.0)]
+    for q in params:
+        for x in states:
+            assert (_outcome(_generated, sys, x, q)
+                    == _outcome(_reference, sys, x, q))
+
+
+HOSTILE = "'\"\n__import__('os').system('true')"
+
+
+def _every_device_model(name):
+    """A network with every device kind and layout case: a pinned and a
+    rotating Thevenin source, an LTC, a machine, a ZIP load, GFL
+    converters without a measurement filter, with QVAL and with DVAL,
+    and a GFM.  ``name`` maps each plain id to the id used."""
+    b = [name(f"b{i}") for i in range(5)]
+    gains = ValGains(g_v=1.0, b_v=-0.5)
+    return NetworkModel(
+        buses=tuple(Bus(i) for i in b),
+        branches=tuple(RlBranch(name(f"l{i}"), b[i], b[i + 1], r=0.04,
+                                l=1e-4) for i in (1, 2, 3)),
+        sources=(GridSource(name("grid"), b[0]),
+                 GridSource(name("thev"), b[4], r_g=0.01, l_g=2.5e-4,
+                            rotating=True)),
+        ltcs=(LtcTransformer(name("ltc"), b[0], b[1], x_t=0.08),),
+        zip_loads=(ZipLoad(name("z"), b[2], p0=0.2, q0=0.05, **MIXED_ZIP),),
+        machines=(InductionMachine(name("im"), b[3]),),
+        gfls=(GflConverter(name("pll"), b[2], tau_meas=0.0),
+              GflConverter(name("q"), b[3], val_mode="qval", val=gains),
+              GflConverter(name("d"), b[4], val_mode="dval", val=gains)),
+        gfms=(GfmDroop(name("gfm"), b[1]),),
+    )
+
+
+def test_hostile_ids_reach_no_source_and_change_no_bits():
+    plain = _every_device_model(lambda i: i).build(rotating_sources=True)
+    hostile = _every_device_model(
+        lambda i: i + HOSTILE).build(rotating_sources=True)
+    source, _ = hostile._kernel_source()
+    assert source == plain._kernel_source()[0]
+    for text in ("'", '"', "__import__", "system"):
+        assert text not in source
+    p = plain.params0
+    q = hostile.params0
+    assert q.floats == p.floats
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        x = plain.initial_guess() + 0.05 * rng.standard_normal(plain.n)
+        assert hostile.residual(x, q).tobytes() == \
+            plain.residual(x, p).tobytes()
+        assert _outcome(_generated, hostile, x, q) == \
+            _outcome(_reference, hostile, x, q)
+        assert _bits(hostile.outputs(x, q)) == [
+            (key.replace(".", HOSTILE + ".", 1) if "." in key
+             else key + HOSTILE, value)
+            for key, value in _bits(plain.outputs(x, p))]
+    # an evaluation error names the same state, under its hostile name
+    x = plain.initial_guess()
+    x[plain.state_index("b2.vd")] = np.nan
+    errors = []
+    for sys, params in ((plain, p), (hostile, q)):
+        with pytest.raises(NonConvergenceError) as exc:
+            jacobian_fd(sys, x, params)
+        errors.append(exc.value)
+    renamed = str(errors[0])
+    for old, new in zip(plain.state_names, hostile.state_names):
+        renamed = renamed.replace(repr(old), repr(new))
+    assert str(errors[1]) == renamed
+    assert errors[1].worst_name == hostile.state_names[
+        plain.state_index(errors[0].worst_name)]
+    assert HOSTILE in errors[1].worst_name
+    with pytest.raises(ModelValidationError, match="limiter magnitude"):
+        hostile.residual(hostile.initial_guess(),
+                         q.with_value(f"pll{HOSTILE}.i_max", 0.0))
+
+
+def test_device_functions_are_looked_up_at_call_time(monkeypatch):
+    sys, p = _system("showcase")
+    x = sys.initial_guess()
+    sys.residual(x, p)              # the kernel exists before the wrappers
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(network, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("gfl_rates", "zip_injection"):
+        monkeypatch.setattr(network, name, counting(name))
+    sys.residual(x, p)
+    sys.outputs(x, p)
+    jacobian_fd(sys, x, p)
+    evaluations = 2 + 2 * len(sys.column_groups())
+    assert calls == {"gfl_rates": len(sys.model.gfls) * evaluations,
+                     "zip_injection": len(sys.model.zip_loads) * evaluations}
