@@ -297,7 +297,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _grid_spec(text: str):
-    """``a:b:n`` with finite ``a < b`` and ``1 <= n <= MAX_GRID_POINTS``."""
+    """``a:b:n`` with finite ``a < b`` and ``1 <= n <= MAX_GRID_POINTS``
+    whose ``n`` evenly spaced points are finite and strictly increasing:
+    a span that overflows, or one too narrow to hold ``n`` distinct
+    floats, is rejected here."""
     try:
         lo, hi, num = text.split(":")
         lo, hi, num = float(lo), float(hi), int(num)
@@ -305,10 +308,16 @@ def _grid_spec(text: str):
             and 1 <= num <= MAX_GRID_POINTS
     except ValueError:
         valid = False
+    if valid:
+        with np.errstate(all="ignore"):
+            points = np.linspace(lo, hi, num)
+            valid = bool(np.isfinite(points).all()
+                         and (np.diff(points) > 0.0).all())
     if not valid:
         raise argparse.ArgumentTypeError(
-            f"grid spec must be a:b:n with finite a < b and 1 <= n <= "
-            f"{MAX_GRID_POINTS}, got {text!r}")
+            f"grid spec must be a:b:n with finite a < b, 1 <= n <= "
+            f"{MAX_GRID_POINTS} and n distinct finite points from a to b, "
+            f"got {text!r}")
     return lo, hi, num
 
 

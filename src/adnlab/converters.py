@@ -130,7 +130,9 @@ def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
     voltage used by the complex-frequency decomposition and the limiter
     activity.
     """
-    v_pll_d, v_pll_q = pll_project(vd, vq, theta)
+    # pll_project written out: the injection rotation reuses the pair
+    c, s = math.cos(theta), math.sin(theta)
+    v_pll_d, v_pll_q = vd * c + vq * s, -vd * s + vq * c
     omega_pll = omega0 + kp_pll * v_pll_q + eps
     vmag = math.hypot(vm_d, vm_q)
     veff = max(vmag, V_FLOOR)
@@ -145,7 +147,6 @@ def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
     iref_d, iref_q = sat_vector(lim, raw_d, raw_q)
     e_d = iref_d - i_d
     e_q = iref_q - i_q
-    c, s = math.cos(theta), math.sin(theta)
     rates = (omega_pll - omega0,
              ki_pll * v_pll_q,
              kp_cc * e_d + xi_d - r_f * i_d,      # mass l_f

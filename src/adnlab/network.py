@@ -366,17 +366,25 @@ class AssembledSystem(DaeSystem):
 
     State layout: bus voltage pairs, then branch currents, source currents
     (Thevenin only) and angles (rotating only), LTC current/tap, machine
-    (slip, e') triples, GFL converter states and GFM droop states.  Each
-    state is declared once, with its mass and initial guess.  All
-    runtime-variable quantities are read from the parameter vector through
-    indices precomputed here, and the shunt terms of the bus rows and each
-    converter's limiter are set up here too.  From this layout the system
-    generates one straight-line residual kernel (:meth:`_kernel_source`),
-    compiled on the first evaluation; an evaluation passes it the states
-    and the parameter values as Python floats and converts the residual
-    to an array once.  The layout also declares, row by row, the
-    states each residual row reads: the sparsity pattern that
-    :func:`~adnlab.engine.jacobian_fd` colours.
+    (slip, e') triples, GFL converter states and GFM droop states.  One
+    walk over the devices declares, device by device and side by side,
+    its states (with mass and initial guess), its parameters, the states
+    each of its residual rows reads (the sparsity pattern that
+    :func:`~adnlab.engine.jacobian_fd` colours), its terms in the KCL rows
+    of its buses and its lines of one straight-line residual kernel.
+
+    The kernel source defines ``bind(env)``, which unpacks ``env`` into
+    names and returns ``kernel(x, p, outputs)``.  The kernel reads the
+    states and the parameter values as Python floats into locals
+    ``x0 ...`` and ``p0 ...`` and returns the residual as a list.  Each
+    device kernel is called once per device, by its name in this module,
+    so a wrapper set on that name after build sees the call.  The KCL row
+    of a free bus sums its device injections from ``0.0`` in device order
+    and adds the shunt term last.  Device objects, ids, float constants
+    and the cache of each converter's limiter reach the kernel through
+    ``env``, so the source holds no scenario text.  The source is written
+    at build and compiled on the first evaluation, once per layout; an
+    evaluation converts the residual to an array once.
     """
 
     def __init__(self, model: NetworkModel, rotating_sources: bool = False):
@@ -389,14 +397,21 @@ class AssembledSystem(DaeSystem):
         mass_param = []        # (state index, parameter index)
         guess = []
         pnames, pvals = ["lambda"], [1.0]
+        lims = []              # per converter, its limiter at the last i_max
+        labels, env = ["w0", "lims"], [w0, lims]     # what the kernel binds
+        body = []              # kernel lines
+        kcl = {}               # free bus row -> its terms, in device order
+        pins = {}              # bus row -> source row of a pinned bus
+        outs = []              # (bound output key, value), in device order
 
         def add_states(dev_id, *states):
             """Declare the states ``(name, mass, initial guess)`` of one
-            device, labelled ``dev_id.name``; a mass given as text is the
-            parameter of that name.  Return the first state's index."""
+            device, labelled ``dev_id.name``; a mass given as a kernel
+            local ``p{j}`` is that parameter.  Return the first state's
+            index."""
             for name, mass, x0 in states:
                 if isinstance(mass, str):
-                    mass_param.append((len(names), pnames.index(mass)))
+                    mass_param.append((len(names), int(mass[1:])))
                     mass = 0.0
                 names.append(f"{dev_id}.{name}")
                 reads.append(set())
@@ -405,9 +420,16 @@ class AssembledSystem(DaeSystem):
             return len(names) - len(states)
 
         def add_param(name, value):
+            """Declare a parameter; return its kernel local ``p{j}``."""
             pnames.append(name)
             pvals.append(float(value))
-            return len(pnames) - 1
+            return f"p{len(pnames) - 1}"
+
+        def bind(obj):
+            """Pass ``obj`` to the kernel in ``env``; return its name."""
+            labels.append(f"k{len(labels)}")
+            env.append(obj)
+            return labels[-1]
 
         self.bus_ids = tuple(b.id for b in model.buses)
         self.vidx = {}
@@ -419,100 +441,118 @@ class AssembledSystem(DaeSystem):
                         f"bus {src.bus!r} pinned by more than one source")
                 pinned.add(src.bus)
 
-        def inject(bus_id, d_reads, q_reads):
-            """Declare what a device's injection reads in its bus's KCL
-            rows; a pinned bus has source rows instead."""
+        def inject(bus_id, d_reads, q_reads, d_term, q_term):
+            """Add a device's injection to the KCL rows of its bus: the
+            states each row reads and the kernel term; a pinned bus has
+            source rows instead."""
             if bus_id not in pinned:
                 vi = self.vidx[bus_id]
                 reads[vi].update(d_reads)
                 reads[vi + 1].update(q_reads)
+                kcl.setdefault(vi, []).append(d_term)
+                kcl.setdefault(vi + 1, []).append(q_term)
 
         for bus in model.buses:
             c = 0.0 if bus.id in pinned else bus.b_sh / w0
-            vi = self.vidx[bus.id] = add_states(
+            self.vidx[bus.id] = add_states(
                 bus.id, ("vd", c, bus.v_d), ("vq", c, bus.v_q))
-            inject(bus.id, {vi + 1}, {vi})    # shunt
-        # KCL rows of the buses no source pins: (first row, w0 * c)
-        self._free_buses = tuple((self.vidx[b.id], w0 * (b.b_sh / w0))
-                                 for b in model.buses if b.id not in pinned)
 
-        self._branches = []
         for br in model.branches:
-            ip_r = add_param(f"{br.id}.r", br.r)
-            ip_l = add_param(f"{br.id}.l", br.l)
-            l = f"{br.id}.l"
+            r = add_param(f"{br.id}.r", br.r)
+            l = add_param(f"{br.id}.l", br.l)
             idx = add_states(br.id, ("id", l, 0.0), ("iq", l, 0.0))
             vf, vt = self.vidx[br.from_bus], self.vidx[br.to_bus]
             reads[idx].update((vf, vt, idx, idx + 1))
             reads[idx + 1].update((vf + 1, vt + 1, idx, idx + 1))
-            inject(br.from_bus, {idx}, {idx + 1})
-            inject(br.to_bus, {idx}, {idx + 1})
-            self._branches.append((vf, vt, idx, ip_r, ip_l))
+            i_d, i_q = f"x{idx}", f"x{idx + 1}"
+            body += [f"f{idx} = x{vf} - x{vt} - {r} * {i_d} + w0 * {l} * {i_q}",
+                     f"f{idx + 1} = x{vf + 1} - x{vt + 1} - {r} * {i_q} "
+                     f"- w0 * {l} * {i_d}"]
+            inject(br.from_bus, {idx}, {idx + 1}, f"- {i_d}", f"- {i_q}")
+            inject(br.to_bus, {idx}, {idx + 1}, f"+ {i_d}", f"+ {i_q}")
 
-        self._sources = []
-        for src in model.sources:
+        for k, src in enumerate(model.sources):
             vi = self.vidx[src.bus]
-            ip_e = add_param(f"{src.id}.e_mag", src.e_mag)
-            ip_th = add_param(f"{src.id}.theta", 0.0)
-            i_idx = th_idx = -1
-            ip_rg = ip_lg = ip_off = -1
+            e_mag = add_param(f"{src.id}.e_mag", src.e_mag)
+            theta = add_param(f"{src.id}.theta", 0.0)
             if not src.pinned:
-                ip_rg = add_param(f"{src.id}.r_g", src.r_g)
-                ip_lg = add_param(f"{src.id}.l_g", src.l_g)
-                l_g = f"{src.id}.l_g"
+                r_g = add_param(f"{src.id}.r_g", src.r_g)
+                l_g = add_param(f"{src.id}.l_g", src.l_g)
                 i_idx = add_states(src.id, ("id", l_g, 0.0), ("iq", l_g, 0.0))
+            emf = set()
             if rotating_sources and src.rotating:
                 th_idx = add_states(src.id, ("theta_g", 1.0, 0.0))
-                ip_off = add_param(f"{src.id}.omega_offset", 0.0)
-            emf = {th_idx} if th_idx >= 0 else set()
-            if i_idx < 0:
+                off = add_param(f"{src.id}.omega_offset", 0.0)
+                emf = {th_idx}
+                body += [f"e{k}_th = {theta} + x{th_idx}", f"f{th_idx} = {off}"]
+                theta = f"e{k}_th"
+            e_d, e_q = f"e{k}_d", f"e{k}_q"
+            body += [f"{e_d} = {e_mag} * math.cos({theta})",
+                     f"{e_q} = {e_mag} * math.sin({theta})"]
+            if src.pinned:
                 reads[vi].update(emf | {vi})
                 reads[vi + 1].update(emf | {vi + 1})
-            else:
-                reads[i_idx].update(emf | {vi, i_idx, i_idx + 1})
-                reads[i_idx + 1].update(emf | {vi + 1, i_idx, i_idx + 1})
-                inject(src.bus, {i_idx}, {i_idx + 1})
-            self._sources.append((vi, i_idx, th_idx, ip_e, ip_th, ip_rg,
-                                  ip_lg, ip_off))
+                pins[vi] = f"{e_d} - x{vi}"
+                pins[vi + 1] = f"{e_q} - x{vi + 1}"
+                continue
+            reads[i_idx].update(emf | {vi, i_idx, i_idx + 1})
+            reads[i_idx + 1].update(emf | {vi + 1, i_idx, i_idx + 1})
+            i_d, i_q = f"x{i_idx}", f"x{i_idx + 1}"
+            body += [f"f{i_idx} = {e_d} - x{vi} - {r_g} * {i_d} "
+                     f"+ w0 * {l_g} * {i_q}",
+                     f"f{i_idx + 1} = {e_q} - x{vi + 1} - {r_g} * {i_q} "
+                     f"- w0 * {l_g} * {i_d}"]
+            inject(src.bus, {i_idx}, {i_idx + 1}, f"+ {i_d}", f"+ {i_q}")
 
-        self._ltcs = []
         for ltc in model.ltcs:
             l_t = ltc.x_t / w0
             idx = add_states(ltc.id, ("id", l_t, 0.0), ("iq", l_t, 0.0),
                              ("n", ltc.t_ltc, ltc.n0))
+            v_ref = add_param(f"{ltc.id}.v_ref", ltc.v_ref)
             vf, vt = self.vidx[ltc.from_bus], self.vidx[ltc.to_bus]
             reads[idx].update((vf, vt, idx + 1, idx + 2))
             reads[idx + 1].update((vf + 1, vt + 1, idx, idx + 2))
             reads[idx + 2].update((vt, vt + 1, idx + 2))
-            inject(ltc.from_bus, {idx, idx + 2}, {idx + 1, idx + 2})
-            inject(ltc.to_bus, {idx}, {idx + 1})
-            ip_vref = add_param(f"{ltc.id}.v_ref", ltc.v_ref)
-            self._ltcs.append((ltc, vf, vt, idx, ip_vref, l_t))
+            i_d, i_q, n_tap = f"x{idx}", f"x{idx + 1}", f"x{idx + 2}"
+            l_t = bind(l_t)
+            body += [f"f{idx} = {n_tap} * x{vf} - x{vt} + w0 * {l_t} * {i_q}",
+                     f"f{idx + 1} = {n_tap} * x{vf + 1} - x{vt + 1} "
+                     f"- w0 * {l_t} * {i_d}",
+                     f"f{idx + 2} = ltc_rate({bind(ltc)}, "
+                     f"math.hypot(x{vt}, x{vt + 1}), {n_tap}, {v_ref})"]
+            inject(ltc.from_bus, {idx, idx + 2}, {idx + 1, idx + 2},
+                   f"- {n_tap} * {i_d}", f"- {n_tap} * {i_q}")
+            inject(ltc.to_bus, {idx}, {idx + 1}, f"+ {i_d}", f"+ {i_q}")
 
-        self._machines = []
-        for m in model.machines:
+        for k, m in enumerate(model.machines):
             vi = self.vidx[m.bus]
             t0p = (m.x_r + m.x_m) / (w0 * m.r_r)
             idx = add_states(m.id, ("s", 2.0 * m.h, m.s0), ("ed", t0p, 0.95),
                              ("eq", t0p, 0.0))
+            t_mech = add_param(f"{m.id}.t_mech", m.t_mech)
             stator = {vi, vi + 1, idx + 1, idx + 2}   # the current reads these
             reads[idx].update(stator)
             reads[idx + 1].update(stator | {idx})
             reads[idx + 2].update(stator | {idx})
-            inject(m.bus, stator, stator)
-            ip_tm = add_param(f"{m.id}.t_mech", m.t_mech)
-            self._machines.append((m, vi, idx, ip_tm, t0p))
+            i_d, i_q = f"m{k}_d", f"m{k}_q"
+            body.append(f"f{idx}, f{idx + 1}, f{idx + 2}, {i_d}, {i_q} = "
+                        f"im_rates({bind(m)}, x{vi}, x{vi + 1}, x{idx}, "
+                        f"x{idx + 1}, x{idx + 2}, p0, {t_mech}, {bind(t0p)}, "
+                        "w0)")
+            inject(m.bus, stator, stator, f"- {i_d}", f"- {i_q}")
+            outs.append((bind(f"{m.id}.i"), f"({i_d}, {i_q})"))
 
-        self._zips = []
-        for load in model.zip_loads:
+        for k, load in enumerate(model.zip_loads):
             vi = self.vidx[load.bus]
-            inject(load.bus, {vi, vi + 1}, {vi, vi + 1})
-            self._zips.append((load, vi))
+            i_d, i_q = f"z{k}_d", f"z{k}_q"
+            body.append(f"{i_d}, {i_q} = zip_injection({bind(load)}, x{vi}, "
+                        f"x{vi + 1}, p0)")
+            inject(load.bus, {vi, vi + 1}, {vi, vi + 1}, f"- {i_d}", f"- {i_q}")
+            outs.append((bind(f"{load.id}.i"), f"({i_d}, {i_q})"))
 
         GFL_PARAMS = ("p_ref", "q0", "kq", "v_ref", "kp_pll", "ki_pll",
                       "kp_cc", "ki_cc", "k_aw", "i_max")
-        self._gfls = []
-        for conv in model.gfls:
+        for k, conv in enumerate(model.gfls):
             vi = self.vidx[conv.bus]
             i_q = -(conv.q0 + conv.kq * (conv.v_ref - 1.0))
             idx = add_states(conv.id, ("theta", 1.0, 0.0), ("eps", 1.0, 0.0),
@@ -520,69 +560,119 @@ class AssembledSystem(DaeSystem):
                              ("iq", conv.l_f, i_q),
                              ("xid", 1.0, conv.r_f * conv.p_ref),
                              ("xiq", 1.0, conv.r_f * i_q))
-            pidx = tuple(add_param(f"{conv.id}.{nm}", getattr(conv, nm))
-                         for nm in GFL_PARAMS)
+            *gains, i_max = (add_param(f"{conv.id}.{nm}", getattr(conv, nm))
+                             for nm in GFL_PARAMS)
+            gains = ", ".join(gains)
+            out = f"g{k}_out"
+            body.append(f"{out} = None if outputs is None else {{}}")
             v_pll = {vi, vi + 1, idx}       # bus voltage in the PLL frame
-            vm_d = vm_q = v_pll
-            vm_idx = -1
             if conv.tau_meas > 0.0:
-                vm_idx = add_states(conv.id, ("vmd", conv.tau_meas, 1.0),
-                                    ("vmq", conv.tau_meas, 0.0))
-                vm_d, vm_q = {vm_idx}, {vm_idx + 1}
-                reads[vm_idx].update(v_pll | vm_d)
-                reads[vm_idx + 1].update(v_pll | vm_q)
-            corr = set()
-            val_idx = None
-            real = None
-            dv_idx = -1
+                vm = add_states(conv.id, ("vmd", conv.tau_meas, 1.0),
+                                ("vmq", conv.tau_meas, 0.0))
+                reads[vm].update(v_pll | {vm})
+                reads[vm + 1].update(v_pll | {vm + 1})
+                vm_d, vm_q = f"x{vm}", f"x{vm + 1}"
+                vm_rows = f"f{vm}, f{vm + 1}"
+                md, mq = {vm}, {vm + 1}     # the states vm_d, vm_q read
+            else:
+                vm_d, vm_q, vm_rows = f"g{k}_vd", f"g{k}_vq", "_, _"
+                md = mq = v_pll
+                body.append(f"{vm_d}, {vm_q} = pll_project(x{vi}, x{vi + 1}, "
+                            f"x{idx})")
+            corr, corr_reads = "0.0, 0.0", set()
             if conv.val_mode == "qval":
-                val_idx = (add_param(f"{conv.id}.g_v", conv.val.g_v),
-                           add_param(f"{conv.id}.b_v", conv.val.b_v),
-                           add_param(f"{conv.id}.v_nom", conv.val.v_nom))
-                corr = vm_d | vm_q
+                g_v, b_v, v_nom = (add_param(f"{conv.id}.{nm}",
+                                             getattr(conv.val, nm))
+                                   for nm in ("g_v", "b_v", "v_nom"))
+                corr, corr_reads = f"g{k}_cd, g{k}_cq", md | mq
+                body.append(f"{corr} = qval_correction({g_v}, {b_v}, "
+                            f"{v_nom} - {vm_d}, -{vm_q})")
             elif conv.val_mode == "dval":
                 real = dval_realization(conv.val.g_v, conv.val.b_v, w0)
-                dv_idx = add_states(conv.id, ("ivd", real.l_mag, 0.0),
-                                    ("ivq", real.l_mag, 0.0))
-                corr = {dv_idx, dv_idx + 1}
-                reads[dv_idx].update(vm_d | corr)
-                reads[dv_idx + 1].update(vm_q | corr)
-            iref = vm_d | vm_q | corr       # the limited current reference
+                dv = add_states(conv.id, ("ivd", real.l_mag, 0.0),
+                                ("ivq", real.l_mag, 0.0))
+                corr, corr_reads = f"x{dv}, x{dv + 1}", {dv, dv + 1}
+                reads[dv].update(md | corr_reads)
+                reads[dv + 1].update(mq | corr_reads)
+            iref = md | mq | corr_reads     # the limited current reference
             reads[idx].update(v_pll | {idx + 1})
             reads[idx + 1].update(v_pll)
             reads[idx + 2].update(iref | {idx + 2, idx + 4})
             reads[idx + 3].update(iref | {idx + 3, idx + 5})
             reads[idx + 4].update(iref | {idx + 2})
             reads[idx + 5].update(iref | {idx + 3})
-            inject(conv.bus, {idx, idx + 2, idx + 3}, {idx, idx + 2, idx + 3})
-            self._gfls.append((conv, vi, idx, pidx, val_idx, real, vm_idx,
-                               dv_idx))
-        # the limiter of each converter, rebuilt when its i_max changes
-        self._limiters = [SmoothLimiter(conv.i_max, conv.limiter_k)
-                          for conv in model.gfls]
+            lims.append(SmoothLimiter(conv.i_max, conv.limiter_k))
+            lim = f"g{k}_lim"
+            states = ", ".join(f"x{idx + j}" for j in range(6))
+            rows = ", ".join(f"f{idx + j}" for j in range(6))
+            body += [f"{lim} = lims[{k}]",
+                     f"if {lim}.limit != {i_max}:",
+                     f"    {lim} = lims[{k}] = SmoothLimiter({i_max}, "
+                     f"{bind(conv.limiter_k)})",
+                     f"{rows}, {vm_rows}, g{k}_d, g{k}_q = gfl_rates(w0, "
+                     f"{states}, x{vi}, x{vi + 1}, {vm_d}, {vm_q}, {corr}, "
+                     f"{gains}, {lim}, {bind(conv.l_f)}, {bind(conv.r_f)}, "
+                     f"{out})"]
+            if conv.val_mode == "dval":
+                body.append(f"f{dv}, f{dv + 1} = dval_rate({bind(real)}, "
+                            f"x{dv}, x{dv + 1}, {bind(conv.val.v_nom)} - "
+                            f"{vm_d}, -{vm_q}, w0)")
+            inject(conv.bus, {idx, idx + 2, idx + 3}, {idx, idx + 2, idx + 3},
+                   f"+ g{k}_d", f"+ g{k}_q")
+            outs.append((bind(conv.id), out))
 
         GFM_PARAMS = ("m_p", "n_q", "v_set", "p_set", "q_set")
-        self._gfms = []
-        for gfm in model.gfms:
+        for k, gfm in enumerate(model.gfms):
             vi = self.vidx[gfm.bus]
             idx = add_states(gfm.id, ("theta", 1.0, 0.0),
                              ("pf", gfm.tau_p, 0.0), ("qf", gfm.tau_q, 0.0))
-            out = {vi, vi + 1, idx, idx + 2}    # the injection reads these
+            gains = ", ".join(add_param(f"{gfm.id}.{nm}", getattr(gfm, nm))
+                              for nm in GFM_PARAMS)
+            inj = {vi, vi + 1, idx, idx + 2}    # the injection reads these
             reads[idx].add(idx + 1)
-            reads[idx + 1].update(out | {idx + 1})
-            reads[idx + 2].update(out)
-            inject(gfm.bus, out, out)
-            pidx = tuple(add_param(f"{gfm.id}.{nm}", getattr(gfm, nm))
-                         for nm in GFM_PARAMS)
-            self._gfms.append((gfm, vi, idx, pidx))
+            reads[idx + 1].update(inj | {idx + 1})
+            reads[idx + 2].update(inj)
+            out = f"h{k}_out"
+            consts = ", ".join(bind(getattr(gfm, name))
+                               for name in ("r_v", "l_v", "tau_p", "tau_q"))
+            body += [f"{out} = None if outputs is None else {{}}",
+                     f"f{idx}, f{idx + 1}, f{idx + 2}, h{k}_d, h{k}_q = "
+                     f"gfm_rates(w0, x{idx}, x{idx + 1}, x{idx + 2}, "
+                     f"x{vi}, x{vi + 1}, {gains}, {consts}, {out})"]
+            inject(gfm.bus, inj, inj, f"+ h{k}_d", f"+ h{k}_q")
+            outs.append((bind(gfm.id), out))
 
+        for bus in model.buses:
+            if bus.id not in pinned:     # shunt terms, last in each KCL row
+                vi = self.vidx[bus.id]
+                wc = bind(w0 * (bus.b_sh / w0))
+                inject(bus.id, {vi + 1}, {vi}, f"+ {wc} * x{vi + 1}",
+                       f"- {wc} * x{vi}")
+        body += [f"f{row} = " + " ".join(["0.0", *terms])
+                 for row, terms in kcl.items()]
+        body += [f"f{row} = {expr}" for row, expr in pins.items()]
+        if outs:
+            body += ["if outputs is not None:",
+                     *(f"    outputs[{key}] = {value}" for key, value in outs)]
+        n = len(names)
+        self._source = "\n".join([
+            "def bind(env):",
+            f"    {', '.join(labels)}, = env",
+            "    def kernel(x, p, outputs):",
+            f"        {', '.join(f'x{i}' for i in range(n))}, = x",
+            f"        {', '.join(f'p{i}' for i in range(len(pnames)))}, = p",
+            *(f"        {line}" for line in body),
+            f"        return [{', '.join(f'f{i}' for i in range(n))}]",
+            "    return kernel",
+            ""])
+        self._env = tuple(env)
+        self._kernel = None
         self._converters = {c.id: c for c in (*model.gfls, *model.gfms)}
         self._mass_base = np.array(masses, dtype=float)
         self._mass_param = tuple(mass_param)
         self._guess = np.array(guess, dtype=float)
-        self._kernel = None
         params0 = Params(pnames, np.array(pvals))
-        super().__init__(len(names), self._evaluate, self._mass_impl,
+        super().__init__(n, self._evaluate, self._mass_impl,
                          params0, state_names=names,
                          limiter_activity_fn=self._activity_impl,
                          pattern=reads)
@@ -602,178 +692,14 @@ class AssembledSystem(DaeSystem):
         the first evaluation; ``outputs``, when given, receives every
         device's auxiliary outputs."""
         if self._kernel is None:
-            source, env = self._kernel_source()
             scope = {}
-            exec(_compile_kernel(source), globals(), scope)
-            self._kernel = scope["bind"](env)
+            exec(_compile_kernel(self._source), globals(), scope)
+            self._kernel = scope["bind"](self._env)
         return np.fromiter(self._kernel(x.tolist(), p.floats, outputs),
                            float, self.n)
 
-    def _kernel_source(self):
-        """Source of this layout's residual kernel and the objects it
-        binds by name.
-
-        The source defines ``bind(env)``, which unpacks ``env`` into
-        names and returns ``kernel(x, p, outputs)``.  The kernel reads the
-        states ``x`` and the parameter values ``p`` as Python floats into
-        locals ``x0 ...`` and ``p0 ...`` and returns the residual as a
-        list.  Branch, source and LTC rows, and the shunt and pin rows of
-        the buses, are written out with literal indices.  Each device
-        kernel is called once per device, by its name in this module, so
-        a wrapper set on that name after build sees the call.  The KCL
-        row of a free bus sums its device injections from ``0.0`` in
-        device order and adds the shunt term last: the float operations,
-        and their order, of the loop in ``tests/oracles.py``.  Device
-        objects, ids and float constants reach the kernel through
-        ``env``, so the source holds no scenario text.
-        """
-        labels, env = ["w0", "lims"], [self.omega0, self._limiters]
-
-        def bind(obj):
-            labels.append(f"k{len(labels)}")
-            env.append(obj)
-            return labels[-1]
-
-        body = []
-        kcl = {}               # bus row -> injection terms, in device order
-        pins = {}              # bus row -> source row of a pinned bus
-        outs = []              # (bound output key, value), in device order
-
-        def inject(vi, d_term, q_term):
-            """Add a device's terms to the KCL rows of the bus at ``vi``."""
-            kcl.setdefault(vi, []).append(d_term)
-            kcl.setdefault(vi + 1, []).append(q_term)
-
-        for vf, vt, idx, ip_r, ip_l in self._branches:
-            i_d, i_q, r, l = f"x{idx}", f"x{idx + 1}", f"p{ip_r}", f"p{ip_l}"
-            body += [f"f{idx} = x{vf} - x{vt} - {r} * {i_d} + w0 * {l} * {i_q}",
-                     f"f{idx + 1} = x{vf + 1} - x{vt + 1} - {r} * {i_q} "
-                     f"- w0 * {l} * {i_d}"]
-            inject(vf, f"- {i_d}", f"- {i_q}")
-            inject(vt, f"+ {i_d}", f"+ {i_q}")
-
-        for k, (vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
-                ip_off) in enumerate(self._sources):
-            e_d, e_q, theta = f"e{k}_d", f"e{k}_q", f"p{ip_th}"
-            if th_idx >= 0:
-                body += [f"e{k}_th = p{ip_th} + x{th_idx}",
-                         f"f{th_idx} = p{ip_off}"]
-                theta = f"e{k}_th"
-            body += [f"{e_d} = p{ip_e} * math.cos({theta})",
-                     f"{e_q} = p{ip_e} * math.sin({theta})"]
-            if i_idx < 0:
-                pins[vi] = f"{e_d} - x{vi}"
-                pins[vi + 1] = f"{e_q} - x{vi + 1}"
-                continue
-            i_d, i_q = f"x{i_idx}", f"x{i_idx + 1}"
-            r_g, l_g = f"p{ip_rg}", f"p{ip_lg}"
-            body += [f"f{i_idx} = {e_d} - x{vi} - {r_g} * {i_d} "
-                     f"+ w0 * {l_g} * {i_q}",
-                     f"f{i_idx + 1} = {e_q} - x{vi + 1} - {r_g} * {i_q} "
-                     f"- w0 * {l_g} * {i_d}"]
-            inject(vi, f"+ {i_d}", f"+ {i_q}")
-
-        for ltc, vf, vt, idx, ip_vref, l_t in self._ltcs:
-            i_d, i_q, n_tap = f"x{idx}", f"x{idx + 1}", f"x{idx + 2}"
-            l_t = bind(l_t)
-            body += [f"f{idx} = {n_tap} * x{vf} - x{vt} + w0 * {l_t} * {i_q}",
-                     f"f{idx + 1} = {n_tap} * x{vf + 1} - x{vt + 1} "
-                     f"- w0 * {l_t} * {i_d}",
-                     f"f{idx + 2} = ltc_rate({bind(ltc)}, "
-                     f"math.hypot(x{vt}, x{vt + 1}), {n_tap}, p{ip_vref})"]
-            inject(vf, f"- {n_tap} * {i_d}", f"- {n_tap} * {i_q}")
-            inject(vt, f"+ {i_d}", f"+ {i_q}")
-
-        for k, (m, vi, idx, ip_tm, t0p) in enumerate(self._machines):
-            i_d, i_q = f"m{k}_d", f"m{k}_q"
-            body.append(f"f{idx}, f{idx + 1}, f{idx + 2}, {i_d}, {i_q} = "
-                        f"im_rates({bind(m)}, x{vi}, x{vi + 1}, x{idx}, "
-                        f"x{idx + 1}, x{idx + 2}, p0, p{ip_tm}, {bind(t0p)}, "
-                        "w0)")
-            inject(vi, f"- {i_d}", f"- {i_q}")
-            outs.append((bind(f"{m.id}.i"), f"({i_d}, {i_q})"))
-
-        for k, (load, vi) in enumerate(self._zips):
-            i_d, i_q = f"z{k}_d", f"z{k}_q"
-            body.append(f"{i_d}, {i_q} = zip_injection({bind(load)}, x{vi}, "
-                        f"x{vi + 1}, p0)")
-            inject(vi, f"- {i_d}", f"- {i_q}")
-            outs.append((bind(f"{load.id}.i"), f"({i_d}, {i_q})"))
-
-        for k, (conv, vi, idx, pidx, val_idx, real, vm_idx,
-                dv_idx) in enumerate(self._gfls):
-            out = f"g{k}_out"
-            body.append(f"{out} = None if outputs is None else {{}}")
-            if vm_idx >= 0:
-                vm_d, vm_q = f"x{vm_idx}", f"x{vm_idx + 1}"
-                vm_rows = f"f{vm_idx}, f{vm_idx + 1}"
-            else:
-                vm_d, vm_q, vm_rows = f"g{k}_vd", f"g{k}_vq", "_, _"
-                body.append(f"{vm_d}, {vm_q} = pll_project(x{vi}, x{vi + 1}, "
-                            f"x{idx})")
-            corr = "0.0, 0.0"
-            if val_idx is not None:
-                g_v, b_v, v_nom = val_idx
-                corr = f"g{k}_cd, g{k}_cq"
-                body.append(f"{corr} = qval_correction(p{g_v}, p{b_v}, "
-                            f"p{v_nom} - {vm_d}, -{vm_q})")
-            elif real is not None:
-                corr = f"x{dv_idx}, x{dv_idx + 1}"
-            # pidx: indices in GFL_PARAMS order, i_max last
-            i_max, lim = f"p{pidx[-1]}", f"g{k}_lim"
-            states = ", ".join(f"x{idx + j}" for j in range(6))
-            gains = ", ".join(f"p{j}" for j in pidx[:-1])
-            rows = ", ".join(f"f{idx + j}" for j in range(6))
-            body += [f"{lim} = lims[{k}]",
-                     f"if {lim}.limit != {i_max}:",
-                     f"    {lim} = lims[{k}] = SmoothLimiter({i_max}, "
-                     f"{bind(conv.limiter_k)})",
-                     f"{rows}, {vm_rows}, g{k}_d, g{k}_q = gfl_rates(w0, "
-                     f"{states}, x{vi}, x{vi + 1}, {vm_d}, {vm_q}, {corr}, "
-                     f"{gains}, {lim}, {bind(conv.l_f)}, {bind(conv.r_f)}, "
-                     f"{out})"]
-            if real is not None:
-                body.append(f"f{dv_idx}, f{dv_idx + 1} = dval_rate("
-                            f"{bind(real)}, x{dv_idx}, x{dv_idx + 1}, "
-                            f"{bind(conv.val.v_nom)} - {vm_d}, -{vm_q}, w0)")
-            inject(vi, f"+ g{k}_d", f"+ g{k}_q")
-            outs.append((bind(conv.id), out))
-
-        for k, (gfm, vi, idx, pidx) in enumerate(self._gfms):
-            out = f"h{k}_out"
-            body.append(f"{out} = None if outputs is None else {{}}")
-            gains = ", ".join(f"p{j}" for j in pidx)
-            consts = ", ".join(bind(getattr(gfm, name))
-                               for name in ("r_v", "l_v", "tau_p", "tau_q"))
-            body.append(f"f{idx}, f{idx + 1}, f{idx + 2}, h{k}_d, h{k}_q = "
-                        f"gfm_rates(w0, x{idx}, x{idx + 1}, x{idx + 2}, "
-                        f"x{vi}, x{vi + 1}, {gains}, {consts}, {out})")
-            inject(vi, f"+ h{k}_d", f"+ h{k}_q")
-            outs.append((bind(gfm.id), out))
-
-        for vi, wc in self._free_buses:
-            wc = bind(wc)
-            inject(vi, f"+ {wc} * x{vi + 1}", f"- {wc} * x{vi}")
-        body += [f"f{row} = " + " ".join(["0.0", *terms])
-                 for row, terms in kcl.items() if row not in pins]
-        body += [f"f{row} = {expr}" for row, expr in pins.items()]
-        if outs:
-            body += ["if outputs is not None:",
-                     *(f"    outputs[{key}] = {value}" for key, value in outs)]
-        n_p = len(self.params0.names)
-        lines = ["def bind(env):",
-                 f"    {', '.join(labels)}, = env",
-                 "    def kernel(x, p, outputs):",
-                 f"        {', '.join(f'x{i}' for i in range(self.n))}, = x",
-                 f"        {', '.join(f'p{i}' for i in range(n_p))}, = p",
-                 *(f"        {line}" for line in body),
-                 f"        return [{', '.join(f'f{i}' for i in range(self.n))}]",
-                 "    return kernel",
-                 ""]
-        return "\n".join(lines), tuple(env)
-
     def _activity_impl(self, x, p: Params):
-        if not self._gfls:
+        if not self.model.gfls:
             return {}
         outputs = {}
         self._evaluate(x, p, outputs)

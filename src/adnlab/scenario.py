@@ -342,6 +342,15 @@ def loads_scenario(text: str) -> Scenario:
                 raise ScenarioError(
                     f"{where}.t_end: {values['t_end']!r} is not a whole "
                     f"number of steps h = {values['h']!r} ({steps:.10g})")
+        if "window" in values:
+            # the moving average allocates its window, so it is bounded by
+            # the samples of the simulation it smooths
+            sim = analysis["simulation"]
+            samples = round(sim["t_end"] / sim["h"]) + 1
+            if values["window"] > samples:
+                raise ScenarioError(
+                    f"{where}.window: {values['window']!r} is more than the "
+                    f"{samples} samples of analysis.simulation")
         analysis[key] = values
         if given:
             for name, kind in kinds.items():

@@ -16,7 +16,7 @@ from adnlab.engine import newton_equilibrium
 from adnlab.errors import NonConvergenceError, SingularJacobianError
 from adnlab.limits import SmoothLimiter
 from adnlab.network import im_rates, ltc_rate, zip_injection
-from adnlab.val import dval_rate, qval_correction
+from adnlab.val import dval_rate, dval_realization, qval_correction
 
 
 def sat_slope(lim, x):
@@ -187,124 +187,161 @@ def full_trace_boundary_row(sys, param1, param2, value, settings, params):
 
 
 def reference_residual(sys, x, p, outputs=None):
-    """Residual of an assembled network from a loop over its devices, as
-    :class:`adnlab.network.AssembledSystem` evaluated it before its kernel
-    was generated; ``outputs``, when given, receives every device's
-    auxiliary outputs.  A converter whose ``i_max`` differs from its
-    cached limiter gets a fresh one, and the cache is left alone."""
-    w0 = sys.omega0
+    """Residual of an assembled network from a loop over the devices of
+    ``sys.model``, as :class:`adnlab.network.AssembledSystem` evaluated it
+    before its kernel was generated; ``outputs``, when given, receives
+    every device's auxiliary outputs.  Every state is found by its name
+    with ``sys.state_index`` and every parameter by its name with
+    ``p.index``; the limiters and DVAL realizations are built here.  So
+    the loop shares no index and no object with the system's layout."""
+    model = sys.model
+    w0 = model.omega0
     xs = np.asarray(x, dtype=float).tolist()
     pv = p.values.tolist()
-    lam = pv[0]
+    lam = pv[p.index("lambda")]
     f = [0.0] * sys.n
     pins = []              # source rows of pinned buses, set last
 
-    for vf, vt, idx, ip_r, ip_l in sys._branches:
-        i_d, i_q = xs[idx], xs[idx + 1]
-        r, l = pv[ip_r], pv[ip_l]
-        f[idx] = xs[vf] - xs[vt] - r * i_d + w0 * l * i_q
-        f[idx + 1] = xs[vf + 1] - xs[vt + 1] - r * i_q - w0 * l * i_d
-        f[vf] -= i_d
-        f[vf + 1] -= i_q
-        f[vt] += i_d
-        f[vt + 1] += i_q
+    def pair(dev_id, d="id", q="iq"):
+        return (sys.state_index(f"{dev_id}.{d}"),
+                sys.state_index(f"{dev_id}.{q}"))
 
-    for (vi, i_idx, th_idx, ip_e, ip_th, ip_rg, ip_lg,
-         ip_off) in sys._sources:
-        theta = pv[ip_th] + xs[th_idx] if th_idx >= 0 else pv[ip_th]
-        e_d = pv[ip_e] * math.cos(theta)
-        e_q = pv[ip_e] * math.sin(theta)
-        if th_idx >= 0:
-            f[th_idx] = pv[ip_off]
-        if i_idx < 0:
-            pins.append((vi, e_d, e_q))
-        else:
-            i_d, i_q = xs[i_idx], xs[i_idx + 1]
-            r_g, l_g = pv[ip_rg], pv[ip_lg]
-            f[i_idx] = e_d - xs[vi] - r_g * i_d + w0 * l_g * i_q
-            f[i_idx + 1] = e_q - xs[vi + 1] - r_g * i_q - w0 * l_g * i_d
-            f[vi] += i_d
-            f[vi + 1] += i_q
+    def par(dev_id, name):
+        return pv[p.index(f"{dev_id}.{name}")]
 
-    for ltc, vf, vt, idx, ip_vref, l_t in sys._ltcs:
-        i_d, i_q, n_tap = xs[idx], xs[idx + 1], xs[idx + 2]
-        f[idx] = n_tap * xs[vf] - xs[vt] + w0 * l_t * i_q
-        f[idx + 1] = n_tap * xs[vf + 1] - xs[vt + 1] - w0 * l_t * i_d
-        f[idx + 2] = ltc_rate(ltc, math.hypot(xs[vt], xs[vt + 1]), n_tap,
-                              pv[ip_vref])
-        f[vf] -= n_tap * i_d
-        f[vf + 1] -= n_tap * i_q
-        f[vt] += i_d
-        f[vt + 1] += i_q
+    def inject(bus_id, i_d, i_q):       # a current into the bus
+        rd, rq = bus[bus_id]
+        f[rd] += i_d
+        f[rq] += i_q
 
-    for m, vi, idx, ip_tm, t0p in sys._machines:
-        f[idx], f[idx + 1], f[idx + 2], i_d, i_q = im_rates(
-            m, xs[vi], xs[vi + 1], xs[idx], xs[idx + 1], xs[idx + 2], lam,
-            pv[ip_tm], t0p, w0)
-        f[vi] -= i_d
-        f[vi + 1] -= i_q
+    def draw(bus_id, i_d, i_q):         # a current out of the bus
+        rd, rq = bus[bus_id]
+        f[rd] -= i_d
+        f[rq] -= i_q
+
+    bus = {b.id: pair(b.id, "vd", "vq") for b in model.buses}
+    v = {b: (xs[d], xs[q]) for b, (d, q) in bus.items()}
+
+    for br in model.branches:
+        rd, rq = pair(br.id)
+        i_d, i_q = xs[rd], xs[rq]
+        r, l = par(br.id, "r"), par(br.id, "l")
+        (vfd, vfq), (vtd, vtq) = v[br.from_bus], v[br.to_bus]
+        f[rd] = vfd - vtd - r * i_d + w0 * l * i_q
+        f[rq] = vfq - vtq - r * i_q - w0 * l * i_d
+        draw(br.from_bus, i_d, i_q)
+        inject(br.to_bus, i_d, i_q)
+
+    for src in model.sources:
+        vd, vq = v[src.bus]
+        theta = par(src.id, "theta")
+        if f"{src.id}.theta_g" in sys.state_names:
+            th = sys.state_index(f"{src.id}.theta_g")
+            theta += xs[th]
+            f[th] = par(src.id, "omega_offset")
+        e_d = par(src.id, "e_mag") * math.cos(theta)
+        e_q = par(src.id, "e_mag") * math.sin(theta)
+        if src.pinned:
+            pins.append((bus[src.bus], e_d - vd, e_q - vq))
+            continue
+        rd, rq = pair(src.id)
+        i_d, i_q = xs[rd], xs[rq]
+        r_g, l_g = par(src.id, "r_g"), par(src.id, "l_g")
+        f[rd] = e_d - vd - r_g * i_d + w0 * l_g * i_q
+        f[rq] = e_q - vq - r_g * i_q - w0 * l_g * i_d
+        inject(src.bus, i_d, i_q)
+
+    for ltc in model.ltcs:
+        rd, rq = pair(ltc.id)
+        rn = sys.state_index(f"{ltc.id}.n")
+        i_d, i_q, n_tap = xs[rd], xs[rq], xs[rn]
+        l_t = ltc.x_t / w0
+        (vfd, vfq), (vtd, vtq) = v[ltc.from_bus], v[ltc.to_bus]
+        f[rd] = n_tap * vfd - vtd + w0 * l_t * i_q
+        f[rq] = n_tap * vfq - vtq - w0 * l_t * i_d
+        f[rn] = ltc_rate(ltc, math.hypot(vtd, vtq), n_tap,
+                         par(ltc.id, "v_ref"))
+        draw(ltc.from_bus, n_tap * i_d, n_tap * i_q)
+        inject(ltc.to_bus, i_d, i_q)
+
+    for m in model.machines:
+        rows = [sys.state_index(f"{m.id}.{nm}") for nm in ("s", "ed", "eq")]
+        t0p = (m.x_r + m.x_m) / (w0 * m.r_r)
+        *rates, i_d, i_q = im_rates(m, *v[m.bus], *(xs[i] for i in rows),
+                                    lam, par(m.id, "t_mech"), t0p, w0)
+        for i, rate in zip(rows, rates):
+            f[i] = rate
+        draw(m.bus, i_d, i_q)
         if outputs is not None:
             outputs[f"{m.id}.i"] = (i_d, i_q)
 
-    for load, vi in sys._zips:
-        i_d, i_q = zip_injection(load, xs[vi], xs[vi + 1], lam)
-        f[vi] -= i_d
-        f[vi + 1] -= i_q
+    for load in model.zip_loads:
+        i_d, i_q = zip_injection(load, *v[load.bus], lam)
+        draw(load.bus, i_d, i_q)
         if outputs is not None:
             outputs[f"{load.id}.i"] = (i_d, i_q)
 
-    for k, (conv, vi, idx, pidx, val_idx, real, vm_idx,
-            dv_idx) in enumerate(sys._gfls):
-        vd, vq = xs[vi], xs[vi + 1]
-        if vm_idx >= 0:
-            vm_d, vm_q = xs[vm_idx], xs[vm_idx + 1]
+    for conv in model.gfls:
+        vd, vq = v[conv.bus]
+        rows = [sys.state_index(f"{conv.id}.{nm}")
+                for nm in ("theta", "eps", "id", "iq", "xid", "xiq")]
+        theta = xs[rows[0]]
+        if conv.tau_meas > 0.0:
+            md, mq = pair(conv.id, "vmd", "vmq")
+            vm_d, vm_q = xs[md], xs[mq]
         else:
-            vm_d, vm_q = pll_project(vd, vq, xs[idx])
+            vm_d, vm_q = pll_project(vd, vq, theta)
         corr_d = corr_q = 0.0
-        if val_idx is not None:
-            dv_d = pv[val_idx[2]] - vm_d
-            dv_q = -vm_q
-            corr_d, corr_q = qval_correction(pv[val_idx[0]],
-                                             pv[val_idx[1]], dv_d, dv_q)
-        elif real is not None:
-            corr_d, corr_q = xs[dv_idx], xs[dv_idx + 1]
-        # pidx: consecutive indices in GFL_PARAMS order, i_max last
-        i_max = pv[pidx[-1]]
-        lim = sys._limiters[k]
-        if lim.limit != i_max:
-            lim = SmoothLimiter(i_max, conv.limiter_k)
+        if conv.val_mode == "qval":
+            corr_d, corr_q = qval_correction(
+                par(conv.id, "g_v"), par(conv.id, "b_v"),
+                par(conv.id, "v_nom") - vm_d, -vm_q)
+        elif conv.val_mode == "dval":
+            cd, cq = pair(conv.id, "ivd", "ivq")
+            corr_d, corr_q = xs[cd], xs[cq]
+        lim = SmoothLimiter(par(conv.id, "i_max"), conv.limiter_k)
+        gains = [par(conv.id, nm) for nm in (
+            "p_ref", "q0", "kq", "v_ref", "kp_pll", "ki_pll", "kp_cc",
+            "ki_cc", "k_aw")]
         out = None if outputs is None else {}
-        rates = gfl_rates(w0, *xs[idx:idx + 6], vd, vq, vm_d, vm_q,
-                          corr_d, corr_q, *pv[pidx[0]:pidx[-1]], lim,
-                          conv.l_f, conv.r_f, out)
-        f[idx:idx + 6] = rates[:6]
-        if vm_idx >= 0:
-            f[vm_idx], f[vm_idx + 1] = rates[6], rates[7]
-        if real is not None:
-            dv_d = conv.val.v_nom - vm_d
-            dv_q = -vm_q
-            f[dv_idx], f[dv_idx + 1] = dval_rate(
-                real, xs[dv_idx], xs[dv_idx + 1], dv_d, dv_q, w0)
-        f[vi] += rates[8]
-        f[vi + 1] += rates[9]
+        rates = gfl_rates(w0, *(xs[i] for i in rows), vd, vq, vm_d, vm_q,
+                          corr_d, corr_q, *gains, lim, conv.l_f, conv.r_f,
+                          out)
+        for i, rate in zip(rows, rates):
+            f[i] = rate
+        if conv.tau_meas > 0.0:
+            f[md], f[mq] = rates[6], rates[7]
+        if conv.val_mode == "dval":
+            real = dval_realization(conv.val.g_v, conv.val.b_v, w0)
+            f[cd], f[cq] = dval_rate(real, corr_d, corr_q,
+                                     conv.val.v_nom - vm_d, -vm_q, w0)
+        inject(conv.bus, rates[8], rates[9])
         if outputs is not None:
             outputs[conv.id] = out
 
-    for gfm, vi, idx, pidx in sys._gfms:
+    for gfm in model.gfms:
+        rows = [sys.state_index(f"{gfm.id}.{nm}")
+                for nm in ("theta", "pf", "qf")]
         out = None if outputs is None else {}
-        f[idx], f[idx + 1], f[idx + 2], i_d, i_q = gfm_rates(
-            w0, xs[idx], xs[idx + 1], xs[idx + 2], xs[vi], xs[vi + 1],
-            pv[pidx[0]], pv[pidx[1]], pv[pidx[2]], pv[pidx[3]],
-            pv[pidx[4]], gfm.r_v, gfm.l_v, gfm.tau_p, gfm.tau_q, out)
-        f[vi] += i_d
-        f[vi + 1] += i_q
+        *rates, i_d, i_q = gfm_rates(
+            w0, *(xs[i] for i in rows), *v[gfm.bus],
+            *(par(gfm.id, nm) for nm in ("m_p", "n_q", "v_set", "p_set",
+                                        "q_set")),
+            gfm.r_v, gfm.l_v, gfm.tau_p, gfm.tau_q, out)
+        for i, rate in zip(rows, rates):
+            f[i] = rate
+        inject(gfm.bus, i_d, i_q)
         if outputs is not None:
             outputs[gfm.id] = out
 
-    for vi, wc in sys._free_buses:
-        f[vi] += wc * xs[vi + 1]
-        f[vi + 1] -= wc * xs[vi]
-    for vi, e_d, e_q in pins:
-        f[vi] = e_d - xs[vi]
-        f[vi + 1] = e_q - xs[vi + 1]
+    pinned = {src.bus for src in model.sources if src.pinned}
+    for b in model.buses:
+        if b.id not in pinned:
+            wc = w0 * (b.b_sh / w0)
+            vd, vq = v[b.id]
+            rd, rq = bus[b.id]
+            f[rd] += wc * vq
+            f[rq] -= wc * vd
+    for (rd, rq), f_d, f_q in pins:
+        f[rd], f[rq] = f_d, f_q
     return np.fromiter(f, float, sys.n)

@@ -300,7 +300,9 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", ["1:0.5:3", "1:1:2", "0.5:nan:3",
-                                      "0.5:inf:3", "0.5:1:0"])
+                                      "0.5:inf:3", "0.5:1:0",
+                                      "-1e308:1e308:3",
+                                      "1:1.0000000000000002:5"])
     def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
         rc = run_command(["boundary2d", "--scenario",
                           str(SCENARIO_DIR / "two_bus.json"),
@@ -324,7 +326,8 @@ class TestExitCodes:
         assert err.startswith("usage: ") and "Traceback" not in err
 
     def test_grid_point_bound(self):
-        # parsing allocates nothing, so the largest accepted n is safe here
+        # parsing allocates at most the n points it checks, so the largest
+        # accepted n is safe here
         assert _grid_spec(f"0.5:1:{MAX_GRID_POINTS}") == (0.5, 1.0,
                                                           MAX_GRID_POINTS)
 

@@ -12,6 +12,7 @@ bits of the device loop in ``tests/oracles.py``, its source holds no
 scenario text, and it looks the device functions up at call time.
 """
 
+import dataclasses
 import json
 import struct
 from collections import Counter
@@ -168,6 +169,21 @@ def test_kernel_matches_the_reference_loop(name, rotating):
                     == _outcome(_reference, sys, x, q))
 
 
+def test_kernel_compiles_on_first_evaluation_once_per_layout():
+    # compiling at build would show in every scenario load; the source
+    # text alone is written there
+    model = load_scenario(SCENARIO_DIR / "gfl_feeder.json").model
+    scaled = dataclasses.replace(model, branches=tuple(
+        dataclasses.replace(br, r=2.0 * br.r) for br in model.branches))
+    a, b = model.build(), scaled.build()
+    assert a._kernel is None and b._kernel is None
+    assert a._source == b._source
+    assert a.params0.floats != b.params0.floats
+    for sys in (a, b):
+        sys.residual(sys.initial_guess(), sys.params0)
+    assert a._kernel.__code__ is b._kernel.__code__
+
+
 HOSTILE = "'\"\n__import__('os').system('true')"
 
 
@@ -199,8 +215,8 @@ def test_hostile_ids_reach_no_source_and_change_no_bits():
     plain = _every_device_model(lambda i: i).build(rotating_sources=True)
     hostile = _every_device_model(
         lambda i: i + HOSTILE).build(rotating_sources=True)
-    source, _ = hostile._kernel_source()
-    assert source == plain._kernel_source()[0]
+    source = hostile._source
+    assert source == plain._source
     for text in ("'", '"', "__import__", "system"):
         assert text not in source
     p = plain.params0

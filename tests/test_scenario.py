@@ -156,6 +156,10 @@ class TestParsing:
         pytest.param(
             lambda d: d.update(analysis={"cf": {"bus": "b2", "window": -4}}),
             "analysis.cf.window", id="cf-window-negative"),
+        pytest.param(
+            lambda d: d.update(analysis={"cf": {"bus": "b2",
+                                                "window": 10 ** 15}}),
+            "analysis.cf.window", id="cf-window-above-samples"),
     ])
     def test_bad_value_names_its_entry(self, edit, where):
         data = json.loads(MINIMAL)
