@@ -293,6 +293,7 @@ _HANDLERS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(_sys.stderr)
+        print(f"error: {message}", file=_sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     IntegrationError,
+    ModelValidationError,
     NonConvergenceError,
     SingularJacobianError,
 )
@@ -37,6 +38,7 @@ TOL_EQ = 1e-9
 NEWTON_MAX_ITER = 50
 NEWTON_MIN_DAMPING = 2.0 ** -20
 STEP_NEWTON_TOL = 1e-10
+SLOW_STEP = 3
 
 
 class Params:
@@ -136,7 +138,9 @@ class DaeSystem:
         if m.shape != (self.n,):
             raise ValueError(f"mass shape {m.shape} != ({self.n},)")
         if np.any(m < 0.0):
-            raise ValueError("mass entries must be zero or positive")
+            i = int(np.argmax(m < 0.0))
+            raise ModelValidationError(
+                f"state {self.state_names[i]!r} has negative mass {m[i]:.6g}")
         return m
 
     def limiter_activity(self, x, p: Params) -> dict:
@@ -411,16 +415,23 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float,
 
     The first step is backward Euler, ``M (x_1 - x_0) = h F(x_1)``; every
     later step solves ``M (x_+ - (4 x_n - x_(n-1)) / 3) = (2h/3) F(x_+)``.
-    Algebraic rows are enforced at the step end point.  Both formulas are
-    L-stable, so modes far above the step rate decay instead of ringing;
-    BDF2 is second order (Brenan, Campbell and Petzold, *Numerical
-    Solution of Initial-Value Problems in Differential-Algebraic
-    Equations*, SIAM 1996).  Newton starts each step from the linear
-    extrapolation ``2 x_n - x_(n-1)`` (the first from ``x_0``), as DASSL's
-    predictor does, and stops at an inf-norm residual of 1e-10.  Its
-    corrections apply the inverse of a lazily refreshed iteration matrix
-    (simplified Newton; Hairer and Wanner, *Solving Ordinary Differential
-    Equations II*, IV.8).
+    Both formulas are L-stable, so modes far above the step rate decay
+    instead of ringing; BDF2 is second order (Brenan, Campbell and
+    Petzold, *Numerical Solution of Initial-Value Problems in
+    Differential-Algebraic Equations*, SIAM 1996).
+
+    Each step solves ``m (z - base) = av F(z)``, where ``av`` is the step
+    coefficient ``a`` on dynamic rows and ``-1`` on algebraic ones (zero
+    ``m``, so ``F = 0`` there), by simplified Newton (Hairer and Wanner,
+    *Solving Ordinary Differential Equations II*, IV.8) from the linear
+    extrapolation ``2 x_n - x_(n-1)`` (the first step from ``x_0``), as
+    DASSL's predictor does, to an inf-norm residual of
+    :data:`STEP_NEWTON_TOL`.  Corrections apply the stored inverse of
+    ``m - a J`` (``J`` on algebraic rows), rebuilt at a step's start
+    iterate only when ``a`` changes or the previous step needed
+    :data:`SLOW_STEP` or more corrections.  A step that fails within 25
+    corrections or meets a non-finite residual is retried once from the
+    accepted state, with a matrix rebuilt there.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -428,71 +439,40 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float,
     times = h * np.arange(n_steps + 1)
     out = np.empty((n_steps + 1, sys.n))
     out[0] = x0
-    stepper = _Stepper(sys, p)
-    base, guess, a = out[0], out[0], h
+    m = sys.mass(p)
+    dyn = m > 0.0
+    inv_a, slow = None, False
+    base, z, a = out[0], out[0], h
     for step in range(n_steps):
-        out[step + 1] = stepper.step(base, out[step], guess, a,
-                                     float(times[step + 1]))
-        base = (4.0 * out[step + 1] - out[step]) / 3.0
-        guess = 2.0 * out[step + 1] - out[step]
-        a = 2.0 * h / 3.0
-    return Trajectory(times, out, sys.state_names)
-
-
-class _Stepper:
-    """Implicit step solver with a lazily refreshed, inverted iteration
-    matrix."""
-
-    def __init__(self, sys, p):
-        self.sys = sys
-        self.p = p
-        self.m = sys.mass(p)
-        self.dyn = self.m > 0.0
-        self._inv = None
-        self._jac_a = None
-        self._av = None
-        self._steps_since_jac = 0
-
-    def step(self, base, x, guess, a, t_next):
-        """Solve ``m (z - base) = a F(z)`` on dynamic rows and ``F(z) = 0``
-        on algebraic rows by simplified Newton from ``guess``; return ``z``.
-
-        The step residual is ``m (z - base) - av F(z)`` with ``av`` equal
-        to ``a`` on dynamic rows and ``-1`` on algebraic ones, where ``m``
-        is zero.  The iteration matrix ``m - a J`` (``J`` on algebraic
-        rows) is rebuilt and inverted when ``a`` changes and every 50
-        steps.  When Newton fails or meets a non-finite residual, it
-        retries once from the accepted state ``x`` with a matrix rebuilt
-        there.
-        """
-        z = guess
         for attempt in range(2):
-            if (self._jac_a != a or self._steps_since_jac >= 50
-                    or attempt > 0):
-                jac = jacobian_fd(self.sys, z, self.p)
+            if a != inv_a or slow or attempt:
+                jac = jacobian_fd(sys, z, p)
                 step_matrix = -a * jac
-                step_matrix[self.dyn] += np.diag(self.m)[self.dyn]
-                step_matrix[~self.dyn] = jac[~self.dyn]
+                step_matrix[dyn] += np.diag(m)[dyn]
+                step_matrix[~dyn] = jac[~dyn]
                 try:
-                    self._inv = np.linalg.inv(step_matrix)
+                    inv = np.linalg.inv(step_matrix)
                 except np.linalg.LinAlgError as exc:
                     raise IntegrationError(
-                        f"singular step Jacobian at t={t_next:.6g}s",
-                        time=t_next) from exc
-                self._jac_a = a
-                self._av = np.where(self.dyn, a, -1.0)
-                self._steps_since_jac = 0
-            for _ in range(25):
-                f = self.sys.residual(z, self.p)
-                res = self.m * (z - base) - self._av * f
+                        f"singular step Jacobian at t={times[step + 1]:.6g}s",
+                        time=float(times[step + 1])) from exc
+                inv_a, av = a, np.where(dyn, a, -1.0)
+            for corrections in range(25):
+                res = m * (z - base) - av * sys.residual(z, p)
                 err = float(abs(res).max())
-                if err <= STEP_NEWTON_TOL:
-                    self._steps_since_jac += 1
-                    return z
-                if not math.isfinite(err):
+                if err <= STEP_NEWTON_TOL or not math.isfinite(err):
                     break
-                z = z - self._inv @ res
-            z = x   # retry once from the accepted state
-        raise IntegrationError(
-            f"step Newton failed at t={t_next:.6g}s; try a smaller step "
-            "size", time=t_next)
+                z = z - inv @ res
+            if err <= STEP_NEWTON_TOL:
+                break
+            z = out[step]   # retry once from the accepted state
+        else:
+            raise IntegrationError(
+                f"step Newton failed at t={times[step + 1]:.6g}s; try a "
+                "smaller step size", time=float(times[step + 1]))
+        slow = corrections >= SLOW_STEP
+        out[step + 1] = z
+        base = (4.0 * out[step + 1] - out[step]) / 3.0
+        z = 2.0 * out[step + 1] - out[step]
+        a = 2.0 * h / 3.0
+    return Trajectory(times, out, sys.state_names)

@@ -277,7 +277,10 @@ class TestExitCodes:
                           "--out", str(tmp_path / "b"), "--quiet",
                           "--steps", steps])
         assert rc == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("usage: ")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith("\nerror: argument --steps: step budget must be "
+                            f"an integer >= 1, got {steps!r}\n")
 
     def test_absent_settings_block_runs_on_defaults(self, tmp_path):
         out = tmp_path / "defaults"
@@ -311,6 +314,12 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "Traceback" not in err
+        # a spec starting with "-" reads as a flag unless given as --grid=a:b:n
+        reason = "expected one argument" if grid.startswith("-") else (
+            f"grid spec must be a:b:n with finite a < b, 1 <= n <= "
+            f"{MAX_GRID_POINTS} and n distinct finite points from a to b, "
+            f"got {grid!r}")
+        assert err.endswith(f"\nerror: argument --grid: {reason}\n")
 
     @pytest.mark.parametrize("num", [MAX_GRID_POINTS + 1, 10 ** 12])
     def test_grid_above_point_bound_is_usage_error(self, tmp_path, capsys,
@@ -359,6 +368,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: analysis.simulation.t_end: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, base, keys, value, state, mass", [
+        ("equilibrium", "two_bus", ("params",),
+         {"lambda": 0.25, "line.l": -0.001}, "line.id", -0.001),
+        ("continue", "two_bus", ("params",),
+         {"lambda": 0.25, "line.l": -0.001}, "line.id", -0.001),
+        ("equilibrium", "showcase", ("params",), {"grid.l_g": -1e-5},
+         "grid.id", -1e-5),
+        ("simulate", "gfl_feeder", ("analysis", "simulation", "param_steps"),
+         {"line.l": -0.001}, "line.id", -0.001),
+        ("boundary2d", "two_bus", ("analysis", "boundary2d", "grid"),
+         [-0.001, 0.001], "line.id", -0.001),
+    ], ids=["equilibrium-params", "continue-params", "showcase-params",
+            "simulate-param_steps", "boundary2d-grid"])
+    def test_negative_mass_is_one_error_line(self, tmp_path, capsys, command,
+                                             base, keys, value, state, mass):
+        scenario = json.loads((SCENARIO_DIR / f"{base}.json").read_text())
+        block = scenario
+        for key in keys[:-1]:
+            block = block[key]
+        block[keys[-1]] = value
+        path = tmp_path / "negative_mass.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command([command, "--scenario", str(path),
+                          "--out", str(tmp_path / "m"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == f"error: state {state!r} has negative mass {mass:g}\n"
 
     def test_bad_scenario_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

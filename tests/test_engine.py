@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adnlab.engine import (
+    SLOW_STEP,
     DaeSystem,
     Params,
     eigenvalues,
@@ -326,6 +327,77 @@ class TestIntegrate:
         assert calls["correction"] >= steps
         assert (calls["residual"] - calls["jacobian"]
                 == calls["correction"] + steps)
+
+    def test_fast_steps_keep_one_matrix_per_coefficient(self, monkeypatch):
+        """A linear DAE whose every step converges in one or two
+        corrections inverts one matrix for the backward-Euler step and one
+        for every BDF2 step of a 120-step run."""
+        a = np.array([[-1.0, 0.0, 0.5], [1.0, -2.0, 0.0],
+                      [1.0, 1.0, -1.0]])
+        calls = {"inv": 0, "check": 0}
+        inv = np.linalg.inv
+
+        def counted_inv(matrix):
+            calls["inv"] += 1
+            return inv(matrix)
+
+        def residual(x, p):
+            calls["check"] += 1
+            return a @ x
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        sys = DaeSystem(3, residual, lambda p: np.array([1.0, 1.0, 0.0]),
+                        Params((), []))
+        traj = integrate(sys, np.array([1.0, 0.0, 1.0]), sys.params0,
+                         t_end=1.2, h=0.01)
+        steps = len(traj.times) - 1
+        assert steps == 120
+        # without a pattern, each Jacobian makes 2 residual calls per state
+        assert calls["check"] - 2 * 3 * calls["inv"] <= 3 * steps
+        assert calls["inv"] == 2
+
+    def test_a_slow_step_rebuilds_the_matrix_before_the_next_step(
+            self, monkeypatch):
+        """x' = -x above 0.5 and -50 x below: the step that crosses 0.5
+        iterates on the matrix of the slow decay and needs many
+        corrections.  It keeps that matrix to the end; the next step
+        rebuilds it at its own start iterate, and the fast steps after
+        that keep the new one."""
+        from adnlab import engine
+
+        events = []
+        in_jacobian = [False]
+
+        def residual(x, p):
+            if not in_jacobian[0]:
+                events.append(("check", x.copy()))
+            return np.where(x > 0.5, -x, -50.0 * x)
+
+        def recorded_jacobian(sys, x, p):
+            events.append(("build", x.copy()))
+            in_jacobian[0] = True
+            try:
+                return jacobian_fd(sys, x, p)
+            finally:
+                in_jacobian[0] = False
+
+        monkeypatch.setattr(engine, "jacobian_fd", recorded_jacobian)
+        sys = DaeSystem(1, residual, lambda p: np.ones(1), Params((), []))
+        states = integrate(sys, np.array([1.0]), sys.params0, t_end=1.2,
+                           h=0.01).states
+        # split the events by step: a step's last check is at its result
+        step, checks, built_in = 0, [0] * (len(states) - 1), []
+        for kind, x in events:
+            if kind == "build":
+                built_in.append((step, x))
+                continue
+            checks[step] += 1
+            if np.array_equal(x, states[step + 1]):
+                step += 1
+        slow, = [k for k, c in enumerate(checks) if c - 1 >= SLOW_STEP]
+        assert [k for k, _ in built_in] == [0, 1, slow + 1]
+        assert np.array_equal(built_in[2][1],
+                              2.0 * states[slow + 1] - states[slow])
 
     def test_bad_step_rejected(self):
         sys = linear_system(-np.eye(1))
