@@ -144,8 +144,7 @@ def _output_series(sys, traj: Trajectory, conv_id: str, p: Params) -> dict:
     return series
 
 
-def pll_internal_frequency(sys, traj: Trajectory, conv_id: str,
-                           p: Params | None = None,
+def pll_internal_frequency(sys, traj: Trajectory, conv_id: str, p: Params,
                            window: int = 1) -> CfSeries:
     """Converter-internal frequency estimate along a trajectory.
 
@@ -155,7 +154,6 @@ def pll_internal_frequency(sys, traj: Trajectory, conv_id: str,
     """
     if conv_id not in sys.gfl_ids():
         raise ConfigurationError(f"{conv_id!r} is not a GFL converter")
-    p = p if p is not None else sys.params0
     # a copy: the trajectory's memo keeps the walk for other callers
     omega_pll = _output_series(sys, traj, conv_id, p)["omega_pll"].copy()
     return CfSeries(traj.times, np.zeros(len(traj.times)),
@@ -163,8 +161,7 @@ def pll_internal_frequency(sys, traj: Trajectory, conv_id: str,
 
 
 def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
-                           omega_frame: float | None = None,
-                           p: Params | None = None) -> CfDecomposition:
+                           omega_frame: float, p: Params) -> CfDecomposition:
     """Split the converter internal-voltage complex frequency per block.
 
     GFL: the synchronization block carries the PLL angle rate (a deviation
@@ -175,8 +172,6 @@ def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
     internal voltage in the network frame, so additivity is a numerical
     identity rather than a definition.
     """
-    p = p if p is not None else sys.params0
-    omega_frame = omega_frame if omega_frame is not None else sys.omega0
     times = traj.times
     if conv_id in sys.gfl_ids():
         series = _output_series(sys, traj, conv_id, p)

@@ -190,8 +190,7 @@ def _cmd_boundary2d(run: _Run, args):
     param1, settings = _continuation_settings(run, args, p)
     param2 = _known_param(p, cfg["param2"])
     grid = list(np.linspace(*args.grid)) if args.grid else cfg["grid"]
-    boundary = trace_boundary_2d(sys, param1, param2, grid, settings,
-                                 params=p)
+    boundary = trace_boundary_2d(sys, param1, param2, grid, settings, p)
     run.csv("boundary.csv", (param2, param1 + "_star", "kind"),
             [(row.param2, row.lam, row.kind) for row in boundary.rows])
 
@@ -234,7 +233,7 @@ def _cmd_secondary(run: _Run, args):
     weights = {b: cfg["weights"].get(b, cfg["default_weight"])
                for b in sys.bus_ids}
     history = run_recursive(
-        sys, params=p, weights=WeightVector(weights, rho=cfg["rho"]),
+        sys, p, WeightVector(weights, rho=cfg["rho"]),
         max_iter=cfg["max_iter"], tol_v=cfg["tol_v"], alpha=cfg["alpha"])
     v_rows = []
     g_rows = []

@@ -22,10 +22,8 @@ from .engine import (
     SpectrumReport,
     TOL_EQ,
     _state_matrix_and_condition,
-    integrate,
     jacobian_fd,
     newton_equilibrium,
-    reduced_state_matrix,
     eigenvalues,
 )
 from .errors import (ConfigurationError, NonConvergenceError,
@@ -39,17 +37,14 @@ __all__ = [
     "Boundary2D",
     "BoundaryRow",
     "continue_branch",
-    "classify_bifurcations",
     "locate_bifurcation",
     "locate_all",
     "trace_boundary_2d",
-    "limit_cycle_amplitude",
 ]
 
 OMEGA_MIN = 1e-3        # rad/s: minimum |Im| for a pair to count as Hopf
 HB_NOISE_REL = 1e-6     # ignore real-part crossings inside the FD noise band
 SIB_COND_LIMIT = 1e12
-AMPLITUDE_FLOOR = 1e-6
 CORRECTOR_MAX_ITER = 12     # per branch point; a failure halves the step
 LOCATE_MAX_ITER = 100       # bisection probes per record
 LOCATE_LAM_TOL = 1e-6       # relative parameter gap that ends a bisection
@@ -293,23 +288,9 @@ def _flips(lo: BranchPoint, hi: BranchPoint, kind: str,
     return _test_value(lo, kind, limiter) * _test_value(hi, kind, limiter) < 0.0
 
 
-def classify_bifurcations(branch: Branch) -> list:
-    """Scan a branch for sign changes of the kind-specific test functions.
-
-    A fold (SNB) needs both a real-eigenvalue zero crossing (detected by a
-    determinant sign flip of the reduced state matrix) and a sign change of
-    ``d(lam)/ds``.  A Hopf needs a complex pair's real part to cross zero
-    with |Im| above the rotation floor.  A limit-induced event needs a
-    limiter activity crossing 1 together with a change in the number of
-    unstable eigenvalues.  Records are coarse (segment midpoints); refine
-    with :func:`locate_bifurcation`.
-    """
-    return [rec for rec, _ in _classify(branch)]
-
-
 def _classify(branch: Branch) -> list:
-    """:func:`classify_bifurcations` with each record's bracket: the pair
-    of branch points its test function changes sign between."""
+    """The coarse records of a branch (segment midpoints), each with its
+    bracket: the pair of points its test function changes sign between."""
     pts = branch.points
     found = []
     for i in range(1, len(pts)):
@@ -450,17 +431,17 @@ def _refine(sys: DaeSystem, param: str, p: Params, rec: BifurcationRecord,
 
 
 def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
-                      settings: ContinuationSettings = ContinuationSettings(),
-                      params: Params | None = None) -> Boundary2D:
+                      settings: ContinuationSettings,
+                      params: Params) -> Boundary2D:
     """First-bifurcation boundary over a grid of a second parameter.
 
-    Each row re-solves the base equilibrium at the grid value from the
-    system's initial guess, traces the branch over ``param1`` up to its
-    first limit (:func:`_until_first_limit`) and records the first
-    refined bifurcation (or an explicit marker).  Row failures are
-    recorded in-row and the sweep proceeds.  A ``param2`` equal to
-    ``param1``, or a start of ``param1`` outside the settings' range,
-    raises :class:`ConfigurationError` before any row.
+    Each row re-solves the equilibrium at ``params`` with ``param2`` set
+    to the grid value, from the system's initial guess, traces the branch
+    over ``param1`` up to its first limit (:func:`_until_first_limit`)
+    and records the first refined bifurcation (or an explicit marker).
+    Row failures are recorded in-row and the sweep proceeds.  A ``param2``
+    equal to ``param1``, or a start of ``param1`` outside the settings'
+    range, raises :class:`ConfigurationError` before any row.
     """
     if param2 == param1:
         raise ConfigurationError(f"boundary2d sweeps {param2!r} against "
@@ -471,12 +452,11 @@ def trace_boundary_2d(sys: DaeSystem, param1: str, param2: str, grid,
         raise ValueError("boundary grid must be strictly increasing")
     if not np.all(np.isfinite(grid)):
         raise ValueError("boundary grid must be finite")
-    base_p = params if params is not None else sys.params0
-    _check_start(param1, base_p[param1], settings)
+    _check_start(param1, params[param1], settings)
     guess = sys.initial_guess()
     rows = []
     for g in grid:
-        p_row = base_p.with_value(param2, float(g))
+        p_row = params.with_value(param2, float(g))
         try:
             sol = newton_equilibrium(sys, guess, p_row)
             branch = _until_first_limit(sys, sol, param1, settings)
@@ -506,51 +486,3 @@ def _until_first_limit(sys: DaeSystem, start: EquilibriumSolution,
         if len(branch) >= 3 and _segment(branch.points[-3:], 1):
             break
     return branch
-
-
-def limit_cycle_amplitude(sys: DaeSystem, hb: BifurcationRecord, param: str,
-                          lam_probe: float, observable: str,
-                          params: Params | None = None) -> float:
-    """Post-Hopf limit-cycle amplitude of one observable by simulation.
-
-    Integrates from a perturbed equilibrium for ``20/|Im|`` seconds,
-    discards the first half and returns half the peak-to-peak of the
-    observable; returns 0 when the equilibrium at the probe is stable or
-    the oscillation is still decaying (no sustained cycle).
-    """
-    if hb.eig is None or abs(hb.eig.imag) <= OMEGA_MIN:
-        raise ValueError("record does not carry a Hopf crossing pair")
-    p = (params if params is not None else sys.params0).with_value(
-        param, lam_probe)
-    sol = newton_equilibrium(sys, hb.x, p)
-    reduced = reduced_state_matrix(sys, sol.x, p)
-    eigs, vecs = np.linalg.eig(reduced)
-    k = int(np.argmin(np.abs(eigs.imag - abs(hb.eig.imag))
-                      + np.abs(eigs.real)))
-    if float(np.max(eigs.real)) < 0.0:
-        return 0.0
-    omega_i = abs(eigs[k].imag) if abs(eigs[k].imag) > OMEGA_MIN \
-        else abs(hb.eig.imag)
-    direction = np.real(vecs[:, k])
-    nrm = np.linalg.norm(direction)
-    if nrm == 0.0:
-        direction = np.ones_like(direction)
-        nrm = np.linalg.norm(direction)
-    direction /= nrm
-    size = max(1e-3, math.sqrt(abs(lam_probe - hb.lam)))
-    m = sys.mass(p)
-    x0 = sol.x.copy()
-    dyn = np.flatnonzero(m > 0.0)
-    x0[dyn] += size * direction
-    t_end = 20.0 / omega_i
-    h = 2.0 * math.pi / omega_i / 200.0
-    traj = integrate(sys, x0, p, t_end, h)
-    col = traj.states[:, sys.state_index(observable)]
-    keep = col[col.size // 2:]
-    amp = 0.5 * float(np.max(keep) - np.min(keep))
-    half = keep.size // 2
-    amp_early = 0.5 * float(np.max(keep[:half]) - np.min(keep[:half]))
-    amp_late = 0.5 * float(np.max(keep[half:]) - np.min(keep[half:]))
-    if amp < AMPLITUDE_FLOOR or amp_late < 0.5 * amp_early:
-        return 0.0
-    return amp

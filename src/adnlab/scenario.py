@@ -208,6 +208,12 @@ def _positive(value) -> float:
     return number
 
 
+def _fraction(value) -> float:
+    if not _positive(value) <= 1.0:
+        raise ValueError(f"{value!r} is above 1")
+    return float(value)
+
+
 def _count(value) -> int:
     number = _number(value)
     if not (number.is_integer() and number >= 1):
@@ -249,7 +255,7 @@ _ANALYSES = (
     ("simulation", SIMULATION_FIELDS,
      {"t_end": _positive, "h": _positive, "param_steps": _mapping}, ()),
     ("secondary", SECONDARY_FIELDS,
-     {"weights": _mapping, "max_iter": _count, "alpha": _positive}, ()),
+     {"weights": _mapping, "max_iter": _count, "alpha": _fraction}, ()),
     ("cf", CF_FIELDS,
      {"bus": _text, "converter": _optional_text, "window": _count}, ()),
 )

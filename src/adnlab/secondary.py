@@ -1,7 +1,7 @@
 """Recursive secondary voltage controller.
 
 The controller periodically measures the solved operating point (bus
-voltage magnitudes, load currents, converter set-points), computes
+voltage magnitudes and converter current magnitudes), computes
 finite-difference sensitivities of the voltage profile to the virtual
 admittance gains of every converter, solves a small box- and
 current-constrained weighted least-squares update, and dispatches new
@@ -46,8 +46,6 @@ class MeasurementSnapshot:
 
     iteration: int
     voltages: dict              # bus id -> |v| (pu)
-    load_currents: dict         # load id -> |i| (pu)
-    setpoints: dict             # converter id -> (p_ref, q_ref) (pu)
     converter_currents: dict    # converter id -> |i| (pu)
 
 
@@ -108,28 +106,11 @@ def _gain_names(sys):
     return tuple(names)
 
 
-def collect_measurements(sys, x, p: Params,
-                         iteration: int = 0) -> MeasurementSnapshot:
-    """Extract |v| per bus, |i| per load and converter set-points."""
-    outs = sys.outputs(x, p)
-    voltages = sys.voltage_magnitudes(x)
-    load_currents = {}
-    for load in sys.model.zip_loads:
-        i_d, i_q = outs[f"{load.id}.i"]
-        load_currents[load.id] = math.hypot(i_d, i_q)
-    for m in sys.model.machines:
-        i_d, i_q = outs[f"{m.id}.i"]
-        load_currents[m.id] = math.hypot(i_d, i_q)
-    setpoints = {}
-    conv_currents = {}
-    for conv_id in sys.gfl_ids():
-        v = voltages[sys.converter(conv_id).bus]
-        q_ref = p[f"{conv_id}.q0"] + p[f"{conv_id}.kq"] * (
-            p[f"{conv_id}.v_ref"] - v)
-        setpoints[conv_id] = (p[f"{conv_id}.p_ref"], float(q_ref))
-        conv_currents[conv_id] = _conv_current(sys, x, conv_id)
-    return MeasurementSnapshot(iteration, voltages, load_currents,
-                               setpoints, conv_currents)
+def collect_measurements(sys, x, iteration: int) -> MeasurementSnapshot:
+    """Extract |v| per bus and |i| per converter at the operating point."""
+    return MeasurementSnapshot(
+        iteration, sys.voltage_magnitudes(x),
+        {c: _conv_current(sys, x, c) for c in sys.gfl_ids()})
 
 
 def gain_sensitivity(sys, x, p: Params) -> GainSensitivity:
@@ -205,9 +186,10 @@ def _solve_qp(h_mat, f_vec, a_mat, b_vec, labels):
                 continue
             denom = float(a_mat[i] @ step)
             if denom > 1e-14:
-                room = (b_vec[i] - float(a_mat[i] @ d)) / denom
-                if room < alpha - 1e-15:
-                    alpha = max(room, 0.0)
+                # compare before dividing: slack / denom can overflow
+                slack = b_vec[i] - float(a_mat[i] @ d)
+                if slack < (alpha - 1e-15) * denom:
+                    alpha = max(slack / denom, 0.0)
                     blocking = i
         d = d + alpha * step
         if blocking >= 0:
@@ -235,11 +217,14 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
     s_v = sens.voltage.copy()
     s_v[:, ~sens.usable] = 0.0
     h_mat = 2.0 * (s_v.T @ (w[:, None] * s_v))
-    rho_eff = max(weights.rho, 1e-12 * max(1.0, float(np.trace(h_mat)) / n))
-    h_mat += 2.0 * rho_eff * np.eye(n)
     f_vec = 2.0 * (s_v.T @ (w * r))
     if not np.all(np.isfinite(h_mat)) or not np.all(np.isfinite(f_vec)):
         raise ConfigurationError("non-finite sensitivity data")
+    rho_eff = max(weights.rho, 1e-12 * max(1.0, float(np.trace(h_mat)) / n))
+    h_mat[np.diag_indices(n)] += 2.0 * rho_eff
+    if not np.all(np.isfinite(np.diag(h_mat))):
+        raise ConfigurationError(f"regularization rho = {weights.rho!r} "
+                                 "overflows the update's Hessian")
 
     rows, rhs, labels = [], [], []
     for j, name in enumerate(names):
@@ -271,21 +256,17 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
     return GainUpdate(delta=delta, active_constraints=active, multipliers=mu)
 
 
-
-def _objective(sys, x, weights: WeightVector) -> float:
-    return float(sum(weights.weights.get(b, 0.0)
-                     * (sys.bus_voltage_mag(x, b) - V_NOM) ** 2
-                     for b in sys.bus_ids))
+def _objective(voltages: dict, weights: WeightVector) -> float:
+    return float(sum(weights.weights.get(b, 0.0) * (v - V_NOM) ** 2
+                     for b, v in voltages.items()))
 
 
-def _max_weighted_deviation(sys, x, weights: WeightVector) -> float:
-    return float(max(weights.weights.get(b, 0.0)
-                     * abs(sys.bus_voltage_mag(x, b) - V_NOM)
-                     for b in sys.bus_ids))
+def _max_weighted_deviation(voltages: dict, weights: WeightVector) -> float:
+    return float(max(weights.weights.get(b, 0.0) * abs(v - V_NOM)
+                     for b, v in voltages.items()))
 
 
-def run_recursive(sys, params: Params | None = None,
-                  weights: WeightVector | None = None,
+def run_recursive(sys, p: Params, weights: WeightVector,
                   max_iter: int = 30, tol_v: float = 0.01,
                   alpha: float = 1.0) -> SecondaryHistory:
     """Measure-update loop, started from the system's initial guess, until
@@ -295,55 +276,50 @@ def run_recursive(sys, params: Params | None = None,
     The accepted weighted objective never increases: a worse trial point
     halves the trust step (up to five times) and a lost equilibrium
     reverts the gains the same way; persistent failure aborts with the
-    history collected so far.
+    history collected so far.  The first trial takes ``alpha`` in (0, 1]
+    of the optimizer step, whose full length already reaches the boxes.
     """
-    p = params if params is not None else sys.params0
-    weights = weights if weights is not None else WeightVector(
-        {b: 1.0 for b in sys.bus_ids})
+    if not 0.0 < alpha <= 1.0:
+        raise ConfigurationError(
+            f"trust factor alpha = {alpha!r} is outside (0, 1]")
     gain_names = _gain_names(sys)
-    boxes = {}
-    limits = {}
+    boxes, limits = {}, {}
     for conv_id in sys.gfl_ids():
         conv = sys.converter(conv_id)
         boxes[f"{conv_id}.g_v"] = (conv.val.g_min, conv.val.g_max)
         boxes[f"{conv_id}.b_v"] = (conv.val.b_min, conv.val.b_max)
         limits[conv_id] = conv.i_max
-    sol = newton_equilibrium(sys, sys.initial_guess(), p)
-    x = sol.x
+    x = newton_equilibrium(sys, sys.initial_guess(), p).x
     history = SecondaryHistory()
     for it in range(max_iter):
-        snap = collect_measurements(sys, x, p, iteration=it)
-        obj = _objective(sys, x, weights)
-        entry = {"iteration": it, "snapshot": snap, "objective": obj,
-                 "gains": {c: (p[f"{c}.g_v"], p[f"{c}.b_v"])
-                           for c in sys.gfl_ids()}}
-        if _max_weighted_deviation(sys, x, weights) <= tol_v:
-            history.iterations.append(entry)
+        snap = collect_measurements(sys, x, it)
+        obj = _objective(snap.voltages, weights)
+        history.iterations.append(
+            {"iteration": it, "snapshot": snap, "objective": obj,
+             "gains": {c: (p[f"{c}.g_v"], p[f"{c}.b_v"])
+                       for c in sys.gfl_ids()}})
+        if _max_weighted_deviation(snap.voltages, weights) <= tol_v:
             history.converged = True
             return history
         sens = gain_sensitivity(sys, x, p)
         update = solve_update(snap, sens, weights, boxes, limits, p)
         if update.no_op or float(np.max(np.abs(update.delta))) <= DELTA_GAIN_TOL:
-            history.iterations.append(entry)
             return history
-        accepted = False
         a = alpha
         for _ in range(6):
-            p_try = p
-            for j, name in enumerate(gain_names):
-                p_try = p_try.with_value(name, p[name] + a * update.delta[j])
+            p_try = p.with_values({name: p[name] + a * update.delta[j]
+                                   for j, name in enumerate(gain_names)})
             try:
                 trial = newton_equilibrium(sys, x, p_try)
             except (NonConvergenceError, SingularJacobianError):
                 a *= 0.5
                 continue
-            if _objective(sys, trial.x, weights) <= obj + 1e-14:
+            if _objective(sys.voltage_magnitudes(trial.x), weights) \
+                    <= obj + 1e-14:
                 p, x = p_try, trial.x
-                accepted = True
                 break
             a *= 0.5
-        history.iterations.append(entry)
-        if not accepted:
+        else:
             history.aborted = (f"no acceptable step at iteration {it} "
                                f"(objective {obj:.3e})")
             return history

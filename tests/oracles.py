@@ -3,16 +3,17 @@ against: analytic slopes of the smooth limits, the ideal hard clip they
 converge to, the steady-state induction-machine circuit, the frame
 rotation of an assembled network, its active-power balance, the
 additivity of the complex-frequency blocks, a boundary row from the
-whole branch and the residual of an assembled network from a loop over
-its devices."""
+whole branch, the post-Hopf limit-cycle amplitude by simulation and the
+residual of an assembled network from a loop over its devices."""
 
 import math
 
 import numpy as np
 
-from adnlab.contin import BoundaryRow, continue_branch, locate_all
+from adnlab.contin import (OMEGA_MIN, BoundaryRow, continue_branch,
+                           locate_all)
 from adnlab.converters import gfl_rates, gfm_rates, pll_project
-from adnlab.engine import newton_equilibrium
+from adnlab.engine import integrate, newton_equilibrium, reduced_state_matrix
 from adnlab.errors import NonConvergenceError, SingularJacobianError
 from adnlab.limits import SmoothLimiter
 from adnlab.network import im_rates, ltc_rate, zip_injection
@@ -184,6 +185,56 @@ def full_trace_boundary_row(sys, param1, param2, value, settings, params):
         return BoundaryRow(float(value), "none", float("nan"))
     first = min(records, key=lambda r: r.s)
     return BoundaryRow(float(value), first.kind, first.lam)
+
+
+# below this half peak-to-peak a probe has no sustained cycle
+AMPLITUDE_FLOOR = 1e-6
+
+
+def limit_cycle_amplitude(sys, hb, param, lam_probe, observable) -> float:
+    """Post-Hopf limit-cycle amplitude of one observable by simulation, at
+    the system's default parameters with ``param`` set to ``lam_probe``.
+
+    Integrates from a perturbed equilibrium for ``20/|Im|`` seconds,
+    discards the first half and returns half the peak-to-peak of the
+    observable; returns 0 when the equilibrium at the probe is stable or
+    the oscillation is still decaying (no sustained cycle).
+    """
+    if hb.eig is None or abs(hb.eig.imag) <= OMEGA_MIN:
+        raise ValueError("record does not carry a Hopf crossing pair")
+    p = sys.params0.with_value(param, lam_probe)
+    sol = newton_equilibrium(sys, hb.x, p)
+    reduced = reduced_state_matrix(sys, sol.x, p)
+    eigs, vecs = np.linalg.eig(reduced)
+    k = int(np.argmin(np.abs(eigs.imag - abs(hb.eig.imag))
+                      + np.abs(eigs.real)))
+    if float(np.max(eigs.real)) < 0.0:
+        return 0.0
+    omega_i = abs(eigs[k].imag) if abs(eigs[k].imag) > OMEGA_MIN \
+        else abs(hb.eig.imag)
+    direction = np.real(vecs[:, k])
+    nrm = np.linalg.norm(direction)
+    if nrm == 0.0:
+        direction = np.ones_like(direction)
+        nrm = np.linalg.norm(direction)
+    direction /= nrm
+    size = max(1e-3, math.sqrt(abs(lam_probe - hb.lam)))
+    m = sys.mass(p)
+    x0 = sol.x.copy()
+    dyn = np.flatnonzero(m > 0.0)
+    x0[dyn] += size * direction
+    t_end = 20.0 / omega_i
+    h = 2.0 * math.pi / omega_i / 200.0
+    traj = integrate(sys, x0, p, t_end, h)
+    col = traj.states[:, sys.state_index(observable)]
+    keep = col[col.size // 2:]
+    amp = 0.5 * float(np.max(keep) - np.min(keep))
+    half = keep.size // 2
+    amp_early = 0.5 * float(np.max(keep[:half]) - np.min(keep[:half]))
+    amp_late = 0.5 * float(np.max(keep[half:]) - np.min(keep[half:]))
+    if amp < AMPLITUDE_FLOOR or amp_late < 0.5 * amp_early:
+        return 0.0
+    return amp
 
 
 def reference_residual(sys, x, p, outputs=None):

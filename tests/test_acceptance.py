@@ -18,7 +18,6 @@ from adnlab.cli import EXIT_OK, run_command
 from adnlab.contin import (
     ContinuationSettings,
     continue_branch,
-    limit_cycle_amplitude,
     locate_all,
     trace_boundary_2d,
 )
@@ -42,7 +41,8 @@ from feeders import (
     secondary_feeder,
     two_bus_pq,
 )
-from oracles import cf_additivity_residual, hard_clip, sat_slope
+from oracles import (cf_additivity_residual, hard_clip, limit_cycle_amplitude,
+                     sat_slope)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -82,7 +82,7 @@ def test_criterion_1_analytic_nose():
     grid = [reactance_to_inductance(x) for x in (0.25, 0.5, 1.0)]
     boundary = trace_boundary_2d(
         sys, "lambda", "line.l", grid,
-        loading_settings(param_max=5.0, max_steps=600), params=p)
+        loading_settings(param_max=5.0, max_steps=600), p)
     for row, x_val in zip(boundary.rows, (0.25, 0.5, 1.0)):
         assert row.kind == "SNB"
         assert row.lam * 0.8 == pytest.approx(1.0 / (2.0 * x_val), rel=0.01)
@@ -273,7 +273,7 @@ def test_criterion_8_secondary_end_to_end():
                for v in sys.voltage_magnitudes(solve(sys).x).values())
     assert 0.04 <= dev0 <= 0.06
     weights = WeightVector({b: 1.0 for b in sys.bus_ids}, rho=1e-8)
-    hist = run_recursive(sys, weights=weights, alpha=1.0)
+    hist = run_recursive(sys, sys.params0, weights, alpha=1.0)
     assert hist.converged
     assert len(hist.iterations) - 1 <= 20
     final = hist.iterations[-1]["snapshot"]
@@ -290,7 +290,7 @@ def test_criterion_8_secondary_end_to_end():
 
     mixed = over_under_feeder().build()
     v0 = mixed.voltage_magnitudes(solve(mixed).x)
-    hist2 = run_recursive(mixed, weights=WeightVector(
+    hist2 = run_recursive(mixed, mixed.params0, WeightVector(
         {b: 1.0 for b in mixed.bus_ids}, rho=1e-8), alpha=1.0)
     vf = hist2.iterations[-1]["snapshot"].voltages
     assert abs(1.0 - vf["b1"]) < abs(1.0 - v0["b1"])   # overvoltage reduced

@@ -133,7 +133,7 @@ class TestPllInternalFrequency:
         sys = step_feeder().build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         traj = integrate(sys, sol.x, sys.params0, t_end=0.05, h=1e-4)
-        series = pll_internal_frequency(sys, traj, "c1")
+        series = pll_internal_frequency(sys, traj, "c1", sys.params0)
         assert np.max(np.abs(series.omega - OMEGA0)) < 1e-9
 
     def test_frequency_step_divergence_and_reconvergence(self):
@@ -164,10 +164,10 @@ class TestPllInternalFrequency:
         outputs = sys.outputs
         sys.outputs = lambda x, p: walked.append(p) or outputs(x, p)
         internal = pll_internal_frequency(sys, traj, "c1", p_step)
-        dec = decompose_converter_cf(sys, traj, "c1", p=p_step)
+        dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, p_step)
         assert len(walked) == len(traj.times)
         # another parameter vector is another walk
-        decompose_converter_cf(sys, traj, "c1", p=sys.params0)
+        decompose_converter_cf(sys, traj, "c1", OMEGA0, sys.params0)
         assert len(walked) == 2 * len(traj.times)
         del sys.outputs
         fresh = integrate(sys, sol.x, p_step, t_end=0.02, h=1e-4)
@@ -175,7 +175,8 @@ class TestPllInternalFrequency:
             pll_internal_frequency(sys, fresh, "c1", p_step).omega,
             internal.omega)
         assert np.array_equal(
-            decompose_converter_cf(sys, fresh, "c1", p=p_step).total.omega,
+            decompose_converter_cf(sys, fresh, "c1", OMEGA0,
+                                   p_step).total.omega,
             dec.total.omega)
 
     def test_wrong_converter_id(self):
@@ -183,7 +184,7 @@ class TestPllInternalFrequency:
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         traj = integrate(sys, sol.x, sys.params0, t_end=0.01, h=1e-4)
         with pytest.raises(ConfigurationError):
-            pll_internal_frequency(sys, traj, "nope")
+            pll_internal_frequency(sys, traj, "nope", sys.params0)
 
 
 class TestDecomposition:
@@ -191,7 +192,7 @@ class TestDecomposition:
         sys = step_feeder().build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         traj = integrate(sys, sol.x, sys.params0, t_end=0.05, h=1e-4)
-        dec = decompose_converter_cf(sys, traj, "c1")
+        dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, sys.params0)
         assert np.max(np.abs(dec.synchronization.omega)) < 1e-9
         assert np.max(np.abs(dec.synchronization.rho)) == 0.0
         assert np.max(np.abs(dec.regulation.omega - OMEGA0)) < 1e-9
@@ -203,7 +204,7 @@ class TestDecomposition:
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("grid.theta", 0.02)
         traj = integrate(sys, sol.x, p_step, t_end=0.5, h=2e-4)
-        dec = decompose_converter_cf(sys, traj, "c1", p=p_step)
+        dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, p_step)
         assert cf_additivity_residual(dec) < 1e-6
 
     def test_pure_resync_action_in_sync_block(self):
@@ -219,7 +220,7 @@ class TestDecomposition:
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("grid.theta", 0.01)
         traj = integrate(sys, sol.x, p_step, t_end=1.5, h=1e-4)
-        dec = decompose_converter_cf(sys, traj, "c1", p=p_step)
+        dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, p_step)
         skip = 5    # one-sided stencils right at the discontinuity
         assert np.max(np.abs(dec.regulation.rho[skip:])) < 1e-3
         assert np.max(np.abs(dec.synchronization.omega[skip:])) > 0.05
@@ -238,7 +239,7 @@ class TestDecomposition:
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("g1.p_set", 0.3)
         traj = integrate(sys, sol.x, p_step, t_end=2.0, h=5e-4)
-        dec = decompose_converter_cf(sys, traj, "g1", p=p_step)
+        dec = decompose_converter_cf(sys, traj, "g1", OMEGA0, p_step)
         assert cf_additivity_residual(dec) < 1e-6
         # the droop swings the angle; the E-magnitude branch carries rho
         assert np.max(np.abs(dec.synchronization.omega[5:])) > 0.01
@@ -249,7 +250,8 @@ class TestDecomposition:
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         traj = integrate(sys, sol.x, sys.params0, t_end=0.01, h=1e-4)
         with pytest.raises(ConfigurationError):
-            decompose_converter_cf(sys, traj, "ghost")
+            decompose_converter_cf(sys, traj, "ghost", OMEGA0,
+                                   sys.params0)
 
 
 class TestSteadyStateNull:

@@ -12,12 +12,11 @@ from adnlab.contin import (
     Branch,
     BranchPoint,
     ContinuationSettings,
-    classify_bifurcations,
     continue_branch,
-    limit_cycle_amplitude,
     locate_all,
     locate_bifurcation,
     trace_boundary_2d,
+    _classify,
     _dF_dlam,
 )
 from adnlab.converters import GflConverter
@@ -39,9 +38,14 @@ from adnlab.network import (
     reactance_to_inductance,
 )
 from adnlab.scenario import load_scenario
-from oracles import full_trace_boundary_row
+from oracles import full_trace_boundary_row, limit_cycle_amplitude
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def classified(branch):
+    """The coarse records of a branch, without their brackets."""
+    return [rec for rec, _ in _classify(branch)]
 
 
 def fold_system():
@@ -187,7 +191,7 @@ class TestTwoBusNose:
             sys, sol, "lambda",
             ContinuationSettings(h0=0.02, param_min=0.05, param_max=5.0,
                                  max_steps=500))
-        coarse, = classify_bifurcations(branch)
+        coarse, = classified(branch)
         assert coarse.kind == "SNB"
         # the consecutive pair the fold's determinant changes sign between
         pts = branch.points
@@ -268,7 +272,7 @@ class TestClassification:
         for i in range(5):
             branch.points.append(self._synthetic_point(
                 s=0.1 * i, lam=1.0 + 0.1 * i, det_sign=1.0, hb_metric=-1.0))
-        assert classify_bifurcations(branch) == []
+        assert classified(branch) == []
 
     def test_lib_needs_activity_crossing_and_spectrum_change(self):
         branch = Branch(param="lambda")
@@ -276,7 +280,7 @@ class TestClassification:
             0.0, 1.0, 1.0, -1.0, activities={"c1": 0.8}, n_unstable=0))
         branch.points.append(self._synthetic_point(
             0.1, 1.1, 1.0, -1.0, activities={"c1": 1.2}, n_unstable=1))
-        recs = classify_bifurcations(branch)
+        recs = classified(branch)
         assert [r.kind for r in recs] == ["LIB"]
         assert recs[0].limiter == "c1"
         # same crossing without a spectrum change is not an event
@@ -285,7 +289,7 @@ class TestClassification:
             0.0, 1.0, 1.0, -1.0, activities={"c1": 0.8}, n_unstable=0))
         branch2.points.append(self._synthetic_point(
             0.1, 1.1, 1.0, -1.0, activities={"c1": 1.2}, n_unstable=0))
-        assert classify_bifurcations(branch2) == []
+        assert classified(branch2) == []
 
     def test_sib_candidate_on_conditioning_collapse(self):
         branch = Branch(param="lambda")
@@ -293,7 +297,7 @@ class TestClassification:
             0.0, 1.0, 1.0, -1.0, alg_cond=1e6))
         branch.points.append(self._synthetic_point(
             0.1, 1.1, 1.0, -1.0, alg_cond=1e13))
-        recs = classify_bifurcations(branch)
+        recs = classified(branch)
         assert [r.kind for r in recs] == ["SIB-candidate"]
 
     def test_locate_rejects_sign_agreeing_bracket(self):
@@ -454,7 +458,8 @@ class TestBoundary2D:
 
     def test_empty_grid(self):
         sys = two_bus_system()
-        boundary = trace_boundary_2d(sys, "lambda", "line.l", [])
+        boundary = trace_boundary_2d(sys, "lambda", "line.l", [],
+                                     ContinuationSettings(), sys.params0)
         assert boundary.rows == ()
 
     def test_row_failure_recorded(self):
@@ -490,9 +495,11 @@ class TestBoundary2D:
         # there, so all rows would report the same nose
         sys = two_bus_system()
         with pytest.raises(ConfigurationError, match="against itself"):
-            trace_boundary_2d(sys, "lambda", "lambda", [0.3, 0.6])
+            trace_boundary_2d(sys, "lambda", "lambda", [0.3, 0.6],
+                              ContinuationSettings(), sys.params0)
 
     def test_unsorted_grid_rejected(self):
         sys = two_bus_system()
         with pytest.raises(ValueError):
-            trace_boundary_2d(sys, "lambda", "line.l", [2.0, 1.0])
+            trace_boundary_2d(sys, "lambda", "line.l", [2.0, 1.0],
+                              ContinuationSettings(), sys.params0)

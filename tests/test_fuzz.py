@@ -7,8 +7,10 @@ run must exit 0 (a model that still solves), 2 (one ``error:`` line) or
 64, and no exception may escape ``run_command``.  The sweep runs a fixed
 half of the mutations, every second one in schema order, to stay within
 a few seconds; the defects the sweep found are pinned by name as well.
-A ``RuntimeWarning`` fails a run too: numpy prints it to stderr beside the
-``error:`` line.
+A second sweep runs ``secondary`` on ``secondary_4bus.json`` over every
+key of its first converter and of ``analysis.secondary``, each set to
+every value of :data:`VALUES`.  A ``RuntimeWarning`` fails a run too:
+numpy prints it to stderr beside the ``error:`` line.
 """
 
 import json
@@ -21,9 +23,11 @@ import pytest
 from adnlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_command
 from adnlab.scenario import (BRANCH_FIELDS, BUS_FIELDS, GFL_FIELDS,
                              GFM_FIELDS, LTC_FIELDS, MACHINE_FIELDS,
-                             SOURCE_FIELDS, VAL_FIELDS, ZIP_FIELDS)
+                             SECONDARY_FIELDS, SOURCE_FIELDS, VAL_FIELDS,
+                             ZIP_FIELDS)
 
 SHOWCASE = Path(__file__).resolve().parent.parent / "scenarios" / "showcase.json"
+SECONDARY_4BUS = SHOWCASE.with_name("secondary_4bus.json")
 
 VALUES = (0, -1, 5e-324, 1e200, -1e200, 1e308)
 
@@ -49,6 +53,26 @@ REPRODUCERS = (
     ("ltcs", "ltc", "k_s", 5e-324),
 )
 
+# Mutations of secondary_4bus that printed a numpy RuntimeWarning from the
+# secondary command before they were mended.
+SECONDARY_REPRODUCERS = (
+    ("converters", "c2", "i_max", 1e308),       # QP ratio test overflowed
+    ("analysis", "secondary", "rho", 1e308),    # inf * 0 in the Hessian
+    ("analysis", "secondary", "alpha", 1e308),  # an infinite gain entered
+)
+
+
+def _keys(family, entry):
+    """The schema keys of one device, the ``val`` sub-keys of a GFL
+    converter included."""
+    if family != "converters":
+        return list(_SCHEMAS[family])
+    if entry.get("kind") == "gfm_droop":
+        return list(GFM_FIELDS)
+    keys = list(GFL_FIELDS)
+    keys.remove("val")
+    return keys + [f"val.{k}" for k in VAL_FIELDS]
+
 
 def _mutations(scenario):
     """``(family, device id, key, value)`` over every schema key."""
@@ -56,22 +80,28 @@ def _mutations(scenario):
         if not isinstance(entries, list):
             continue
         for entry in entries:
-            if family == "converters":
-                gfm = entry.get("kind") == "gfm_droop"
-                keys = list(GFM_FIELDS if gfm else GFL_FIELDS)
-                if not gfm:
-                    keys.remove("val")
-                    keys += [f"val.{k}" for k in VAL_FIELDS]
-            else:
-                keys = list(_SCHEMAS[family])
-            for key in keys:
+            for key in _keys(family, entry):
                 for value in VALUES:
                     yield family, entry["id"], key, value
 
 
+def _secondary_mutations(scenario):
+    """``(family, device id, key, value)`` over every key of the first
+    converter and of ``analysis.secondary``."""
+    conv = scenario["converters"][0]
+    keys = [("converters", conv["id"], k) for k in _keys("converters", conv)]
+    keys += [("analysis", "secondary", k) for k in SECONDARY_FIELDS]
+    for family, device, key in keys:
+        for value in VALUES:
+            yield family, device, key, value
+
+
 def _mutated(scenario, family, device, key, value):
     data = json.loads(json.dumps(scenario))
-    entry = next(e for e in data[family] if e["id"] == device)
+    if family == "analysis":
+        entry = data["analysis"][device]
+    else:
+        entry = next(e for e in data[family] if e["id"] == device)
     if key.startswith("val."):
         entry = entry.setdefault("val", {})
         key = key[len("val."):]
@@ -79,7 +109,7 @@ def _mutated(scenario, family, device, key, value):
     return data
 
 
-def _run(tmp_path, capsys, data):
+def _run(tmp_path, capsys, data, command="equilibrium"):
     """The failure of one mutated run as text, or ``None`` if it is clean."""
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(data))
@@ -87,7 +117,7 @@ def _run(tmp_path, capsys, data):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code = run_command(["equilibrium", "--scenario", str(path),
+            code = run_command([command, "--scenario", str(path),
                                 "--out", str(tmp_path / "out"), "--quiet"])
         except BaseException:        # an escaping SystemExit fails too
             return traceback.format_exc(limit=-1).strip().splitlines()[-1]
@@ -98,6 +128,8 @@ def _run(tmp_path, capsys, data):
                     f"{w.message}")
     if code not in (EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE):
         return f"exit {code}"
+    if code == EXIT_OK and err:
+        return f"exit 0 with stderr: {err!r}"
     if code == EXIT_NUMERICAL and not (err.startswith("error: ")
                                        and err.count("\n") == 1):
         return f"exit 2 without one error line: {err!r}"
@@ -126,6 +158,31 @@ def test_device_field_sweep(tmp_path, capsys):
     failures = []
     for mutation in list(_mutations(scenario))[::2]:
         failure = _run(tmp_path, capsys, _mutated(scenario, *mutation))
+        if failure is not None:
+            failures.append(f"{mutation}: {failure}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("family, device, key, value", SECONDARY_REPRODUCERS,
+                         ids=[f"{d}.{k}={v}"
+                              for _, d, k, v in SECONDARY_REPRODUCERS])
+def test_secondary_reproducer_exits_cleanly(tmp_path, capsys, family,
+                                            device, key, value):
+    scenario = json.loads(SECONDARY_4BUS.read_text())
+    failure = _run(tmp_path, capsys,
+                   _mutated(scenario, family, device, key, value),
+                   "secondary")
+    assert failure is None
+
+
+def test_secondary_field_sweep(tmp_path, capsys):
+    scenario = json.loads(SECONDARY_4BUS.read_text())
+    mutations = list(_secondary_mutations(scenario))
+    assert set(SECONDARY_REPRODUCERS) <= set(mutations)
+    failures = []
+    for mutation in mutations:
+        failure = _run(tmp_path, capsys, _mutated(scenario, *mutation),
+                       "secondary")
         if failure is not None:
             failures.append(f"{mutation}: {failure}")
     assert not failures, "\n".join(failures)

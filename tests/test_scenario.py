@@ -154,6 +154,9 @@ class TestParsing:
             lambda d: d.update(analysis={"secondary": {"alpha": 0.0}}),
             "analysis.secondary.alpha", id="secondary-alpha-zero"),
         pytest.param(
+            lambda d: d.update(analysis={"secondary": {"alpha": 2.0}}),
+            "analysis.secondary.alpha", id="secondary-alpha-above-one"),
+        pytest.param(
             lambda d: d.update(analysis={"cf": {"bus": "b2", "window": -4}}),
             "analysis.cf.window", id="cf-window-negative"),
         pytest.param(

@@ -35,28 +35,27 @@ class TestCollect:
     def test_two_bus_voltage_entry(self):
         sys = two_bus_pq().build()
         sol = solved(sys)
-        snap = collect_measurements(sys, sol.x, sys.params0)
+        snap = collect_measurements(sys, sol.x, 0)
         assert snap.voltages["b2"] == pytest.approx(0.894427, abs=2e-6)
         assert snap.voltages["b1"] == pytest.approx(1.0, abs=1e-9)
-        assert snap.load_currents["load"] == pytest.approx(
-            0.8 / snap.voltages["b2"], rel=1e-9)
 
-    def test_setpoints_include_droop(self):
+    def test_one_current_per_converter(self):
         sys = secondary_feeder().build()
         sol = solved(sys)
-        snap = collect_measurements(sys, sol.x, sys.params0)
-        for conv_id, (p_ref, q_ref) in snap.setpoints.items():
-            assert p_ref == pytest.approx(0.15)
-            assert q_ref == pytest.approx(0.0)   # kq = 0 here
+        snap = collect_measurements(sys, sol.x, 0)
         assert set(snap.converter_currents) == {"c2", "c3"}
+        for conv_id, mag in snap.converter_currents.items():
+            i_d = sol.x[sys.state_index(f"{conv_id}.id")]
+            i_q = sol.x[sys.state_index(f"{conv_id}.iq")]
+            assert mag == pytest.approx(np.hypot(i_d, i_q), rel=1e-12)
 
     def test_deterministic(self):
         sys = secondary_feeder().build()
         sol = solved(sys)
-        a = collect_measurements(sys, sol.x, sys.params0)
-        b = collect_measurements(sys, sol.x.copy(), sys.params0)
+        a = collect_measurements(sys, sol.x, 0)
+        b = collect_measurements(sys, sol.x.copy(), 0)
         assert a.voltages == b.voltages
-        assert a.load_currents == b.load_currents
+        assert a.converter_currents == b.converter_currents
 
 
 class TestSensitivity:
@@ -125,7 +124,7 @@ class TestSolveUpdate:
     def _setup(self, sys, p=None):
         p = p if p is not None else sys.params0
         sol = newton_equilibrium(sys, sys.initial_guess(), p)
-        snap = collect_measurements(sys, sol.x, p)
+        snap = collect_measurements(sys, sol.x, 0)
         sens = gain_sensitivity(sys, sol.x, p)
         boxes = {}
         limits = {}
@@ -142,7 +141,6 @@ class TestSolveUpdate:
         sol, snap, sens, boxes, limits = self._setup(sys)
         flat = snap.__class__(snap.iteration,
                               {b: 1.0 for b in snap.voltages},
-                              snap.load_currents, snap.setpoints,
                               snap.converter_currents)
         w = WeightVector({b: 1.0 for b in sys.bus_ids})
         upd = solve_update(flat, sens, w, boxes, limits, sys.params0)
@@ -222,7 +220,7 @@ class TestRunRecursive:
     def test_terminates_immediately_without_violation(self):
         # balanced load and injection keep every bus inside the band
         sys = secondary_feeder(p_load=0.1, p_ref=0.14).build()
-        hist = run_recursive(sys, weights=WeightVector(
+        hist = run_recursive(sys, sys.params0, WeightVector(
             {b: 1.0 for b in sys.bus_ids}, rho=1e-8))
         assert hist.converged
         assert len(hist.iterations) == 1
@@ -235,7 +233,7 @@ class TestRunRecursive:
         dev0 = max(abs(1.0 - v)
                    for v in sys.voltage_magnitudes(sol.x).values())
         assert 0.04 <= dev0 <= 0.06
-        hist = run_recursive(sys, weights=WeightVector(
+        hist = run_recursive(sys, sys.params0, WeightVector(
             {b: 1.0 for b in sys.bus_ids}, rho=1e-8), alpha=1.0)
         assert hist.converged
         assert len(hist.iterations) - 1 <= 20
@@ -246,7 +244,7 @@ class TestRunRecursive:
 
     def test_gains_stay_in_box_and_currents_below_rating(self):
         sys = secondary_feeder(box=20.0).build()
-        hist = run_recursive(sys, weights=WeightVector(
+        hist = run_recursive(sys, sys.params0, WeightVector(
             {b: 1.0 for b in sys.bus_ids}, rho=1e-8), alpha=1.0)
         for entry in hist.iterations:
             for conv_id, (g, b) in entry["gains"].items():
@@ -261,16 +259,36 @@ class TestRunRecursive:
         sol = solved(sys)
         v0 = sys.voltage_magnitudes(sol.x)
         assert v0["b1"] > 1.01 and v0["b3"] < 0.99
-        hist = run_recursive(sys, weights=WeightVector(
+        hist = run_recursive(sys, sys.params0, WeightVector(
             {b: 1.0 for b in sys.bus_ids}, rho=1e-8), alpha=1.0)
         vf = hist.iterations[-1]["snapshot"].voltages
         assert abs(1.0 - vf["b1"]) < abs(1.0 - v0["b1"])
         assert abs(1.0 - vf["b3"]) < abs(1.0 - v0["b3"])
 
+    def test_no_iteration_walks_the_device_outputs(self):
+        # voltages and converter currents are read from the states
+        sys = secondary_feeder().build()
+        walked = []
+        outputs = sys.outputs
+        sys.outputs = lambda x, p: walked.append(p) or outputs(x, p)
+        hist = run_recursive(sys, sys.params0, WeightVector(
+            {b: 1.0 for b in sys.bus_ids}, rho=1e-8))
+        assert len(hist.iterations) > 1
+        assert walked == []
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, 2.0])
+    def test_trust_factor_outside_unit_interval_rejected(self, alpha):
+        # the full optimizer step already reaches the gain boxes, so a
+        # factor above 1 would step past them
+        sys = secondary_feeder().build()
+        with pytest.raises(ConfigurationError, match="alpha"):
+            run_recursive(sys, sys.params0, WeightVector(
+                {b: 1.0 for b in sys.bus_ids}), alpha=alpha)
+
     def test_bit_identical_reruns(self):
         def run():
             sys = secondary_feeder().build()
-            hist = run_recursive(sys, weights=WeightVector(
+            hist = run_recursive(sys, sys.params0, WeightVector(
                 {b: 1.0 for b in sys.bus_ids}, rho=1e-8), alpha=1.0)
             return [(e["objective"], tuple(sorted(e["gains"].items())))
                     for e in hist.iterations]
