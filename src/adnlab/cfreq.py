@@ -127,20 +127,18 @@ _GFM_SERIES = ("e_mag",)
 def _output_series(sys, traj: Trajectory, conv_id: str, p: Params) -> dict:
     """The converter's cf outputs sampled along ``traj``, one array per key.
 
-    The walk is kept on the trajectory, keyed by the identity of the
-    system and the parameters, so the PLL frequency and the block
-    decomposition of one run walk the trajectory once.
+    Only the converter's own outputs are evaluated
+    (:meth:`~adnlab.network.AssembledSystem.converter_outputs`).  The walk
+    is kept on the trajectory, keyed by the identity of the system and the
+    parameters, so the PLL frequency and the block decomposition of one
+    run walk the trajectory once.
     """
     key = ("cf outputs", sys, conv_id, p)
     series = traj.memo.get(key)
     if series is None:
         keys = _GFL_SERIES if conv_id in sys.gfl_ids() else _GFM_SERIES
-        series = {k: np.empty(len(traj.times)) for k in keys}
-        for i, x in enumerate(traj.states):
-            o = sys.outputs(x, p)[conv_id]
-            for k in keys:
-                series[k][i] = o[k]
-        traj.memo[key] = series
+        series = traj.memo[key] = sys.converter_outputs(traj.states, p,
+                                                        conv_id, keys)
     return series
 
 

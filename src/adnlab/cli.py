@@ -223,7 +223,8 @@ def _transient(run: _Run):
 def _cmd_simulate(run: _Run, args):
     sys, _, traj = _transient(run)
     run.csv("trajectory.csv", ("t",) + sys.state_names,
-            ((t, *row.tolist()) for t, row in zip(traj.times, traj.states)))
+            ((t, *row.tolist())
+             for t, row in zip(traj.times.tolist(), traj.states)))
 
 
 def _cmd_secondary(run: _Run, args):

@@ -197,8 +197,7 @@ def _initial_tangent(sys: DaeSystem, param: str, p: Params, x, direction):
 
 
 def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
-                    settings: ContinuationSettings = ContinuationSettings()
-                    ) -> Branch:
+                    settings: ContinuationSettings) -> Branch:
     """Trace an equilibrium branch over ``param`` from a converged start.
 
     Raises :class:`ConfigurationError` when the start lies outside

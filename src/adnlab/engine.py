@@ -420,18 +420,29 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float,
     Petzold, *Numerical Solution of Initial-Value Problems in
     Differential-Algebraic Equations*, SIAM 1996).
 
-    Each step solves ``m (z - base) = av F(z)``, where ``av`` is the step
-    coefficient ``a`` on dynamic rows and ``-1`` on algebraic ones (zero
-    ``m``, so ``F = 0`` there), by simplified Newton (Hairer and Wanner,
-    *Solving Ordinary Differential Equations II*, IV.8) from the linear
-    extrapolation ``2 x_n - x_(n-1)`` (the first step from ``x_0``), as
-    DASSL's predictor does, to an inf-norm residual of
-    :data:`STEP_NEWTON_TOL`.  Corrections apply the stored inverse of
-    ``m - a J`` (``J`` on algebraic rows), rebuilt at a step's start
-    iterate only when ``a`` changes or the previous step needed
-    :data:`SLOW_STEP` or more corrections.  A step that fails within 25
-    corrections or meets a non-finite residual is retried once from the
-    accepted state, with a matrix rebuilt there.
+    Each step solves ``c (z - base) = F(z)`` with ``c = m / a``, where
+    ``a`` is the step coefficient (``h``, then ``2h/3``) and ``c = 0``
+    marks an algebraic row, by simplified Newton (Hairer and Wanner,
+    *Solving Ordinary Differential Equations II*, IV.8) on the inverse of
+    ``diag(c) - J``.  The start iterate is ``x_0`` on the backward-Euler
+    step, ``2 x_1 - x_0`` on the first BDF2 step and the quadratic through
+    the last three states, ``3 x_n - 3 x_(n-1) + x_(n-2)``, on every
+    later one: DASSL's predictor has order k + 1 (Brenan, Campbell and
+    Petzold, ch. 5).  A start iterate whose residual
+    ``c (z - base) - F(z)``, ``F`` in its own units, is within
+    :data:`TOL_EQ` on every row is the step's result, so a run from an
+    equilibrium solved to that tolerance stays put.  Otherwise each
+    correction is applied, and the step ends with no further residual
+    once the correction's inf-norm in mass units (``m`` on dynamic rows,
+    1 on algebraic ones) is at most :data:`STEP_NEWTON_TOL`, or, from the
+    second correction on, once DASSL's error estimate
+    ``rate / (1 - rate)`` times that norm is, ``rate`` being its ratio to
+    the previous correction's norm.  A rate of 0.9 or more ends the
+    attempt.  The inverse is rebuilt at a step's start iterate only when
+    ``a`` changes or the previous step needed :data:`SLOW_STEP` or more
+    corrections.  A step that fails within 25 corrections or meets a
+    non-finite residual or correction is retried once from the accepted
+    state, with a matrix rebuilt there.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -440,30 +451,50 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float,
     out = np.empty((n_steps + 1, sys.n))
     out[0] = x0
     m = sys.mass(p)
-    dyn = m > 0.0
+    w = np.where(m > 0.0, m, 1.0)       # the corrections' weights
+    # base and start iterate of the first BDF2 step from x_0, x_1, and of
+    # every later one from x_(n-2), x_(n-1), x_n
+    from_two = np.array([[-1.0 / 3.0, 4.0 / 3.0], [-1.0, 2.0]])
+    from_three = np.array([[0.0, -1.0 / 3.0, 4.0 / 3.0], [1.0, -3.0, 3.0]])
+    inf_norm = np.maximum.reduce        # skips ndarray.max's Python wrapper
     inv_a, slow = None, False
     base, z, a = out[0], out[0], h
     for step in range(n_steps):
         for attempt in range(2):
             if a != inv_a or slow or attempt:
-                jac = jacobian_fd(sys, z, p)
-                step_matrix = -a * jac
-                step_matrix[dyn] += np.diag(m)[dyn]
-                step_matrix[~dyn] = jac[~dyn]
+                c = m / a
                 try:
-                    inv = np.linalg.inv(step_matrix)
+                    inv = np.linalg.inv(np.diag(c) - jacobian_fd(sys, z, p))
                 except np.linalg.LinAlgError as exc:
                     raise IntegrationError(
                         f"singular step Jacobian at t={times[step + 1]:.6g}s",
                         time=float(times[step + 1])) from exc
-                inv_a, av = a, np.where(dyn, a, -1.0)
-            for corrections in range(25):
-                res = m * (z - base) - av * sys.residual(z, p)
-                err = float(abs(res).max())
-                if err <= STEP_NEWTON_TOL or not math.isfinite(err):
+                inv_a = a
+            done = False
+            for corrections in range(1, 26):
+                res = c * (z - base) - sys.residual(z, p)
+                err = inf_norm(abs(res))
+                if corrections == 1 and err <= TOL_EQ:
+                    done, corrections = True, 0     # the start solves it
                     break
-                z = z - inv @ res
-            if err <= STEP_NEWTON_TOL:
+                if not math.isfinite(err):
+                    break
+                dz = inv @ res
+                z = z - dz
+                delta = inf_norm(abs(w * dz))
+                if not math.isfinite(delta):
+                    break
+                if delta <= STEP_NEWTON_TOL:
+                    done = True
+                elif corrections > 1:
+                    rate = delta / last
+                    if rate >= 0.9:
+                        break
+                    done = rate / (1.0 - rate) * delta <= STEP_NEWTON_TOL
+                if done:
+                    break
+                last = delta
+            if done:
                 break
             z = out[step]   # retry once from the accepted state
         else:
@@ -472,7 +503,7 @@ def integrate(sys: DaeSystem, x0, p: Params, t_end: float,
                 "smaller step size", time=float(times[step + 1]))
         slow = corrections >= SLOW_STEP
         out[step + 1] = z
-        base = (4.0 * out[step + 1] - out[step]) / 3.0
-        z = 2.0 * out[step + 1] - out[step]
-        a = 2.0 * h / 3.0
+        start = (from_three @ out[step - 1:step + 2] if step
+                 else from_two @ out[:2])
+        base, z, a = start[0], start[1], 2.0 * h / 3.0
     return Trajectory(times, out, sys.state_names)

@@ -17,6 +17,7 @@ into the bus; loads return consumed current and are subtracted.
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -356,8 +357,9 @@ class NetworkModel:
 
 @lru_cache(maxsize=64)
 def _compile_kernel(source: str):
-    """Code object of a generated residual kernel, memoised by its source
-    text, so systems of one layout compile it once."""
+    """Code object of a generated residual kernel or converter walk,
+    memoised by its source text, so systems of one layout compile it
+    once."""
     return compile(source, "<adnlab residual kernel>", "exec")
 
 
@@ -384,7 +386,8 @@ class AssembledSystem(DaeSystem):
     and the cache of each converter's limiter reach the kernel through
     ``env``, so the source holds no scenario text.  The source is written
     at build and compiled on the first evaluation, once per layout; an
-    evaluation converts the residual to an array once.
+    evaluation converts the residual to an array once.  Each converter's
+    own lines are kept too, for :meth:`converter_outputs`.
     """
 
     def __init__(self, model: NetworkModel, rotating_sources: bool = False):
@@ -403,6 +406,7 @@ class AssembledSystem(DaeSystem):
         kcl = {}               # free bus row -> its terms, in device order
         pins = {}              # bus row -> source row of a pinned bus
         outs = []              # (bound output key, value), in device order
+        own = {}               # converter id -> (its outputs dict, its lines)
 
         def add_states(dev_id, *states):
             """Declare the states ``(name, mass, initial guess)`` of one
@@ -564,6 +568,7 @@ class AssembledSystem(DaeSystem):
                              for nm in GFL_PARAMS)
             gains = ", ".join(gains)
             out = f"g{k}_out"
+            first = len(body)
             body.append(f"{out} = None if outputs is None else {{}}")
             v_pll = {vi, vi + 1, idx}       # bus voltage in the PLL frame
             if conv.tau_meas > 0.0:
@@ -613,6 +618,7 @@ class AssembledSystem(DaeSystem):
                      f"{states}, x{vi}, x{vi + 1}, {vm_d}, {vm_q}, {corr}, "
                      f"{gains}, {lim}, {bind(conv.l_f)}, {bind(conv.r_f)}, "
                      f"{out})"]
+            own[conv.id] = (out, body[first:])
             if conv.val_mode == "dval":
                 body.append(f"f{dv}, f{dv + 1} = dval_rate({bind(real)}, "
                             f"x{dv}, x{dv + 1}, {bind(conv.val.v_nom)} - "
@@ -635,10 +641,12 @@ class AssembledSystem(DaeSystem):
             out = f"h{k}_out"
             consts = ", ".join(bind(getattr(gfm, name))
                                for name in ("r_v", "l_v", "tau_p", "tau_q"))
+            first = len(body)
             body += [f"{out} = None if outputs is None else {{}}",
                      f"f{idx}, f{idx + 1}, f{idx + 2}, h{k}_d, h{k}_q = "
                      f"gfm_rates(w0, x{idx}, x{idx + 1}, x{idx + 2}, "
                      f"x{vi}, x{vi + 1}, {gains}, {consts}, {out})"]
+            own[gfm.id] = (out, body[first:])
             inject(gfm.bus, inj, inj, f"+ h{k}_d", f"+ h{k}_q")
             outs.append((bind(gfm.id), out))
 
@@ -655,18 +663,24 @@ class AssembledSystem(DaeSystem):
             body += ["if outputs is not None:",
                      *(f"    outputs[{key}] = {value}" for key, value in outs)]
         n = len(names)
+        unpack_env, unpack_x, unpack_p = self._unpack = (
+            f"{', '.join(labels)}, = env",
+            f"{', '.join(f'x{i}' for i in range(n))}, = x",
+            f"{', '.join(f'p{i}' for i in range(len(pnames)))}, = p")
         self._source = "\n".join([
             "def bind(env):",
-            f"    {', '.join(labels)}, = env",
+            f"    {unpack_env}",
             "    def kernel(x, p, outputs):",
-            f"        {', '.join(f'x{i}' for i in range(n))}, = x",
-            f"        {', '.join(f'p{i}' for i in range(len(pnames)))}, = p",
+            f"        {unpack_x}",
+            f"        {unpack_p}",
             *(f"        {line}" for line in body),
             f"        return [{', '.join(f'f{i}' for i in range(n))}]",
             "    return kernel",
             ""])
         self._env = tuple(env)
         self._kernel = None
+        self._own = own
+        self._walks = {}
         self._converters = {c.id: c for c in (*model.gfls, *model.gfms)}
         self._mass_base = np.array(masses, dtype=float)
         self._mass_param = tuple(mass_param)
@@ -687,16 +701,55 @@ class AssembledSystem(DaeSystem):
             m[i] = pv[j]
         return m
 
+    def _bind(self, source: str):
+        """The function that generated ``source`` returns from
+        ``bind(env)``, bound to this system's ``env``."""
+        scope = {}
+        exec(_compile_kernel(source), globals(), scope)
+        return scope["bind"](self._env)
+
     def _evaluate(self, x, p: Params, outputs: dict | None = None):
         """Residual vector from the generated kernel, which is compiled on
         the first evaluation; ``outputs``, when given, receives every
         device's auxiliary outputs."""
         if self._kernel is None:
-            scope = {}
-            exec(_compile_kernel(self._source), globals(), scope)
-            self._kernel = scope["bind"](self._env)
+            self._kernel = self._bind(self._source)
         return np.fromiter(self._kernel(x.tolist(), p.floats, outputs),
                            float, self.n)
+
+    def converter_outputs(self, states, p: Params, conv_id: str,
+                          keys) -> dict:
+        """Outputs ``keys`` of converter ``conv_id`` at every row of
+        ``states``, one array per key.
+
+        Only the converter's own kernel lines run, the same device call
+        with the same arguments as in the residual kernel, so each value
+        has the bits :meth:`outputs` gives.  The walk over the rows is
+        generated from those lines and compiled on first use, once per
+        converter.
+        """
+        walk = self._walks.get(conv_id)
+        if walk is None:
+            out, lines = self._own[conv_id]
+            unpack_env, unpack_x, unpack_p = self._unpack
+            source = "\n".join([
+                "def bind(env):",
+                f"    {unpack_env}",
+                "    def walk(xs, p, get):",
+                f"        {unpack_p}",
+                "        outputs, rows = {}, []",
+                "        for x in xs:",
+                f"            {unpack_x}",
+                *(f"            {line}" for line in lines),
+                f"            rows.append(get({out}))",
+                "        return rows",
+                "    return walk",
+                ""])
+            walk = self._walks[conv_id] = self._bind(source)
+        rows = walk(np.asarray(states, dtype=float).tolist(), p.floats,
+                    itemgetter(*keys))
+        table = np.array(rows, dtype=float).reshape(-1, len(keys)).T.copy()
+        return dict(zip(keys, table))
 
     def _activity_impl(self, x, p: Params):
         if not self.model.gfls:

@@ -80,8 +80,6 @@ class GainSensitivity:
 @dataclass(frozen=True)
 class GainUpdate:
     delta: np.ndarray           # raw optimizer step (before the trust factor)
-    active_constraints: tuple   # labels of constraints active at the optimum
-    multipliers: np.ndarray
     no_op: bool = False
 
 
@@ -148,7 +146,7 @@ def _conv_current(sys, x, conv_id):
                       x[sys.state_index(f"{conv_id}.iq")])
 
 
-def _solve_qp(h_mat, f_vec, a_mat, b_vec, labels):
+def _solve_qp(h_mat, f_vec, a_mat, b_vec):
     """Dense primal active-set QP: min 1/2 d'Hd + f'd  s.t.  A d <= b.
 
     Starts from d = 0 (kept feasible by clamping b at zero) and terminates
@@ -172,10 +170,7 @@ def _solve_qp(h_mat, f_vec, a_mat, b_vec, labels):
         mult = sol[n:]
         if np.max(np.abs(step)) <= 1e-10 * max(1.0, float(np.max(np.abs(d)))):
             if not working or np.min(mult) >= -KKT_TOL:
-                mu = np.zeros(len(a_mat))
-                for w_idx, m in zip(working, mult):
-                    mu[w_idx] = m
-                return d, mu, tuple(labels[i] for i in working)
+                return d
             working.pop(int(np.argmin(mult)))
             continue
         # largest feasible step toward the blocking constraint
@@ -226,7 +221,7 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
         raise ConfigurationError(f"regularization rho = {weights.rho!r} "
                                  "overflows the update's Hessian")
 
-    rows, rhs, labels = [], [], []
+    rows, rhs = [], []
     for j, name in enumerate(names):
         lo, hi = boxes[name]
         if lo > hi:
@@ -237,23 +232,19 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
         up[j] = 1.0
         rows += [up, -up]
         rhs += [hi - p[name], p[name] - lo]
-        labels += [f"{name}<=max", f"{name}>=min"]
     for k, conv_id in enumerate(sens.conv_ids):
         if conv_id not in current_limits:
             continue
         margin = current_limits[conv_id] - snapshot.converter_currents[conv_id]
         rows.append(sens.current[k] * sens.usable)
         rhs.append(margin)
-        labels.append(f"{conv_id}.imax")
     a_mat = np.array(rows)
     b_vec = np.array(rhs)
 
     if not np.any(sens.usable):
-        return GainUpdate(delta=np.zeros(n), active_constraints=(),
-                          multipliers=np.zeros(len(a_mat)), no_op=True)
+        return GainUpdate(delta=np.zeros(n), no_op=True)
 
-    delta, mu, active = _solve_qp(h_mat, f_vec, a_mat, b_vec, labels)
-    return GainUpdate(delta=delta, active_constraints=active, multipliers=mu)
+    return GainUpdate(delta=_solve_qp(h_mat, f_vec, a_mat, b_vec))
 
 
 def _objective(voltages: dict, weights: WeightVector) -> float:

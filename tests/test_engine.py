@@ -277,9 +277,10 @@ class TestIntegrate:
 
     def test_one_residual_call_per_newton_check(self, monkeypatch):
         """Outside Jacobians, the only residual calls are one per
-        step-Newton iteration: each correction plus each step's converged
-        check.  Each step-Jacobian build is inverted once, and every
-        correction applies that inverse instead of a linear solve."""
+        step-Newton correction: the step that a correction's own size
+        accepts makes no further residual call.  Each step-Jacobian build
+        is inverted once, and every correction applies that inverse
+        instead of a linear solve."""
         from adnlab import engine
 
         a = np.array([[-1.0, 2.0, 0.5], [-2.0, -1.0, 0.0],
@@ -325,8 +326,7 @@ class TestIntegrate:
         assert calls["inv"] == calls["build"]
         assert calls["solve"] == 0
         assert calls["correction"] >= steps
-        assert (calls["residual"] - calls["jacobian"]
-                == calls["correction"] + steps)
+        assert calls["residual"] - calls["jacobian"] == calls["correction"]
 
     def test_fast_steps_keep_one_matrix_per_coefficient(self, monkeypatch):
         """A linear DAE whose every step converges in one or two
@@ -361,8 +361,9 @@ class TestIntegrate:
         """x' = -x above 0.5 and -50 x below: the step that crosses 0.5
         iterates on the matrix of the slow decay and needs many
         corrections.  It keeps that matrix to the end; the next step
-        rebuilds it at its own start iterate, and the fast steps after
-        that keep the new one."""
+        rebuilds it at its own start iterate, the quadratic predictor
+        ``3 x_n - 3 x_(n-1) + x_(n-2)``, and the fast steps after that
+        keep the new one."""
         from adnlab import engine
 
         events = []
@@ -385,19 +386,26 @@ class TestIntegrate:
         sys = DaeSystem(1, residual, lambda p: np.ones(1), Params((), []))
         states = integrate(sys, np.array([1.0]), sys.params0, t_end=1.2,
                            h=0.01).states
-        # split the events by step: a step's last check is at its result
+        # each step's start iterate, formed as integrate forms it
+        from_two = np.array([[-1.0 / 3.0, 4.0 / 3.0], [-1.0, 2.0]])
+        from_three = np.array([[0.0, -1.0 / 3.0, 4.0 / 3.0],
+                               [1.0, -3.0, 3.0]])
+        starts = [states[0], (from_two @ states[:2])[1]]
+        starts += [(from_three @ states[k - 2:k + 1])[1]
+                   for k in range(2, len(states) - 1)]
+        # split the events by step: a step's first check is at its start
         step, checks, built_in = 0, [0] * (len(states) - 1), []
         for kind, x in events:
+            if step + 1 < len(starts) and np.array_equal(x, starts[step + 1]):
+                step += 1
             if kind == "build":
                 built_in.append((step, x))
-                continue
-            checks[step] += 1
-            if np.array_equal(x, states[step + 1]):
-                step += 1
-        slow, = [k for k, c in enumerate(checks) if c - 1 >= SLOW_STEP]
+            else:
+                checks[step] += 1
+        assert step == len(starts) - 1
+        slow, = [k for k, c in enumerate(checks) if c >= SLOW_STEP]
         assert [k for k, _ in built_in] == [0, 1, slow + 1]
-        assert np.array_equal(built_in[2][1],
-                              2.0 * states[slow + 1] - states[slow])
+        assert np.array_equal(built_in[2][1], starts[slow + 1])
 
     def test_bad_step_rejected(self):
         sys = linear_system(-np.eye(1))

@@ -253,6 +253,25 @@ def test_hostile_ids_reach_no_source_and_change_no_bits():
                          q.with_value(f"pll{HOSTILE}.i_max", 0.0))
 
 
+def test_converter_outputs_give_the_kernel_bits():
+    """The walk over one converter's own kernel lines gives, row by row,
+    the bits of that converter's entry in the whole kernel's outputs, for
+    every converter kind and layout case."""
+    sys = _every_device_model(lambda i: i).build(rotating_sources=True)
+    p = sys.params0.with_value("pll.i_max", 0.9)
+    rng = np.random.default_rng(3)
+    states = sys.initial_guess() + 0.05 * rng.standard_normal((6, sys.n))
+    whole = [sys.outputs(x, p) for x in states]
+    for conv_id in (*sys.gfl_ids(), *sys.gfm_ids()):
+        keys = tuple(whole[0][conv_id])
+        for asked in (keys, keys[-1:]):
+            series = sys.converter_outputs(states, p, conv_id, asked)
+            assert list(series) == list(asked)
+            for key in asked:
+                assert series[key].tobytes() == np.array(
+                    [out[conv_id][key] for out in whole]).tobytes()
+
+
 def test_device_functions_are_looked_up_at_call_time(monkeypatch):
     sys, p = _system("showcase")
     x = sys.initial_guess()
