@@ -249,7 +249,7 @@ def _cmd_secondary(run: _Run, args):
     run.csv("secondary_gains.csv",
             ("iter", "converter", "g_v", "b_v", "objective"), g_rows)
     status = "converged" if history.converged else \
-        (history.aborted or "iteration budget exhausted")
+        (history.aborted or history.stalled or "iteration budget exhausted")
     run.say(f"secondary loop: {status} after "
             f"{len(history.iterations)} iteration(s)")
 

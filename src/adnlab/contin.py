@@ -22,9 +22,11 @@ from .engine import (
     SpectrumReport,
     TOL_EQ,
     _state_matrix_and_condition,
+    equilibrium_sensitivity,
     jacobian_fd,
     newton_equilibrium,
     eigenvalues,
+    param_derivative,
 )
 from .errors import (ConfigurationError, NonConvergenceError,
                      SingularJacobianError)
@@ -141,14 +143,6 @@ def _point_fingerprint(sys: DaeSystem, x, p: Params, lam: float,
         hb_metric=hb_metric, hb_im=hb_im, alg_cond=alg_cond)
 
 
-def _dF_dlam(sys: DaeSystem, x, p: Params, param: str):
-    lam = p[param]
-    h = 1e-6 * max(1.0, abs(lam))
-    fp = sys.residual(x, p.with_value(param, lam + h))
-    fm = sys.residual(x, p.with_value(param, lam - h))
-    return (fp - fm) / (2.0 * h)
-
-
 def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
                tangent, x_ref, lam_ref, ds, max_iter):
     """Newton on the augmented system with the pseudo-arclength constraint
@@ -164,7 +158,7 @@ def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
         if norm <= TOL_EQ:
             return x, lam, it
         jac = jacobian_fd(sys, x, pk)
-        flam = _dF_dlam(sys, x, pk, param)
+        flam = param_derivative(sys, x, pk, param)
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n] = jac
         aug[:n, n] = flam
@@ -181,11 +175,9 @@ def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
 
 
 def _initial_tangent(sys: DaeSystem, param: str, p: Params, x, direction):
-    jac = jacobian_fd(sys, x, p)
-    flam = _dF_dlam(sys, x, p, param)
     try:
-        dx = np.linalg.solve(jac, -flam)
-    except np.linalg.LinAlgError as exc:
+        dx = equilibrium_sensitivity(sys, x, p, (param,))[:, 0]
+    except SingularJacobianError as exc:
         raise SingularJacobianError(
             "Jacobian singular at the branch start (starting at a fold?)"
         ) from exc

@@ -27,6 +27,8 @@ __all__ = [
     "Trajectory",
     "newton_equilibrium",
     "jacobian_fd",
+    "param_derivative",
+    "equilibrium_sensitivity",
     "reduced_state_matrix",
     "eigenvalues",
     "spectrum_at",
@@ -291,6 +293,30 @@ def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
     jac = np.zeros((sys.n, sys.n))
     jac[rows, owner] = entries
     return jac
+
+
+def param_derivative(sys: DaeSystem, x, p: Params, name: str) -> np.ndarray:
+    """Central difference of ``F`` over the parameter ``name``, with step
+    ``1e-6 * max(1, |p|)``."""
+    lam = p[name]
+    h = 1e-6 * max(1.0, abs(lam))
+    fp = sys.residual(x, p.with_value(name, lam + h))
+    fm = sys.residual(x, p.with_value(name, lam - h))
+    return (fp - fm) / (2.0 * h)
+
+
+def equilibrium_sensitivity(sys: DaeSystem, x, p: Params, names) -> np.ndarray:
+    """The ``(n, k)`` matrix ``dx/dp = -J^{-1} F_p`` of the equilibrium
+    ``x`` over the parameters ``names`` (implicit-function theorem; Greene,
+    Dobson and Alvarado, *IEEE TPWRS* 12(1), 1997).  A singular Jacobian
+    raises :class:`SingularJacobianError`."""
+    jac = jacobian_fd(sys, x, p)
+    f_p = np.column_stack([param_derivative(sys, x, p, k) for k in names])
+    try:
+        return np.linalg.solve(jac, -f_p)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobianError(
+            "singular Jacobian at the equilibrium") from exc
 
 
 def newton_equilibrium(sys: DaeSystem, x0, p: Params) -> EquilibriumSolution:

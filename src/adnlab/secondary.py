@@ -1,13 +1,13 @@
 """Recursive secondary voltage controller.
 
 The controller periodically measures the solved operating point (bus
-voltage magnitudes and converter current magnitudes), computes
-finite-difference sensitivities of the voltage profile to the virtual
-admittance gains of every converter, solves a small box- and
-current-constrained weighted least-squares update, and dispatches new
-gains.  Measurements are taken from equilibria: the secondary layer is
-slow compared with the primary dynamics, so each iteration sees a settled
-network.
+voltage magnitudes and converter current magnitudes), computes the
+sensitivities of the voltage profile to the virtual admittance gains of
+every converter from one Jacobian solve at that point, solves a small
+box- and current-constrained weighted least-squares update, and
+dispatches new gains.  Measurements are taken from equilibria: the
+secondary layer is slow compared with the primary dynamics, so each
+iteration sees a settled network.
 
 Gains enter the model as named parameters, which requires the converters
 to run the quasi-stationary VAL (the dynamic realization would change the
@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Params, newton_equilibrium
+from .engine import Params, equilibrium_sensitivity, newton_equilibrium
 from .errors import ConfigurationError, NonConvergenceError, SingularJacobianError
 
 __all__ = [
     "MeasurementSnapshot",
     "WeightVector",
     "GainSensitivity",
-    "GainUpdate",
     "SecondaryHistory",
     "collect_measurements",
     "gain_sensitivity",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 V_NOM = 1.0
-GAIN_STEP = 1e-4            # forward-difference step on each VAL gain
 DELTA_GAIN_TOL = 1e-6
 KKT_TOL = 1e-8
 
@@ -67,26 +65,20 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class GainSensitivity:
-    """Forward-difference sensitivities at a solved operating point."""
+    """Gain sensitivities at a solved operating point."""
 
     gain_names: tuple           # parameter names, (conv1.g_v, conv1.b_v, ...)
     bus_ids: tuple
     conv_ids: tuple
     voltage: np.ndarray         # d|v| / d(gain), buses x gains
     current: np.ndarray         # d|i_conv| / d(gain), converters x gains
-    usable: np.ndarray          # per-column validity mask
-
-
-@dataclass(frozen=True)
-class GainUpdate:
-    delta: np.ndarray           # raw optimizer step (before the trust factor)
-    no_op: bool = False
 
 
 @dataclass
 class SecondaryHistory:
     iterations: list = field(default_factory=list)   # per-iteration dicts
     converged: bool = False
+    stalled: str = ""
     aborted: str = ""
 
 
@@ -108,42 +100,32 @@ def collect_measurements(sys, x, iteration: int) -> MeasurementSnapshot:
     """Extract |v| per bus and |i| per converter at the operating point."""
     return MeasurementSnapshot(
         iteration, sys.voltage_magnitudes(x),
-        {c: _conv_current(sys, x, c) for c in sys.gfl_ids()})
+        {c: math.hypot(x[sys.state_index(f"{c}.id")],
+                       x[sys.state_index(f"{c}.iq")]) for c in sys.gfl_ids()})
 
 
 def gain_sensitivity(sys, x, p: Params) -> GainSensitivity:
-    """Forward differences of |v| and |i_conv| over every VAL gain.
-
-    Each column re-solves the equilibrium with one perturbed gain, warm
-    started from the base solution; a column whose perturbed equilibrium
-    fails to converge is flagged unusable and simply excluded from the
-    update.
-    """
+    """Derivatives of |v| and |i_conv| over every VAL gain at the
+    equilibrium ``x``: the chain rule on ``dx/dp`` from one Jacobian solve
+    there (:func:`~adnlab.engine.equilibrium_sensitivity`, which raises on
+    a singular or non-finite Jacobian)."""
     gain_names = _gain_names(sys)
-    bus_ids = sys.bus_ids
     conv_ids = sys.gfl_ids()
-    base_v = np.array([sys.bus_voltage_mag(x, b) for b in bus_ids])
-    base_i = np.array([_conv_current(sys, x, c) for c in conv_ids])
-    s_v = np.zeros((len(bus_ids), len(gain_names)))
-    s_i = np.zeros((len(conv_ids), len(gain_names)))
-    usable = np.ones(len(gain_names), dtype=bool)
-    for j, name in enumerate(gain_names):
-        p_j = p.with_value(name, p[name] + GAIN_STEP)
-        try:
-            sol = newton_equilibrium(sys, x, p_j)
-        except (NonConvergenceError, SingularJacobianError):
-            usable[j] = False
-            continue
-        v_j = np.array([sys.bus_voltage_mag(sol.x, b) for b in bus_ids])
-        i_j = np.array([_conv_current(sys, sol.x, c) for c in conv_ids])
-        s_v[:, j] = (v_j - base_v) / GAIN_STEP
-        s_i[:, j] = (i_j - base_i) / GAIN_STEP
-    return GainSensitivity(gain_names, bus_ids, conv_ids, s_v, s_i, usable)
+    dx = equilibrium_sensitivity(sys, x, p, gain_names)
+    v_d = np.array([sys.vidx[b] for b in sys.bus_ids])
+    i_d = [sys.state_index(f"{c}.id") for c in conv_ids]
+    i_q = [sys.state_index(f"{c}.iq") for c in conv_ids]
+    return GainSensitivity(gain_names, sys.bus_ids, conv_ids,
+                           _magnitude_derivative(x, dx, v_d, v_d + 1),
+                           _magnitude_derivative(x, dx, i_d, i_q))
 
 
-def _conv_current(sys, x, conv_id):
-    return math.hypot(x[sys.state_index(f"{conv_id}.id")],
-                      x[sys.state_index(f"{conv_id}.iq")])
+def _magnitude_derivative(x, dx, d, q):
+    """Rows of ``d|(x_d, x_q)|``; ``|(dx_d, dx_q)|`` at a zero magnitude."""
+    x_d, x_q = x[d, None], x[q, None]
+    mag = np.hypot(x_d, x_q)
+    return np.divide(x_d * dx[d] + x_q * dx[q], mag,
+                     out=np.hypot(dx[d], dx[q]), where=mag > 0.0)
 
 
 def _solve_qp(h_mat, f_vec, a_mat, b_vec):
@@ -196,23 +178,24 @@ def _solve_qp(h_mat, f_vec, a_mat, b_vec):
 
 def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
                  weights: WeightVector, boxes: dict, current_limits: dict,
-                 p: Params) -> GainUpdate:
+                 p: Params) -> np.ndarray:
     """One constrained weighted least-squares gain update.
 
     Minimizes ``sum_i w_i (|v_i| + (S dg)_i - V_NOM)^2 + rho ||dg||^2``
     subject to the per-converter gain boxes and the linearized converter
     current limits.  ``boxes`` maps a gain parameter name to (lo, hi) on
     the absolute gain; ``current_limits`` maps a converter id to its rated
-    current.
+    current.  Returns the optimizer step on the gains, before the trust
+    factor.
     """
     names = sens.gain_names
     n = len(names)
     w = np.array([weights.weights.get(b, 0.0) for b in sens.bus_ids])
     r = np.array([snapshot.voltages[b] - V_NOM for b in sens.bus_ids])
-    s_v = sens.voltage.copy()
-    s_v[:, ~sens.usable] = 0.0
-    h_mat = 2.0 * (s_v.T @ (w[:, None] * s_v))
-    f_vec = 2.0 * (s_v.T @ (w * r))
+    s_v = sens.voltage
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        h_mat = 2.0 * (s_v.T @ (w[:, None] * s_v))
+        f_vec = 2.0 * (s_v.T @ (w * r))
     if not np.all(np.isfinite(h_mat)) or not np.all(np.isfinite(f_vec)):
         raise ConfigurationError("non-finite sensitivity data")
     rho_eff = max(weights.rho, 1e-12 * max(1.0, float(np.trace(h_mat)) / n))
@@ -221,30 +204,19 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
         raise ConfigurationError(f"regularization rho = {weights.rho!r} "
                                  "overflows the update's Hessian")
 
-    rows, rhs = [], []
+    rows, rhs, unit = [], [], np.eye(n)
     for j, name in enumerate(names):
         lo, hi = boxes[name]
         if lo > hi:
             raise ConfigurationError(f"infeasible box for {name}: [{lo}, {hi}]")
-        if not sens.usable[j]:
-            lo = hi = p[name]    # freeze unusable columns
-        up = np.zeros(n)
-        up[j] = 1.0
-        rows += [up, -up]
+        rows += [unit[j], -unit[j]]
         rhs += [hi - p[name], p[name] - lo]
     for k, conv_id in enumerate(sens.conv_ids):
-        if conv_id not in current_limits:
-            continue
-        margin = current_limits[conv_id] - snapshot.converter_currents[conv_id]
-        rows.append(sens.current[k] * sens.usable)
-        rhs.append(margin)
-    a_mat = np.array(rows)
-    b_vec = np.array(rhs)
-
-    if not np.any(sens.usable):
-        return GainUpdate(delta=np.zeros(n), no_op=True)
-
-    return GainUpdate(delta=_solve_qp(h_mat, f_vec, a_mat, b_vec))
+        if conv_id in current_limits:
+            rows.append(sens.current[k])
+            rhs.append(current_limits[conv_id]
+                       - snapshot.converter_currents[conv_id])
+    return _solve_qp(h_mat, f_vec, np.array(rows), np.array(rhs))
 
 
 def _objective(voltages: dict, weights: WeightVector) -> float:
@@ -262,13 +234,15 @@ def run_recursive(sys, p: Params, weights: WeightVector,
                   alpha: float = 1.0) -> SecondaryHistory:
     """Measure-update loop, started from the system's initial guess, until
     the weighted voltage deviation is inside the band, the update stalls,
-    or the iteration budget runs out.
+    or ``max_iter`` updates have been applied (the point the last one
+    reached is measured and checked too).
 
     The accepted weighted objective never increases: a worse trial point
     halves the trust step (up to five times) and a lost equilibrium
-    reverts the gains the same way; persistent failure aborts with the
-    history collected so far.  The first trial takes ``alpha`` in (0, 1]
-    of the optimizer step, whose full length already reaches the boxes.
+    reverts the gains the same way; persistent failure, or a failed
+    sensitivity solve, aborts with the history collected so far.  The
+    first trial takes ``alpha`` in (0, 1] of the optimizer step, whose
+    full length already reaches the boxes.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigurationError(
@@ -282,23 +256,29 @@ def run_recursive(sys, p: Params, weights: WeightVector,
         limits[conv_id] = conv.i_max
     x = newton_equilibrium(sys, sys.initial_guess(), p).x
     history = SecondaryHistory()
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         snap = collect_measurements(sys, x, it)
         obj = _objective(snap.voltages, weights)
         history.iterations.append(
             {"iteration": it, "snapshot": snap, "objective": obj,
              "gains": {c: (p[f"{c}.g_v"], p[f"{c}.b_v"])
                        for c in sys.gfl_ids()}})
-        if _max_weighted_deviation(snap.voltages, weights) <= tol_v:
-            history.converged = True
+        history.converged = \
+            _max_weighted_deviation(snap.voltages, weights) <= tol_v
+        if history.converged or it == max_iter:
             return history
-        sens = gain_sensitivity(sys, x, p)
-        update = solve_update(snap, sens, weights, boxes, limits, p)
-        if update.no_op or float(np.max(np.abs(update.delta))) <= DELTA_GAIN_TOL:
+        try:
+            sens = gain_sensitivity(sys, x, p)
+        except (NonConvergenceError, SingularJacobianError) as exc:
+            history.aborted = f"sensitivity failed at iteration {it}: {exc}"
+            return history
+        delta = solve_update(snap, sens, weights, boxes, limits, p)
+        if float(np.max(np.abs(delta))) <= DELTA_GAIN_TOL:
+            history.stalled = f"update stalled at iteration {it}"
             return history
         a = alpha
         for _ in range(6):
-            p_try = p.with_values({name: p[name] + a * update.delta[j]
+            p_try = p.with_values({name: p[name] + a * delta[j]
                                    for j, name in enumerate(gain_names)})
             try:
                 trial = newton_equilibrium(sys, x, p_try)
@@ -314,4 +294,3 @@ def run_recursive(sys, p: Params, weights: WeightVector,
             history.aborted = (f"no acceptable step at iteration {it} "
                                f"(objective {obj:.3e})")
             return history
-    return history

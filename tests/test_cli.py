@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adnlab.secondary
 from adnlab.cli import (
     CSV_CHUNK_LINES,
     EXIT_NUMERICAL,
@@ -18,6 +20,7 @@ from adnlab.cli import (
     _write_csv,
     run_command,
 )
+from adnlab.errors import SingularJacobianError
 from adnlab.scenario import MAX_STEPS
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -137,6 +140,48 @@ class TestCommands:
         assert float(rows[-1][0]) == pytest.approx(4.0, rel=1e-12)
         theta_g = float(rows[-1][header.index("grid.theta_g")])
         assert theta_g == pytest.approx(4.0, rel=1e-9)
+
+
+def _unboxed(data):
+    for conv in data["converters"]:
+        conv["val"].update(g_min=0.0, g_max=0.0, b_min=0.0, b_max=0.0)
+
+
+def _singular_sensitivity(*args):
+    raise SingularJacobianError("singular Jacobian at the equilibrium")
+
+
+class TestSecondaryStatusLine:
+    """Every outcome of the secondary loop prints one status line of the
+    form ``secondary loop: <status> after N iteration(s)``, the line the
+    benchmark reads the loop's outcome from."""
+
+    @pytest.mark.parametrize("edit, patch, status", [
+        (None, None, "converged"),
+        (_unboxed, None, "update stalled at iteration 0"),
+        (lambda d: d["analysis"]["secondary"].update(max_iter=1), None,
+         "iteration budget exhausted"),
+        (None, _singular_sensitivity,
+         "sensitivity failed at iteration 0: singular Jacobian at the "
+         "equilibrium"),
+    ], ids=["converged", "stalled", "budget", "aborted"])
+    def test_one_status_line(self, tmp_path, capsys, monkeypatch, edit,
+                             patch, status):
+        scenario = json.loads((SCENARIO_DIR / "secondary_4bus.json")
+                              .read_text())
+        if edit is not None:
+            edit(scenario)
+        if patch is not None:
+            monkeypatch.setattr(adnlab.secondary, "gain_sensitivity", patch)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command(["secondary", "--scenario", str(path),
+                          "--out", str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        found = [re.match(r"^secondary loop: (.*) after \d+ iteration", line)
+                 for line in capsys.readouterr().out.splitlines()]
+        statuses = [m.group(1) for m in found if m]
+        assert statuses == [status]
 
 
 class TestExitCodes:

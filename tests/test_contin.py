@@ -17,7 +17,6 @@ from adnlab.contin import (
     locate_bifurcation,
     trace_boundary_2d,
     _classify,
-    _dF_dlam,
 )
 from adnlab.converters import GflConverter
 from adnlab.engine import (
@@ -26,6 +25,7 @@ from adnlab.engine import (
     SpectrumReport,
     jacobian_fd,
     newton_equilibrium,
+    param_derivative,
     spectrum_at,
 )
 from adnlab.errors import ConfigurationError
@@ -172,7 +172,7 @@ class TestTwoBusNose:
         # bordered tangent at the located fold
         p_star = sys.params0.with_value("lambda", snb.lam)
         jac = jacobian_fd(sys, snb.x, p_star)
-        flam = _dF_dlam(sys, snb.x, p_star, "lambda")
+        flam = param_derivative(sys, snb.x, p_star, "lambda")
         n = sys.n
         aug = np.zeros((n + 1, n + 1))
         aug[:n, :n] = jac

@@ -11,6 +11,7 @@ from adnlab.engine import (
     DaeSystem,
     Params,
     eigenvalues,
+    equilibrium_sensitivity,
     integrate,
     jacobian_fd,
     newton_equilibrium,
@@ -141,6 +142,25 @@ class TestNewton:
         sol = newton_equilibrium(sys, x0, sys.params0)
         sol_p = newton_equilibrium(sys_p, x0[perm], sys_p.params0)
         assert np.max(np.abs(sol.x[perm] - sol_p.x)) < 1e-8
+
+
+class TestEquilibriumSensitivity:
+    # the fold toy F = mu - c x^2 has the equilibrium x = sqrt(mu / c)
+    fold = DaeSystem(1, lambda x, p: np.array([p["mu"] - p["c"] * x[0] ** 2]),
+                     lambda p: np.ones(1), Params(("mu", "c"), [4.0, 1.0]))
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, 3.0])
+    def test_fold_toy_closed_form(self, x):
+        p = self.fold.params0.with_value("mu", x * x)
+        dx = equilibrium_sensitivity(self.fold, np.array([x]), p, ("mu", "c"))
+        assert dx.shape == (1, 2)
+        assert dx[0, 0] == pytest.approx(1.0 / (2.0 * x), rel=1e-8)
+        assert dx[0, 1] == pytest.approx(-x / 2.0, rel=1e-8)
+
+    def test_singular_at_the_fold(self):
+        p = self.fold.params0.with_value("mu", 0.0)
+        with pytest.raises(SingularJacobianError):
+            equilibrium_sensitivity(self.fold, np.array([0.0]), p, ("mu",))
 
 
 class TestReducedStateMatrix:

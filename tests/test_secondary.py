@@ -1,10 +1,13 @@
 """Tests for the recursive secondary voltage controller."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+import adnlab.engine
 from adnlab.converters import GflConverter
-from adnlab.engine import newton_equilibrium
+from adnlab.engine import TOL_EQ, newton_equilibrium
 from adnlab.errors import ConfigurationError
 from adnlab.network import (
     Bus,
@@ -107,6 +110,43 @@ class TestSensitivity:
                 assert sens.voltage[i, j] == pytest.approx(
                     central, rel=0.02, abs=1e-7)
 
+    def test_current_matches_central_differences(self):
+        sys = secondary_feeder().build()
+        sol = solved(sys)
+        sens = gain_sensitivity(sys, sol.x, sys.params0)
+        h = 1e-3
+        for j, name in enumerate(sens.gain_names):
+            p_hi = sys.params0.with_value(name, h)
+            p_lo = sys.params0.with_value(name, -h)
+            hi = collect_measurements(
+                sys, newton_equilibrium(sys, sol.x, p_hi).x, 0)
+            lo = collect_measurements(
+                sys, newton_equilibrium(sys, sol.x, p_lo).x, 0)
+            for k, conv_id in enumerate(sens.conv_ids):
+                central = (hi.converter_currents[conv_id]
+                           - lo.converter_currents[conv_id]) / (2 * h)
+                assert sens.current[k, j] == pytest.approx(
+                    central, rel=0.02, abs=1e-7)
+
+    def test_zero_current_takes_the_growing_gain_derivative(self):
+        # |i| = 0 has no two-sided derivative; a growing gain moves it by
+        # the norm of the current's own derivative, without a warning
+        sys = secondary_feeder(p_ref=0.0).build()
+        sol = solved(sys)
+        assert collect_measurements(sys, sol.x, 0).converter_currents \
+            == {"c2": 0.0, "c3": 0.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sens = gain_sensitivity(sys, sol.x, sys.params0)
+        h = 1e-4
+        for j, name in enumerate(sens.gain_names):
+            step = newton_equilibrium(sys, sol.x,
+                                      sys.params0.with_value(name, h))
+            currents = collect_measurements(sys, step.x, 0).converter_currents
+            for k, conv_id in enumerate(sens.conv_ids):
+                assert sens.current[k, j] == pytest.approx(
+                    currents[conv_id] / h, rel=0.02, abs=1e-7)
+
     def test_requires_qval(self):
         sys = secondary_feeder().build()
         model = sys.model
@@ -145,7 +185,7 @@ class TestSolveUpdate:
                               snap.converter_currents)
         w = WeightVector({b: 1.0 for b in sys.bus_ids})
         upd = solve_update(flat, sens, w, boxes, limits, sys.params0)
-        assert np.max(np.abs(upd.delta)) < 1e-9
+        assert np.max(np.abs(upd)) < 1e-9
 
     def test_single_dof_closed_form(self):
         # freeze every gain except c2.g_v and regulate bus b2 only
@@ -159,10 +199,10 @@ class TestSolveUpdate:
         i = sens.bus_ids.index("b2")
         j = sens.gain_names.index("c2.g_v")
         expected = (1.0 - snap.voltages["b2"]) / sens.voltage[i, j]
-        assert upd.delta[j] == pytest.approx(expected, rel=1e-6)
+        assert upd[j] == pytest.approx(expected, rel=1e-6)
         for k, name in enumerate(sens.gain_names):
             if name != "c2.g_v":
-                assert upd.delta[k] == pytest.approx(0.0, abs=1e-12)
+                assert upd[k] == pytest.approx(0.0, abs=1e-12)
 
     def test_active_box_bound_with_positive_multiplier(self):
         sys = secondary_feeder().build()
@@ -174,9 +214,9 @@ class TestSolveUpdate:
         j = sens.gain_names.index("c2.g_v")
         # the upper bound holds with equality, and the objective's slope
         # there points past it: its multiplier -slope is positive
-        assert upd.delta[j] == pytest.approx(0.5, abs=1e-10)
+        assert upd[j] == pytest.approx(0.5, abs=1e-10)
         i = sens.bus_ids.index("b2")
-        error = snap.voltages["b2"] + sens.voltage[i] @ upd.delta - V_NOM
+        error = snap.voltages["b2"] + sens.voltage[i] @ upd - V_NOM
         slope = 2.0 * error * sens.voltage[i, j]
         assert slope < 0.0
 
@@ -187,7 +227,7 @@ class TestSolveUpdate:
         w2 = WeightVector({b: 2.0 for b in sys.bus_ids}, rho=0.0)
         u1 = solve_update(snap, sens, w1, boxes, limits, sys.params0)
         u2 = solve_update(snap, sens, w2, boxes, limits, sys.params0)
-        assert np.allclose(u1.delta, u2.delta, atol=1e-9)
+        assert np.allclose(u1, u2, atol=1e-9)
 
     def test_infeasible_box_rejected(self):
         sys = secondary_feeder().build()
@@ -197,16 +237,6 @@ class TestSolveUpdate:
         with pytest.raises(ConfigurationError):
             solve_update(snap, sens, w, boxes, limits, sys.params0)
 
-    def test_all_columns_unusable_is_noop(self):
-        sys = secondary_feeder().build()
-        sol, snap, sens, boxes, limits = self._setup(sys)
-        dead = sens.__class__(sens.gain_names, sens.bus_ids, sens.conv_ids,
-                              sens.voltage, sens.current,
-                              np.zeros_like(sens.usable))
-        w = WeightVector({b: 1.0 for b in sys.bus_ids})
-        upd = solve_update(snap, dead, w, boxes, limits, sys.params0)
-        assert upd.no_op
-        assert np.all(upd.delta == 0.0)
 
 
 class TestRunRecursive:
@@ -257,6 +287,53 @@ class TestRunRecursive:
         vf = hist.iterations[-1]["snapshot"].voltages
         assert abs(1.0 - vf["b1"]) < abs(1.0 - v0["b1"])
         assert abs(1.0 - vf["b3"]) < abs(1.0 - v0["b3"])
+
+    def test_singular_jacobian_at_the_measured_point_aborts(self,
+                                                            monkeypatch):
+        # zero one row of every Jacobian taken at a solved point: Newton
+        # stops before it needs one there, the sensitivity solve does not
+        jacobian = adnlab.engine.jacobian_fd
+
+        def singular_when_solved(sys, x, p):
+            jac = jacobian(sys, x, p)
+            if np.max(np.abs(sys.residual(x, p))) <= TOL_EQ:
+                jac[0] = 0.0
+            return jac
+
+        monkeypatch.setattr(adnlab.engine, "jacobian_fd",
+                            singular_when_solved)
+        sys = secondary_feeder().build()
+        hist = run_recursive(sys, sys.params0, WeightVector(
+            {b: 1.0 for b in sys.bus_ids}, rho=1e-8))
+        assert not hist.converged
+        assert len(hist.iterations) == 1
+        assert hist.aborted == ("sensitivity failed at iteration 0: "
+                                "singular Jacobian at the equilibrium")
+
+    def test_zero_step_is_reported_as_a_stall(self):
+        # every gain box is [0, 0], so the first update cannot move
+        sys = secondary_feeder(box=0.0).build()
+        hist = run_recursive(sys, sys.params0, WeightVector(
+            {b: 1.0 for b in sys.bus_ids}, rho=1e-8))
+        assert not hist.converged and not hist.aborted
+        assert hist.stalled == "update stalled at iteration 0"
+        assert len(hist.iterations) == 1
+
+    def test_spent_budget_measures_the_last_update(self):
+        # a run cut after k updates ends on the point the k-th one reached
+        sys = secondary_feeder().build()
+        w = WeightVector({b: 1.0 for b in sys.bus_ids}, rho=1e-8)
+        full = run_recursive(sys, sys.params0, w)
+        assert full.converged and len(full.iterations) >= 3
+        for k in range(1, len(full.iterations) - 1):
+            cut = run_recursive(sys, sys.params0, w, max_iter=k)
+            assert not (cut.converged or cut.stalled or cut.aborted)
+            assert len(cut.iterations) == k + 1
+            last, row = cut.iterations[-1], full.iterations[k]
+            assert last["iteration"] == row["iteration"] == k
+            assert last["gains"] == row["gains"]
+            assert last["objective"] == row["objective"]
+            assert last["snapshot"] == row["snapshot"]
 
     def test_no_iteration_walks_the_device_outputs(self):
         # voltages and converter currents are read from the states
