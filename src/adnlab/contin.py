@@ -21,12 +21,13 @@ from .engine import (
     Params,
     SpectrumReport,
     TOL_EQ,
+    _checked,
+    _jacobian,
     _state_matrix_and_condition,
     equilibrium_sensitivity,
     jacobian_fd,
     newton_equilibrium,
     eigenvalues,
-    param_derivative,
 )
 from .errors import (ConfigurationError, NonConvergenceError,
                      SingularJacobianError)
@@ -125,8 +126,9 @@ class Boundary2D:
 
 
 def _point_fingerprint(sys: DaeSystem, x, p: Params, lam: float,
-                       s: float) -> BranchPoint:
-    reduced, alg_cond = _state_matrix_and_condition(sys, x, p)
+                       s: float, jac) -> BranchPoint:
+    """The branch point at ``(x, p)``, from its Jacobian ``jac``."""
+    reduced, alg_cond = _state_matrix_and_condition(sys, x, p, jac)
     spec = eigenvalues(reduced)
     sign, _ = np.linalg.slogdet(reduced)
     eigs = spec.eigenvalues
@@ -146,21 +148,26 @@ def _point_fingerprint(sys: DaeSystem, x, p: Params, lam: float,
 def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
                tangent, x_ref, lam_ref, ds, max_iter):
     """Newton on the augmented system with the pseudo-arclength constraint
-    ``tangent . (X - X_ref) = ds``, to :data:`TOL_EQ`."""
+    ``tangent . (X - X_ref) = ds``, to :data:`TOL_EQ`.
+
+    Each iteration makes one :meth:`~adnlab.engine.DaeSystem.linearize`
+    call for ``F``, the Jacobian entries and ``F_param``.  Returns the
+    converged ``x`` and parameter value, the iterations taken and the
+    Jacobian entries at that point, not yet checked: the caller's
+    fingerprint checks them.
+    """
     n = sys.n
+    _, _, rows, owner = sys._difference_index()
     x = np.asarray(x_pred, dtype=float).copy()
     lam = float(lam_pred)
     for it in range(max_iter):
-        pk = p.with_value(param, lam)
-        f = sys.residual(x, pk)
+        f, entries, flam = sys.linearize(x, p, param, lam)
         g = float(tangent[:n] @ (x - x_ref) + tangent[n] * (lam - lam_ref) - ds)
         norm = max(float(np.max(np.abs(f))), abs(g))
         if norm <= TOL_EQ:
-            return x, lam, it
-        jac = jacobian_fd(sys, x, pk)
-        flam = param_derivative(sys, x, pk, param)
+            return x, lam, it, entries
         aug = np.zeros((n + 1, n + 1))
-        aug[:n, :n] = jac
+        aug[rows, owner] = _checked(sys, entries)
         aug[:n, n] = flam
         aug[n, :] = tangent
         rhs = np.concatenate([-f, [-g]])
@@ -209,7 +216,8 @@ def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
     _check_start(param, lam, settings)
     branch = Branch(param=param)
     sol = newton_equilibrium(sys, start.x, p)
-    branch.points.append(_point_fingerprint(sys, sol.x, p, lam, 0.0))
+    branch.points.append(_point_fingerprint(sys, sol.x, p, lam, 0.0,
+                                            jacobian_fd(sys, sol.x, p)))
     yield branch
     tangent = _initial_tangent(sys, param, p, sol.x, settings.direction)
 
@@ -222,7 +230,7 @@ def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
         x_pred = x + h * tangent[:n]
         lam_pred = cur_lam + h * tangent[n]
         try:
-            x_new, lam_new, iters = _corrector(
+            x_new, lam_new, iters, entries = _corrector(
                 sys, param, p, x_pred, lam_pred, tangent, x, cur_lam, h,
                 CORRECTOR_MAX_ITER)
         except (NonConvergenceError, SingularJacobianError) as exc:
@@ -239,8 +247,8 @@ def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
         ds_vec = np.concatenate([x_new - x, [lam_new - cur_lam]])
         s_new = s + float(np.linalg.norm(ds_vec))
         pk = p.with_value(param, lam_new)
-        branch.points.append(
-            _point_fingerprint(sys, x_new, pk, lam_new, s_new))
+        branch.points.append(_point_fingerprint(
+            sys, x_new, pk, lam_new, s_new, _jacobian(sys, entries)))
         yield branch
         tangent = ds_vec / np.linalg.norm(ds_vec)
         x, cur_lam, s = x_new, lam_new, s_new
@@ -377,11 +385,12 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
         tangent = secant / s_width
         x_pred = 0.5 * (xa + xb)
         lam_pred = 0.5 * (la + lb)
-        x_mid, lam_mid, _ = _corrector(
+        x_mid, lam_mid, _, entries = _corrector(
             sys, param, p, x_pred, lam_pred, tangent, xa, la,
             0.5 * s_width, 30)
         p_mid = p.with_value(param, lam_mid)
-        pt_mid = _point_fingerprint(sys, x_mid, p_mid, lam_mid, 0.0)
+        pt_mid = _point_fingerprint(sys, x_mid, p_mid, lam_mid, 0.0,
+                                    _jacobian(sys, entries))
         f_mid = _test_value(pt_mid, kind, limiter)
         if fa * f_mid <= 0.0:
             xb, lb, fb = x_mid, lam_mid, f_mid

@@ -128,6 +128,7 @@ class DaeSystem:
         self.pattern = pattern
         self._groups = None
         self._fd_index = None
+        self._blocks = {}
 
     def residual(self, x, p: Params) -> np.ndarray:
         f = np.asarray(self._residual_fn(np.asarray(x, dtype=float), p), dtype=float)
@@ -215,6 +216,55 @@ class DaeSystem:
                 np.concatenate([owner for _, _, owner in groups]))
         return self._fd_index
 
+    def difference_entries(self, x, p: Params) -> np.ndarray:
+        """Every entry of the coloured central-difference Jacobian at
+        ``(x, p)``, in :meth:`_difference_index` order and unchecked.
+
+        The ``2g`` perturbed states of the ``g`` groups, ``x_j + h_j`` and
+        ``x_j - h_j`` on each group's columns with ``h_j = 1e-6 * max(1,
+        |x_j|)``, are built as one array and the residual is called once
+        per state; each entry is ``(f+ - f-) / (2 h_j)``.
+        """
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        colour, group, rows, owner = self._difference_index()
+        g = len(self.column_groups())
+        cols = np.arange(self.n)
+        # rows 0..g-1 of the stack are the +h states, rows g..2g-1 the -h ones
+        states = np.tile(x, (2 * g, 1))
+        states[colour, cols] = x + h
+        states[colour + g, cols] = x - h
+        f = np.array([self.residual(state, p) for state in states])
+        # a non-finite difference is reported by the caller, not warned about
+        with np.errstate(invalid="ignore", over="ignore"):
+            return (f[group, rows] - f[group + g, rows]) / (2.0 * h[owner])
+
+    def linearize(self, x, p: Params, param=None, value=None):
+        """``(F, entries, F_param)`` at ``x`` and ``p``, with ``param`` set to
+        ``value`` when one is given: the residual, the unchecked
+        :meth:`difference_entries` and, when ``param`` is named, its
+        :func:`param_derivative` (else ``None``), in that order.  A caller
+        that moves one parameter passes its value, not a new
+        :class:`Params`."""
+        if value is not None:
+            p = p.with_value(param, value)
+        f = self.residual(x, p)
+        entries = self.difference_entries(x, p)
+        return f, entries, (None if param is None
+                            else param_derivative(self, x, p, param))
+
+    def _state_blocks(self, m) -> tuple:
+        """``(dyn, alg, dd, da, ad, aa)``: the states with positive and with
+        zero mass ``m``, and the ``np.ix_`` meshes of the four Jacobian
+        blocks between them, cached per sign pattern of ``m``."""
+        key = np.sign(m).tobytes()
+        blocks = self._blocks.get(key)
+        if blocks is None:
+            dyn, alg = np.flatnonzero(m > 0.0), np.flatnonzero(m == 0.0)
+            blocks = self._blocks[key] = (
+                dyn, alg, np.ix_(dyn, dyn), np.ix_(dyn, alg),
+                np.ix_(alg, dyn), np.ix_(alg, alg))
+        return blocks
+
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
@@ -260,38 +310,38 @@ def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
     ``1e-6 * max(1, |x_j|)``.
 
     The columns of each :meth:`DaeSystem.column_groups` group are
-    perturbed together, one ``+h``/``-h`` residual pair per group.  The
-    ``2g`` perturbed states of the ``g`` groups are built as one array
-    and the residual is called once per state; every entry is then
-    gathered, differenced, checked and scattered in one pass, through
-    flat index arrays cached beside the groups.  A row reads at most one
-    column of a group, so each entry equals the one column-by-column
-    differencing gives, bit for bit.  A non-finite entry raises
-    :class:`NonConvergenceError` naming the first one in group order.
+    perturbed together, one ``+h``/``-h`` pair per group, and the entries
+    come from :meth:`DaeSystem.difference_entries`: ``2g`` residual calls
+    for a hand-written system, one call of the generated difference kernel
+    for an assembled network.  A row reads at most one column of a group,
+    so each entry equals the one column-by-column differencing gives, bit
+    for bit.  A non-finite entry raises :class:`NonConvergenceError`
+    naming the first one in group order.
     """
     x = np.asarray(x, dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    colour, group, rows, owner = sys._difference_index()
-    g = len(sys.column_groups())
-    cols = np.arange(sys.n)
-    # rows 0..g-1 of the stack are the +h states, rows g..2g-1 the -h ones
-    states = np.tile(x, (2 * g, 1))
-    states[colour, cols] = x + h
-    states[colour + g, cols] = x - h
-    f = np.array([sys.residual(state, p) for state in states])
-    # a non-finite difference is reported below, not warned about
-    with np.errstate(invalid="ignore", over="ignore"):
-        entries = (f[group, rows] - f[group + g, rows]) / (2.0 * h[owner])
+    return _jacobian(sys, sys.difference_entries(x, p))
+
+
+def _checked(sys: DaeSystem, entries) -> np.ndarray:
+    """``entries``, in :meth:`DaeSystem._difference_index` order, after
+    checking that each is finite."""
     finite = np.isfinite(entries)
     if not finite.all():
+        _, _, rows, owner = sys._difference_index()
         k = int(np.argmin(finite))
         bad = int(rows[k])
         raise NonConvergenceError(
             f"non-finite Jacobian entry in equation {sys.state_names[bad]!r} "
             f"w.r.t. state {sys.state_names[owner[k]]!r}",
             worst_index=bad, worst_name=sys.state_names[bad])
+    return entries
+
+
+def _jacobian(sys: DaeSystem, entries) -> np.ndarray:
+    """The dense Jacobian of the :func:`_checked` ``entries``."""
+    _, _, rows, owner = sys._difference_index()
     jac = np.zeros((sys.n, sys.n))
-    jac[rows, owner] = entries
+    jac[rows, owner] = _checked(sys, entries)
     return jac
 
 
@@ -375,19 +425,21 @@ def reduced_state_matrix(sys: DaeSystem, x_star, p: Params) -> np.ndarray:
     return _state_matrix_and_condition(sys, x_star, p)[0]
 
 
-def _state_matrix_and_condition(sys: DaeSystem, x_star, p: Params):
+def _state_matrix_and_condition(sys: DaeSystem, x_star, p: Params,
+                                jac=None):
     """:func:`reduced_state_matrix` and the condition number of the
-    algebraic block (1.0 when all-dynamic), from one Jacobian."""
+    algebraic block (1.0 when all-dynamic), from one Jacobian: ``jac``
+    when the caller has it at ``(x_star, p)``, else :func:`jacobian_fd`."""
     m = sys.mass(p)
-    jac = jacobian_fd(sys, x_star, p)
-    dyn = np.flatnonzero(m > 0.0)
-    alg = np.flatnonzero(m == 0.0)
-    f_x = jac[np.ix_(dyn, dyn)]
+    if jac is None:
+        jac = jacobian_fd(sys, x_star, p)
+    dyn, alg, dd, da, ad, aa = sys._state_blocks(m)
+    f_x = jac[dd]
     cond = 1.0
     if alg.size:
-        f_y = jac[np.ix_(dyn, alg)]
-        g_x = jac[np.ix_(alg, dyn)]
-        g_y = jac[np.ix_(alg, alg)]
+        f_y = jac[da]
+        g_x = jac[ad]
+        g_y = jac[aa]
         try:
             reduced = f_x - f_y @ np.linalg.solve(g_y, g_x)
         except np.linalg.LinAlgError as exc:

@@ -14,9 +14,11 @@ the frame-rotation coupling enters every inductive/capacitive dynamic as
 into the bus; loads return consumed current and are subtracted.
 """
 
+import ast
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -363,6 +365,106 @@ def _compile_kernel(source: str):
     return compile(source, "<adnlab residual kernel>", "exec")
 
 
+@lru_cache(maxsize=64)
+def _difference_source(source: str, colour: tuple, entries: tuple,
+                       param) -> str:
+    """Source of the difference kernel of the residual kernel ``source``.
+
+    ``colour`` gives the column group of each state and ``entries`` the
+    ``(group, row, column)`` of each Jacobian entry, in difference-index
+    order; ``param`` is the index of the parameter to difference, or
+    ``None``.  ``bind(env)`` returns ``difference(x, xp, xm, d, p, pl)``.
+    It runs the kernel lines once at ``x`` and ``p``.  Then, for each
+    group's ``+h`` state (from ``xp``), each ``-h`` state (``xm``) and the
+    parameter's two values (``pl``), in that order, it runs again only
+    the lines that read a perturbed name, directly or through an earlier
+    such line, on copies of their names tagged ``__<perturbation>``; a
+    copied ``if`` first sets its tagged names to their untagged values.
+    It returns one list: the residual, every entry ``(f+ - f-) / d`` with
+    ``d`` the column's ``2h``, and with ``param`` every row's
+    ``(f+ - f-) / d_p``, ``d_p`` the last item of ``pl``.  The lines that
+    fill ``outputs`` are left out.
+    """
+    text = source.split("\n")
+    start = list(accumulate((len(line) + 1 for line in text), initial=0))
+    bind = ast.parse(source).body[0]
+    _, kernel, _ = bind.body
+    unpack_x, unpack_p, *body, _ = kernel.body
+    steps = []
+    for stmt in body:
+        # each name of the line, at its offset in the source
+        found = sorted((start[node.lineno - 1] + node.col_offset, node.id,
+                        isinstance(node.ctx, ast.Store))
+                       for node in ast.walk(stmt)
+                       if isinstance(node, ast.Name))
+        reads = {name for _, name, store in found if not store}
+        if isinstance(stmt, ast.If) and "outputs" in reads:
+            continue
+        # the line's text with a str.format field in place of each name
+        ends = [start[stmt.lineno - 1]] + [at + len(name)
+                                           for at, name, _ in found]
+        chunks = [source[end:at] for end, (at, _, _) in zip(ends, found)]
+        chunks.append(source[ends[-1]:start[stmt.end_lineno] - 1])
+        template = "{}".join(chunk.replace("{", "{{").replace("}", "}}")
+                             for chunk in chunks)
+        steps.append((template, found, reads, {name for _, name, store
+                                               in found if store},
+                      isinstance(stmt, ast.If)))
+    lines = [template.format(*(name for _, name, _ in found))
+             for template, found, _, _, _ in steps]
+
+    def rerun(seeds, tag):
+        """Append the lines ``seeds`` reach, with the names they set and
+        the perturbed names they read tagged; return the perturbed
+        names."""
+        dirty = set(seeds)
+        for template, found, reads, writes, branch in steps:
+            if reads & dirty:
+                if branch:     # the copy starts from the names it may set
+                    lines.extend(f"        {name}__{tag} = {name}"
+                                 for name in sorted(writes - dirty))
+                lines.append(template.format(*(
+                    f"{name}__{tag}" if store or name in dirty else name
+                    for _, name, store in found)))
+                dirty |= writes
+        return dirty
+
+    def row_name(row, dirty, tag):
+        return f"f{row}__{tag}" if f"f{row}" in dirty else f"f{row}"
+
+    n, sides = len(colour), []
+    for sign, states in (("p", "xp"), ("m", "xm")):
+        lines.append("        " + ", ".join(f"x{i}__{c}{sign}" for i, c
+                                             in enumerate(colour))
+                     + f", = {states}")
+        dirty = [rerun({f"x{i}" for i, c in enumerate(colour) if c == k},
+                       f"{k}{sign}") for k in range(max(colour) + 1)]
+        sides.append([row_name(row, dirty[k], f"{k}{sign}")
+                      for k, row, _ in entries])
+    lines.append("        " + ", ".join(f"d{i}" for i in range(n)) + ", = d")
+    diffs = [f"({a} - {b}) / d{col}"
+             for a, b, (_, _, col) in zip(*sides, entries)]
+    if param is not None:
+        lines.append(f"        p{param}__lp, p{param}__lm, d_p = pl")
+        sides = []
+        for tag in ("lp", "lm"):
+            dirty = rerun({f"p{param}"}, tag)
+            sides.append([row_name(row, dirty, tag) for row in range(n)])
+        diffs += [f"({a} - {b}) / d_p" for a, b in zip(*sides)]
+    returned = ", ".join([f"f{i}" for i in range(n)] + diffs)
+    return "\n".join([
+        "def bind(env):",
+        text[bind.body[0].lineno - 1],
+        "    def difference(x, xp, xm, d, p, pl):",
+        "        outputs = None",
+        text[unpack_x.lineno - 1],
+        text[unpack_p.lineno - 1],
+        *lines,
+        f"        return [{returned}]",
+        "    return difference",
+        ""])
+
+
 class AssembledSystem(DaeSystem):
     """Compiled residual system for a :class:`NetworkModel`.
 
@@ -388,6 +490,12 @@ class AssembledSystem(DaeSystem):
     at build and compiled on the first evaluation, once per layout; an
     evaluation converts the residual to an array once.  Each converter's
     own lines are kept too, for :meth:`converter_outputs`.
+
+    :meth:`linearize`, and so :func:`~adnlab.engine.jacobian_fd`, runs a
+    difference kernel generated from the residual kernel's source: the
+    kernel lines once at the point, then for each perturbation of a
+    colour group or of the continued parameter only the lines that read
+    a perturbed name, directly or through an earlier such line.
     """
 
     def __init__(self, model: NetworkModel, rotating_sources: bool = False):
@@ -679,6 +787,7 @@ class AssembledSystem(DaeSystem):
             ""])
         self._env = tuple(env)
         self._kernel = None
+        self._differences = {}
         self._own = own
         self._walks = {}
         self._converters = {c.id: c for c in (*model.gfls, *model.gfms)}
@@ -716,6 +825,42 @@ class AssembledSystem(DaeSystem):
             self._kernel = self._bind(self._source)
         return np.fromiter(self._kernel(x.tolist(), p.floats, outputs),
                            float, self.n)
+
+    def linearize(self, x, p: Params, param=None, value=None):
+        """:meth:`DaeSystem.linearize` from one call of the difference
+        kernel (:func:`_difference_source`), generated on the first call
+        for each ``param`` and compiled once per layout; ``value`` goes
+        into the kernel's parameter floats, no :class:`Params` is built.
+        The kernel runs the lines of the residual calls that the base
+        class makes, in their order, less those whose inputs are the base
+        point's, so each value has their bits."""
+        j = None if param is None else p.index(param)
+        run = self._differences.get(j)
+        if run is None:
+            colour, group, rows, owner = self._difference_index()
+            run = self._differences[j] = self._bind(_difference_source(
+                self._source, tuple(colour.tolist()),
+                tuple(zip(group.tolist(), rows.tolist(), owner.tolist())),
+                j))
+        floats, pl = p.floats, None
+        if value is not None:
+            floats = list(floats)
+            floats[j] = float(value)
+        if j is not None:
+            lam = floats[j]
+            h_p = 1e-6 * max(1.0, abs(lam))
+            pl = (lam + h_p, lam - h_p, 2.0 * h_p)
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        n, k = self.n, self._difference_index()[3].size
+        values = np.fromiter(
+            run(x.tolist(), (x + h).tolist(), (x - h).tolist(),
+                (2.0 * h).tolist(), floats, pl),
+            float, n + k + (0 if j is None else n))
+        return values[:n], values[n:n + k], \
+            None if j is None else values[n + k:]
+
+    def difference_entries(self, x, p: Params) -> np.ndarray:
+        return self.linearize(x, p)[1]
 
     def converter_outputs(self, states, p: Params, conv_id: str,
                           keys) -> dict:

@@ -186,7 +186,9 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
     current limits.  ``boxes`` maps a gain parameter name to (lo, hi) on
     the absolute gain; ``current_limits`` maps a converter id to its rated
     current.  Returns the optimizer step on the gains, before the trust
-    factor.
+    factor.  Sensitivities that make a gain's column of the normal
+    equations non-finite raise :class:`ConfigurationError` naming the
+    first such gain.
     """
     names = sens.gain_names
     n = len(names)
@@ -196,8 +198,11 @@ def solve_update(snapshot: MeasurementSnapshot, sens: GainSensitivity,
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         h_mat = 2.0 * (s_v.T @ (w[:, None] * s_v))
         f_vec = 2.0 * (s_v.T @ (w * r))
-    if not np.all(np.isfinite(h_mat)) or not np.all(np.isfinite(f_vec)):
-        raise ConfigurationError("non-finite sensitivity data")
+    finite = np.isfinite(h_mat).all(axis=0) & np.isfinite(f_vec)
+    if not finite.all():
+        raise ConfigurationError(
+            "non-finite sensitivity data for gain "
+            f"{names[int(np.argmin(finite))]!r}")
     rho_eff = max(weights.rho, 1e-12 * max(1.0, float(np.trace(h_mat)) / n))
     h_mat[np.diag_indices(n)] += 2.0 * rho_eff
     if not np.all(np.isfinite(np.diag(h_mat))):

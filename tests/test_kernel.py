@@ -9,7 +9,10 @@ built.  And the residual is a pure function of ``(x, p)``: it leaves
 
 The residual comes from a kernel generated per layout.  It gives the
 bits of the device loop in ``tests/oracles.py``, its source holds no
-scenario text, and it looks the device functions up at call time.
+scenario text, and it looks the device functions up at call time.  The
+difference kernel generated from it gives ``F``, the coloured Jacobian
+and ``F_param`` with the bits of the residual calls the generic
+``DaeSystem`` path makes.
 """
 
 import dataclasses
@@ -24,7 +27,7 @@ import pytest
 from adnlab import network
 from adnlab.cli import EXIT_NUMERICAL, run_command
 from adnlab.converters import GflConverter, GfmDroop
-from adnlab.engine import jacobian_fd
+from adnlab.engine import DaeSystem, jacobian_fd, param_derivative
 from adnlab.errors import ModelValidationError, NonConvergenceError
 from adnlab.network import (Bus, GridSource, InductionMachine, LtcTransformer,
                             NetworkModel, RlBranch, ZipLoad)
@@ -291,6 +294,118 @@ def test_device_functions_are_looked_up_at_call_time(monkeypatch):
     sys.residual(x, p)
     sys.outputs(x, p)
     jacobian_fd(sys, x, p)
-    evaluations = 2 + 2 * len(sys.column_groups())
-    assert calls == {"gfl_rates": len(sys.model.gfls) * evaluations,
-                     "zip_injection": len(sys.model.zip_loads) * evaluations}
+    # the difference kernel makes each call once at x, then again at the
+    # +h and the -h state of each group that perturbs one of its inputs:
+    # the states a converter's rows read, or a load's bus voltage
+    colour = sys._difference_index()[0]
+
+    def evaluations(inputs):
+        return 2 + 1 + 2 * len({colour[j] for j in inputs})
+
+    expected = Counter()
+    for conv in sys.model.gfls:
+        rows = [i for i, name in enumerate(sys.state_names)
+                if name.startswith(f"{conv.id}.")]
+        expected["gfl_rates"] += evaluations(
+            set().union(*(sys.pattern[i] for i in rows)))
+    for load in sys.model.zip_loads:
+        vi = sys.vidx[load.bus]
+        expected["zip_injection"] += evaluations({vi, vi + 1})
+    assert calls == expected
+    assert expected["gfl_rates"] < len(sys.model.gfls) * (
+        3 + 2 * len(sys.column_groups()))
+
+
+def _linearized_system(name, rotating=False):
+    """A bundled scenario, or ``"every_device"``, with its base
+    parameters."""
+    if name == "every_device":
+        sys = _every_device_model(lambda i: i).build(rotating_sources=rotating)
+        return sys, sys.params0
+    return _system(name, rotating)
+
+
+def _result(fn):
+    """What ``fn()`` returns, as bytes per array, or the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return [None if a is None else a.tobytes() for a in fn()]
+    except (ModelValidationError, NonConvergenceError, ValueError) as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("rotating", [False, True])
+@pytest.mark.parametrize("name", SCENARIOS + ["every_device"])
+def test_generated_jacobian_has_the_bits_of_the_generic_path(name, rotating):
+    # the generic path is the stacked residual calls of DaeSystem; the
+    # dense reference differences one column at a time
+    sys, p = _linearized_system(name, rotating)
+    dense = DaeSystem(sys.n, sys.residual, sys.mass, p)
+    rng = np.random.default_rng(13)
+    for scale in (0.0, 0.05, 0.5):
+        x = sys.initial_guess() + scale * rng.standard_normal(sys.n)
+        assert _result(lambda: sys.linearize(x, p)) == _result(
+            lambda: DaeSystem.linearize(sys, x, p))
+        assert np.array_equal(jacobian_fd(sys, x, p), jacobian_fd(dense, x, p))
+
+
+@pytest.mark.parametrize("name", ["showcase", "every_device"])
+def test_generated_f_and_f_param_have_the_bits_of_residual_calls(name):
+    sys, p = _linearized_system(name)
+    # the load scale, a branch inductance (a mass) and a current limit
+    assert "lambda" in p.names
+    assert any(k.endswith(".l") for k in p.names)
+    assert any(k.endswith(".i_max") for k in p.names)
+    rng = np.random.default_rng(17)
+    x = sys.initial_guess() + 0.05 * rng.standard_normal(sys.n)
+    for param in p.names:
+        # the base value, a moved one, and for a current limit values at
+        # which the base or the -h evaluation leaves the model's range
+        values = [None, 1.1 * p[param] + 0.01]
+        if param.endswith(".i_max"):
+            values += [5e-7, -1.0]
+        for value in values:
+            generated = _result(lambda: sys.linearize(x, p, param, value))
+            assert generated == _result(
+                lambda: DaeSystem.linearize(sys, x, p, param, value))
+            if not isinstance(generated, str):
+                q = p if value is None else p.with_value(param, value)
+                assert generated[0] == sys.residual(x, q).tobytes()
+                assert generated[2] == \
+                    param_derivative(sys, x, q, param).tobytes()
+    # the error a limit out of range raises on the -h side names it
+    with pytest.raises(ModelValidationError, match="limiter magnitude"):
+        sys.linearize(x, p, next(k for k in p.names if k.endswith(".i_max")),
+                      5e-7)
+
+
+@pytest.mark.parametrize("name", SCENARIOS + ["every_device"])
+def test_nan_state_raises_the_generic_error(name):
+    sys, p = _linearized_system(name)
+    hand = DaeSystem(sys.n, sys.residual, sys.mass, p,
+                     state_names=sys.state_names, pattern=sys.pattern)
+    for i in (0, sys.n // 2, sys.n - 1):
+        x = sys.initial_guess()
+        x[i] = np.nan
+        errors = []
+        for system in (sys, hand):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(NonConvergenceError) as exc:
+                jacobian_fd(system, x, p)
+            errors.append((str(exc.value), exc.value.worst_name))
+        assert errors[0] == errors[1]
+
+
+def test_build_generates_and_compiles_nothing(monkeypatch):
+    # the residual and difference kernels are written and compiled on
+    # first use; a scenario load pays for neither
+    calls = []
+    monkeypatch.setattr(network, "_compile_kernel",
+                        lambda *args: calls.append("compile"))
+    monkeypatch.setattr(network, "_difference_source",
+                        lambda *args: calls.append("difference"))
+    for name in SCENARIOS:
+        for rotating in (False, True):
+            scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
+            scenario.base_params(scenario.build(rotating_sources=rotating))
+    assert calls == []
