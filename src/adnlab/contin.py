@@ -21,13 +21,11 @@ from .engine import (
     Params,
     SpectrumReport,
     TOL_EQ,
-    _checked,
-    _jacobian,
     _state_matrix_and_condition,
-    equilibrium_sensitivity,
     jacobian_fd,
     newton_equilibrium,
     eigenvalues,
+    param_derivative,
 )
 from .errors import (ConfigurationError, NonConvergenceError,
                      SingularJacobianError)
@@ -151,23 +149,21 @@ def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
     ``tangent . (X - X_ref) = ds``, to :data:`TOL_EQ`.
 
     Each iteration makes one :meth:`~adnlab.engine.DaeSystem.linearize`
-    call for ``F``, the Jacobian entries and ``F_param``.  Returns the
-    converged ``x`` and parameter value, the iterations taken and the
-    Jacobian entries at that point, not yet checked: the caller's
-    fingerprint checks them.
+    call for ``F``, the Jacobian and ``F_param``.  Returns the converged
+    ``x`` and parameter value, the iterations taken and the Jacobian at
+    that point.
     """
     n = sys.n
-    _, _, rows, owner = sys._difference_index()
     x = np.asarray(x_pred, dtype=float).copy()
     lam = float(lam_pred)
     for it in range(max_iter):
-        f, entries, flam = sys.linearize(x, p, param, lam)
+        f, jac, flam = sys.linearize(x, p, param, lam)
         g = float(tangent[:n] @ (x - x_ref) + tangent[n] * (lam - lam_ref) - ds)
         norm = max(float(np.max(np.abs(f))), abs(g))
         if norm <= TOL_EQ:
-            return x, lam, it, entries
-        aug = np.zeros((n + 1, n + 1))
-        aug[rows, owner] = _checked(sys, entries)
+            return x, lam, it, jac
+        aug = np.empty((n + 1, n + 1))
+        aug[:n, :n] = jac
         aug[:n, n] = flam
         aug[n, :] = tangent
         rhs = np.concatenate([-f, [-g]])
@@ -181,10 +177,12 @@ def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
         f"corrector did not converge in {max_iter} iterations")
 
 
-def _initial_tangent(sys: DaeSystem, param: str, p: Params, x, direction):
+def _initial_tangent(jac, f_param, direction):
+    """The unit tangent ``(dx/dlam, 1)`` of the branch, from the start's
+    Jacobian ``jac`` and ``F_param``, pointing along ``direction``."""
     try:
-        dx = equilibrium_sensitivity(sys, x, p, (param,))[:, 0]
-    except SingularJacobianError as exc:
+        dx = np.linalg.solve(jac, -f_param)
+    except np.linalg.LinAlgError as exc:
         raise SingularJacobianError(
             "Jacobian singular at the branch start (starting at a fold?)"
         ) from exc
@@ -216,10 +214,11 @@ def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
     _check_start(param, lam, settings)
     branch = Branch(param=param)
     sol = newton_equilibrium(sys, start.x, p)
-    branch.points.append(_point_fingerprint(sys, sol.x, p, lam, 0.0,
-                                            jacobian_fd(sys, sol.x, p)))
+    jac = jacobian_fd(sys, sol.x, p)
+    branch.points.append(_point_fingerprint(sys, sol.x, p, lam, 0.0, jac))
     yield branch
-    tangent = _initial_tangent(sys, param, p, sol.x, settings.direction)
+    tangent = _initial_tangent(jac, param_derivative(sys, sol.x, p, param),
+                               settings.direction)
 
     h = settings.h0
     s = 0.0
@@ -230,7 +229,7 @@ def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
         x_pred = x + h * tangent[:n]
         lam_pred = cur_lam + h * tangent[n]
         try:
-            x_new, lam_new, iters, entries = _corrector(
+            x_new, lam_new, iters, jac = _corrector(
                 sys, param, p, x_pred, lam_pred, tangent, x, cur_lam, h,
                 CORRECTOR_MAX_ITER)
         except (NonConvergenceError, SingularJacobianError) as exc:
@@ -248,7 +247,7 @@ def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
         s_new = s + float(np.linalg.norm(ds_vec))
         pk = p.with_value(param, lam_new)
         branch.points.append(_point_fingerprint(
-            sys, x_new, pk, lam_new, s_new, _jacobian(sys, entries)))
+            sys, x_new, pk, lam_new, s_new, jac))
         yield branch
         tangent = ds_vec / np.linalg.norm(ds_vec)
         x, cur_lam, s = x_new, lam_new, s_new
@@ -385,12 +384,11 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
         tangent = secant / s_width
         x_pred = 0.5 * (xa + xb)
         lam_pred = 0.5 * (la + lb)
-        x_mid, lam_mid, _, entries = _corrector(
+        x_mid, lam_mid, _, jac = _corrector(
             sys, param, p, x_pred, lam_pred, tangent, xa, la,
             0.5 * s_width, 30)
         p_mid = p.with_value(param, lam_mid)
-        pt_mid = _point_fingerprint(sys, x_mid, p_mid, lam_mid, 0.0,
-                                    _jacobian(sys, entries))
+        pt_mid = _point_fingerprint(sys, x_mid, p_mid, lam_mid, 0.0, jac)
         f_mid = _test_value(pt_mid, kind, limiter)
         if fa * f_mid <= 0.0:
             xb, lb, fb = x_mid, lam_mid, f_mid

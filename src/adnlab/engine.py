@@ -216,15 +216,27 @@ class DaeSystem:
                 np.concatenate([owner for _, _, owner in groups]))
         return self._fd_index
 
-    def difference_entries(self, x, p: Params) -> np.ndarray:
-        """Every entry of the coloured central-difference Jacobian at
-        ``(x, p)``, in :meth:`_difference_index` order and unchecked.
+    def linearize(self, x, p: Params, param=None, value=None):
+        """``(F, J, F_param)`` at ``x`` and ``p``, with ``param`` set to
+        ``value`` when one is given: the residual, the dense Jacobian of
+        :func:`jacobian_fd` and, when ``param`` is named, its
+        :func:`param_derivative` (else ``None``).  A caller that moves one
+        parameter passes its value, not a new :class:`Params`.
 
-        The ``2g`` perturbed states of the ``g`` groups, ``x_j + h_j`` and
-        ``x_j - h_j`` on each group's columns with ``h_j = 1e-6 * max(1,
-        |x_j|)``, are built as one array and the residual is called once
-        per state; each entry is ``(f+ - f-) / (2 h_j)``.
+        After ``F``, the ``2g`` perturbed states of the ``g`` groups,
+        ``x_j + h_j`` and ``x_j - h_j`` on each group's columns with
+        ``h_j = 1e-6 * max(1, |x_j|)``, are built as one array and the
+        residual is called once per state; each entry is
+        ``(f+ - f-) / (2 h_j)``.  :meth:`_dense` checks the entries after
+        every residual call.
         """
+        if value is not None:
+            if param is None:
+                raise ValueError("a linearisation value needs the "
+                                 "parameter it sets")
+            p = p.with_value(param, value)
+        x = np.asarray(x, dtype=float)
+        f = self.residual(x, p)
         h = 1e-6 * np.maximum(1.0, np.abs(x))
         colour, group, rows, owner = self._difference_index()
         g = len(self.column_groups())
@@ -233,24 +245,31 @@ class DaeSystem:
         states = np.tile(x, (2 * g, 1))
         states[colour, cols] = x + h
         states[colour + g, cols] = x - h
-        f = np.array([self.residual(state, p) for state in states])
-        # a non-finite difference is reported by the caller, not warned about
+        fs = np.array([self.residual(state, p) for state in states])
+        # a non-finite difference is reported below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            return (f[group, rows] - f[group + g, rows]) / (2.0 * h[owner])
+            entries = (fs[group, rows] - fs[group + g, rows]) / (2.0 * h[owner])
+        f_param = None if param is None else \
+            param_derivative(self, x, p, param)
+        return f, self._dense(entries), f_param
 
-    def linearize(self, x, p: Params, param=None, value=None):
-        """``(F, entries, F_param)`` at ``x`` and ``p``, with ``param`` set to
-        ``value`` when one is given: the residual, the unchecked
-        :meth:`difference_entries` and, when ``param`` is named, its
-        :func:`param_derivative` (else ``None``), in that order.  A caller
-        that moves one parameter passes its value, not a new
-        :class:`Params`."""
-        if value is not None:
-            p = p.with_value(param, value)
-        f = self.residual(x, p)
-        entries = self.difference_entries(x, p)
-        return f, entries, (None if param is None
-                            else param_derivative(self, x, p, param))
+    def _dense(self, entries) -> np.ndarray:
+        """The ``(n, n)`` Jacobian holding ``entries``, given in
+        :meth:`_difference_index` order, and zero elsewhere.  A non-finite
+        entry raises :class:`NonConvergenceError` naming the first."""
+        _, _, rows, owner = self._difference_index()
+        finite = np.isfinite(entries)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            bad = int(rows[k])
+            raise NonConvergenceError(
+                f"non-finite Jacobian entry in equation "
+                f"{self.state_names[bad]!r} w.r.t. state "
+                f"{self.state_names[owner[k]]!r}",
+                worst_index=bad, worst_name=self.state_names[bad])
+        jac = np.zeros((self.n, self.n))
+        jac[rows, owner] = entries
+        return jac
 
     def _state_blocks(self, m) -> tuple:
         """``(dyn, alg, dd, da, ad, aa)``: the states with positive and with
@@ -307,42 +326,18 @@ class Trajectory:
 
 def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
     """Central-difference Jacobian of ``F`` with per-column step
-    ``1e-6 * max(1, |x_j|)``.
+    ``1e-6 * max(1, |x_j|)``: ``sys.linearize(x, p)[1]``.
 
     The columns of each :meth:`DaeSystem.column_groups` group are
-    perturbed together, one ``+h``/``-h`` pair per group, and the entries
-    come from :meth:`DaeSystem.difference_entries`: ``2g`` residual calls
-    for a hand-written system, one call of the generated difference kernel
-    for an assembled network.  A row reads at most one column of a group,
-    so each entry equals the one column-by-column differencing gives, bit
-    for bit.  A non-finite entry raises :class:`NonConvergenceError`
-    naming the first one in group order.
+    perturbed together, one ``+h``/``-h`` pair per group: ``2g`` residual
+    calls beside ``F`` for a hand-written system, one call of the
+    generated difference kernel for an assembled network.  A row reads at
+    most one column of a group, so each entry equals the one
+    column-by-column differencing gives, bit for bit.  A non-finite entry
+    raises :class:`NonConvergenceError` naming the first one in group
+    order.
     """
-    x = np.asarray(x, dtype=float)
-    return _jacobian(sys, sys.difference_entries(x, p))
-
-
-def _checked(sys: DaeSystem, entries) -> np.ndarray:
-    """``entries``, in :meth:`DaeSystem._difference_index` order, after
-    checking that each is finite."""
-    finite = np.isfinite(entries)
-    if not finite.all():
-        _, _, rows, owner = sys._difference_index()
-        k = int(np.argmin(finite))
-        bad = int(rows[k])
-        raise NonConvergenceError(
-            f"non-finite Jacobian entry in equation {sys.state_names[bad]!r} "
-            f"w.r.t. state {sys.state_names[owner[k]]!r}",
-            worst_index=bad, worst_name=sys.state_names[bad])
-    return entries
-
-
-def _jacobian(sys: DaeSystem, entries) -> np.ndarray:
-    """The dense Jacobian of the :func:`_checked` ``entries``."""
-    _, _, rows, owner = sys._difference_index()
-    jac = np.zeros((sys.n, sys.n))
-    jac[rows, owner] = _checked(sys, entries)
-    return jac
+    return sys.linearize(np.asarray(x, dtype=float), p)[1]
 
 
 def param_derivative(sys: DaeSystem, x, p: Params, name: str) -> np.ndarray:

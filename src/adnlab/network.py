@@ -372,8 +372,8 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
 
     ``colour`` gives the column group of each state and ``entries`` the
     ``(group, row, column)`` of each Jacobian entry, in difference-index
-    order; ``param`` is the index of the parameter to difference, or
-    ``None``.  ``bind(env)`` returns ``difference(x, xp, xm, d, p, pl)``.
+    order; ``param`` is the index of the parameter to difference.
+    ``bind(env)`` returns ``difference(x, xp, xm, d, p, pl)``.
     It runs the kernel lines once at ``x`` and ``p``.  Then, for each
     group's ``+h`` state (from ``xp``), each ``-h`` state (``xm``) and the
     parameter's two values (``pl``), in that order, it runs again only
@@ -381,9 +381,9 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
     such line, on copies of their names tagged ``__<perturbation>``; a
     copied ``if`` first sets its tagged names to their untagged values.
     It returns one list: the residual, every entry ``(f+ - f-) / d`` with
-    ``d`` the column's ``2h``, and with ``param`` every row's
-    ``(f+ - f-) / d_p``, ``d_p`` the last item of ``pl``.  The lines that
-    fill ``outputs`` are left out.
+    ``d`` the column's ``2h``, and every row's ``(f+ - f-) / d_p``,
+    ``d_p`` the last item of ``pl``.  The lines that fill ``outputs`` are
+    left out.
     """
     text = source.split("\n")
     start = list(accumulate((len(line) + 1 for line in text), initial=0))
@@ -444,13 +444,12 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
     lines.append("        " + ", ".join(f"d{i}" for i in range(n)) + ", = d")
     diffs = [f"({a} - {b}) / d{col}"
              for a, b, (_, _, col) in zip(*sides, entries)]
-    if param is not None:
-        lines.append(f"        p{param}__lp, p{param}__lm, d_p = pl")
-        sides = []
-        for tag in ("lp", "lm"):
-            dirty = rerun({f"p{param}"}, tag)
-            sides.append([row_name(row, dirty, tag) for row in range(n)])
-        diffs += [f"({a} - {b}) / d_p" for a, b in zip(*sides)]
+    lines.append(f"        p{param}__lp, p{param}__lm, d_p = pl")
+    sides = []
+    for tag in ("lp", "lm"):
+        dirty = rerun({f"p{param}"}, tag)
+        sides.append([row_name(row, dirty, tag) for row in range(n)])
+    diffs += [f"({a} - {b}) / d_p" for a, b in zip(*sides)]
     returned = ", ".join([f"f{i}" for i in range(n)] + diffs)
     return "\n".join([
         "def bind(env):",
@@ -494,8 +493,10 @@ class AssembledSystem(DaeSystem):
     :meth:`linearize`, and so :func:`~adnlab.engine.jacobian_fd`, runs a
     difference kernel generated from the residual kernel's source: the
     kernel lines once at the point, then for each perturbation of a
-    colour group or of the continued parameter only the lines that read
-    a perturbed name, directly or through an earlier such line.
+    colour group or of one parameter only the lines that read a perturbed
+    name, directly or through an earlier such line.  The parameter is
+    ``lambda`` unless another is named, so a continuation over ``lambda``
+    compiles one kernel.
     """
 
     def __init__(self, model: NetworkModel, rotating_sources: bool = False):
@@ -828,13 +829,18 @@ class AssembledSystem(DaeSystem):
 
     def linearize(self, x, p: Params, param=None, value=None):
         """:meth:`DaeSystem.linearize` from one call of the difference
-        kernel (:func:`_difference_source`), generated on the first call
-        for each ``param`` and compiled once per layout; ``value`` goes
-        into the kernel's parameter floats, no :class:`Params` is built.
-        The kernel runs the lines of the residual calls that the base
-        class makes, in their order, less those whose inputs are the base
+        kernel (:func:`_difference_source`) of ``param``, or of
+        ``lambda`` (``p0``) when none is named, whose ``F_param`` is then
+        dropped.  A kernel is generated on the first call for its
+        parameter and compiled once per layout; ``value`` goes into the
+        kernel's parameter floats, no :class:`Params` is built.  The
+        kernel runs the lines of the residual calls that the base class
+        makes, in their order, less those whose inputs are the base
         point's, so each value has their bits."""
-        j = None if param is None else p.index(param)
+        if value is not None and param is None:
+            raise ValueError("a linearisation value needs the parameter "
+                             "it sets")
+        j = 0 if param is None else p.index(param)
         run = self._differences.get(j)
         if run is None:
             colour, group, rows, owner = self._difference_index()
@@ -842,25 +848,20 @@ class AssembledSystem(DaeSystem):
                 self._source, tuple(colour.tolist()),
                 tuple(zip(group.tolist(), rows.tolist(), owner.tolist())),
                 j))
-        floats, pl = p.floats, None
+        floats = p.floats
         if value is not None:
             floats = list(floats)
             floats[j] = float(value)
-        if j is not None:
-            lam = floats[j]
-            h_p = 1e-6 * max(1.0, abs(lam))
-            pl = (lam + h_p, lam - h_p, 2.0 * h_p)
+        lam = floats[j]
+        h_p = 1e-6 * max(1.0, abs(lam))
         h = 1e-6 * np.maximum(1.0, np.abs(x))
         n, k = self.n, self._difference_index()[3].size
         values = np.fromiter(
             run(x.tolist(), (x + h).tolist(), (x - h).tolist(),
-                (2.0 * h).tolist(), floats, pl),
-            float, n + k + (0 if j is None else n))
-        return values[:n], values[n:n + k], \
-            None if j is None else values[n + k:]
-
-    def difference_entries(self, x, p: Params) -> np.ndarray:
-        return self.linearize(x, p)[1]
+                (2.0 * h).tolist(), floats, (lam + h_p, lam - h_p, 2.0 * h_p)),
+            float, 2 * n + k)
+        return values[:n], self._dense(values[n:n + k]), \
+            None if param is None else values[n + k:]
 
     def converter_outputs(self, states, p: Params, conv_id: str,
                           keys) -> dict:

@@ -30,6 +30,7 @@ from adnlab.engine import (
 )
 from adnlab.errors import ConfigurationError
 from adnlab.network import (
+    AssembledSystem,
     Bus,
     GridSource,
     NetworkModel,
@@ -455,6 +456,32 @@ class TestBoundary2D:
                           params=p)
         assert counts["jacobian"] <= 600
         assert counts["residual"] <= 6000
+
+    def test_branch_start_builds_one_jacobian(self, monkeypatch):
+        # each row's start solves its tangent with the Jacobian of its
+        # fingerprint; building it again would add one Jacobian and one
+        # linearisation per row
+        counts = {"jacobian": 0, "linearize": 0}
+        jacobian = adnlab.engine.jacobian_fd
+        linearize = AssembledSystem.linearize
+
+        def counted_jacobian(sys, x, p):
+            counts["jacobian"] += 1
+            return jacobian(sys, x, p)
+
+        def counted_linearize(self, *args):
+            counts["linearize"] += 1
+            return linearize(self, *args)
+
+        for module in (adnlab.engine, adnlab.contin):
+            monkeypatch.setattr(module, "jacobian_fd", counted_jacobian)
+        monkeypatch.setattr(AssembledSystem, "linearize", counted_linearize)
+        scenario, sys, p, param, settings = self.bundled("two_bus")
+        cfg = scenario.analysis["boundary2d"]
+        assert len(cfg["grid"]) == 3
+        trace_boundary_2d(sys, param, cfg["param2"], cfg["grid"], settings,
+                          params=p)
+        assert counts == {"jacobian": 12, "linearize": 558}
 
     def test_empty_grid(self):
         sys = two_bus_system()

@@ -112,8 +112,8 @@ def test_system_without_pattern_is_dense():
 
 def test_two_residual_calls_per_group(case, monkeypatch):
     # a hand-written system over the same residual and pattern makes one
-    # residual call per perturbed state; the assembled one runs its
-    # difference kernel and makes none
+    # residual call for F and one per perturbed state; the assembled one
+    # runs its difference kernel and makes none
     sys, p, points = case
     x, reference = points[0]
     hand = DaeSystem(sys.n, sys.residual, sys.mass, p, pattern=sys.pattern)
@@ -122,9 +122,9 @@ def test_two_residual_calls_per_group(case, monkeypatch):
     monkeypatch.setattr(DaeSystem, "residual", lambda self, x, p:
                         calls.append(self) or residual(self, x, p))
     assert np.array_equal(jacobian_fd(hand, x, p), reference)
-    assert calls == [hand] * (2 * len(hand.column_groups()))
+    assert calls == [hand] * (2 * len(hand.column_groups()) + 1)
     assert np.array_equal(jacobian_fd(sys, x, p), reference)
-    assert len(calls) == 2 * len(hand.column_groups())
+    assert len(calls) == 2 * len(hand.column_groups()) + 1
 
 
 def test_nonfinite_entries_in_two_groups_name_the_first_in_group_order():

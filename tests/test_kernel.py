@@ -27,7 +27,9 @@ import pytest
 from adnlab import network
 from adnlab.cli import EXIT_NUMERICAL, run_command
 from adnlab.converters import GflConverter, GfmDroop
-from adnlab.engine import DaeSystem, jacobian_fd, param_derivative
+from adnlab.contin import ContinuationSettings, continue_branch
+from adnlab.engine import (DaeSystem, jacobian_fd, newton_equilibrium,
+                           param_derivative)
 from adnlab.errors import ModelValidationError, NonConvergenceError
 from adnlab.network import (Bus, GridSource, InductionMachine, LtcTransformer,
                             NetworkModel, RlBranch, ZipLoad)
@@ -295,25 +297,52 @@ def test_device_functions_are_looked_up_at_call_time(monkeypatch):
     sys.outputs(x, p)
     jacobian_fd(sys, x, p)
     # the difference kernel makes each call once at x, then again at the
-    # +h and the -h state of each group that perturbs one of its inputs:
-    # the states a converter's rows read, or a load's bus voltage
+    # +h and the -h state of each group that perturbs one of its inputs
+    # (the states a converter's rows read, or a load's bus voltage) and,
+    # for a load, which reads lambda, at lambda's +h and -h
     colour = sys._difference_index()[0]
 
-    def evaluations(inputs):
-        return 2 + 1 + 2 * len({colour[j] for j in inputs})
+    def evaluations(inputs, reads_lambda):
+        return 2 + 1 + 2 * len({colour[j] for j in inputs}) \
+            + 2 * reads_lambda
 
     expected = Counter()
     for conv in sys.model.gfls:
         rows = [i for i, name in enumerate(sys.state_names)
                 if name.startswith(f"{conv.id}.")]
         expected["gfl_rates"] += evaluations(
-            set().union(*(sys.pattern[i] for i in rows)))
+            set().union(*(sys.pattern[i] for i in rows)), False)
     for load in sys.model.zip_loads:
         vi = sys.vidx[load.bus]
-        expected["zip_injection"] += evaluations({vi, vi + 1})
+        expected["zip_injection"] += evaluations({vi, vi + 1}, True)
     assert calls == expected
     assert expected["gfl_rates"] < len(sys.model.gfls) * (
         3 + 2 * len(sys.column_groups()))
+
+
+def test_one_difference_kernel_per_differenced_parameter(monkeypatch):
+    # a lambda continuation and every Jacobian around it share the kernel
+    # that differences lambda; another parameter gets its own
+    differenced = []
+    source = network._difference_source
+    monkeypatch.setattr(network, "_difference_source", lambda *args:
+                        differenced.append(args[3]) or source(*args))
+    sys, p = _system("two_bus")
+    sol = newton_equilibrium(sys, sys.initial_guess(), p)
+    branch = continue_branch(sys, sol, "lambda",
+                             ContinuationSettings(max_steps=5))
+    assert len(branch) == 5
+    assert differenced == [p.index("lambda")] == [0]
+    f, jac, f_param = sys.linearize(sol.x, p)
+    assert f_param is None
+    other = next(name for name in p.names if name != "lambda")
+    sys.linearize(sol.x, p, other)
+    assert differenced == [0, p.index(other)]
+    # a value needs the parameter it sets, on both paths
+    for linearize in (sys.linearize, lambda *args, **kwargs:
+                      DaeSystem.linearize(sys, *args, **kwargs)):
+        with pytest.raises(ValueError, match="needs the parameter"):
+            linearize(sol.x, p, value=1.1)
 
 
 def _linearized_system(name, rotating=False):
