@@ -10,7 +10,6 @@ consecutive points are classified as saddle-node (fold), Hopf or
 limit-induced events and refined by bisection along the branch.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,11 +20,11 @@ from .engine import (
     Params,
     SpectrumReport,
     TOL_EQ,
-    _state_matrix_and_condition,
     jacobian_fd,
     newton_equilibrium,
     eigenvalues,
     param_derivative,
+    reduced_state_matrix,
 )
 from .errors import (ConfigurationError, NonConvergenceError,
                      SingularJacobianError)
@@ -45,7 +44,6 @@ __all__ = [
 
 OMEGA_MIN = 1e-3        # rad/s: minimum |Im| for a pair to count as Hopf
 HB_NOISE_REL = 1e-6     # ignore real-part crossings inside the FD noise band
-SIB_COND_LIMIT = 1e12
 CORRECTOR_MAX_ITER = 12     # per branch point; a failure halves the step
 LOCATE_MAX_ITER = 100       # bisection probes per record
 LOCATE_LAM_TOL = 1e-6       # relative parameter gap that ends a bisection
@@ -74,7 +72,6 @@ class BranchPoint:
     det_sign: float
     hb_metric: float
     hb_im: float
-    alg_cond: float
 
     @property
     def n_unstable(self) -> int:
@@ -97,7 +94,7 @@ class Branch:
 
 @dataclass(frozen=True)
 class BifurcationRecord:
-    kind: str                     # SNB | HB | LIB | SIB-candidate
+    kind: str                     # SNB | HB | LIB; SIB is not detected
     lam: float
     x: np.ndarray
     s: float
@@ -126,7 +123,7 @@ class Boundary2D:
 def _point_fingerprint(sys: DaeSystem, x, p: Params, lam: float,
                        s: float, jac) -> BranchPoint:
     """The branch point at ``(x, p)``, from its Jacobian ``jac``."""
-    reduced, alg_cond = _state_matrix_and_condition(sys, x, p, jac)
+    reduced = reduced_state_matrix(sys, x, p, jac)
     spec = eigenvalues(reduced)
     sign, _ = np.linalg.slogdet(reduced)
     eigs = spec.eigenvalues
@@ -140,7 +137,7 @@ def _point_fingerprint(sys: DaeSystem, x, p: Params, lam: float,
     return BranchPoint(
         x=np.asarray(x, dtype=float).copy(), lam=lam, s=s, spectrum=spec,
         activities=sys.limiter_activity(x, p), det_sign=float(sign),
-        hb_metric=hb_metric, hb_im=hb_im, alg_cond=alg_cond)
+        hb_metric=hb_metric, hb_im=hb_im)
 
 
 def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
@@ -276,8 +273,6 @@ def _test_value(point: BranchPoint, kind: str,
         return point.hb_metric
     if kind == "LIB":
         return point.activities[limiter] - 1.0
-    if kind == "SIB-candidate":
-        return math.log10(max(point.alg_cond, 1.0)) - math.log10(SIB_COND_LIMIT)
     raise ValueError(f"unknown bifurcation kind {kind!r}")
 
 
@@ -293,13 +288,9 @@ def _classify(branch: Branch) -> list:
     found = []
     for i in range(1, len(pts)):
         for kind, lo, hi, limiter, bracket in _segment(pts, i):
-            s = 0.5 * (lo.s + hi.s)
-            # overlapping fold windows can report one fold twice
-            if any(r.kind == kind and abs(r.s - s) < 1e-12 for r, _ in found):
-                continue
             found.append((BifurcationRecord(
                 kind=kind, lam=0.5 * (lo.lam + hi.lam),
-                x=0.5 * (lo.x + hi.x), s=s,
+                x=0.5 * (lo.x + hi.x), s=0.5 * (lo.s + hi.s),
                 eig=_crossing_eigenvalue(kind, lo, hi),
                 tol_achieved=abs(hi.lam - lo.lam),
                 n_unstable_before=lo.n_unstable,
@@ -329,10 +320,6 @@ def _segment(pts, i: int) -> list:
         if _flips(a, b, "LIB", name) and a.n_unstable != b.n_unstable \
                 and not seg:
             seg.append(("LIB", a, b, name, (a, b)))
-    ca = _test_value(a, "SIB-candidate")
-    cb = _test_value(b, "SIB-candidate")
-    if ca * cb < 0.0 and cb > ca:
-        seg.append(("SIB-candidate", a, b, None, (a, b)))
     return seg
 
 

@@ -409,28 +409,24 @@ def newton_equilibrium(sys: DaeSystem, x0, p: Params) -> EquilibriumSolution:
         worst_name=sys.state_names[worst], iterations=NEWTON_MAX_ITER)
 
 
-def reduced_state_matrix(sys: DaeSystem, x_star, p: Params) -> np.ndarray:
+def reduced_state_matrix(sys: DaeSystem, x_star, p: Params,
+                         jac=None) -> np.ndarray:
     """State matrix over the dynamic states at an equilibrium.
 
     The Jacobian is partitioned into dynamic rows/columns (mass > 0) and
     algebraic ones (mass = 0); the algebraic block is eliminated:
     ``A = M_d^{-1} (f_x - f_y g_y^{-1} g_x)``.  With an all-dynamic model
-    this is exactly ``diag(1/m_i) J``.
+    this is exactly ``diag(1/m_i) J``.  ``jac`` is the Jacobian at
+    ``(x_star, p)`` when the caller has it; without it one is built with
+    :func:`jacobian_fd`.  An exactly singular algebraic block raises
+    :class:`SingularJacobianError`, and a non-finite row of the result
+    raises :class:`NonConvergenceError` naming its state.
     """
-    return _state_matrix_and_condition(sys, x_star, p)[0]
-
-
-def _state_matrix_and_condition(sys: DaeSystem, x_star, p: Params,
-                                jac=None):
-    """:func:`reduced_state_matrix` and the condition number of the
-    algebraic block (1.0 when all-dynamic), from one Jacobian: ``jac``
-    when the caller has it at ``(x_star, p)``, else :func:`jacobian_fd`."""
     m = sys.mass(p)
     if jac is None:
         jac = jacobian_fd(sys, x_star, p)
     dyn, alg, dd, da, ad, aa = sys._state_blocks(m)
     f_x = jac[dd]
-    cond = 1.0
     if alg.size:
         f_y = jac[da]
         g_x = jac[ad]
@@ -441,10 +437,6 @@ def _state_matrix_and_condition(sys: DaeSystem, x_star, p: Params,
             raise SingularJacobianError(
                 "algebraic block is singular (singularity-induced "
                 "bifurcation candidate)") from exc
-        cond = float(np.linalg.cond(g_y))
-        if cond > 1e14:
-            raise SingularJacobianError(
-                f"algebraic block is numerically singular (cond={cond:.3e})")
     else:
         reduced = f_x
     with np.errstate(all="ignore"):     # a denormal mass is reported below
@@ -456,7 +448,7 @@ def _state_matrix_and_condition(sys: DaeSystem, x_star, p: Params,
             f"non-finite state matrix row {sys.state_names[row]!r} "
             f"(mass {m[row]:.3g})", worst_index=row,
             worst_name=sys.state_names[row])
-    return reduced, cond
+    return reduced
 
 
 def eigenvalues(matrix) -> SpectrumReport:

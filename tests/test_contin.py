@@ -256,7 +256,7 @@ class TestTwoBusNose:
 
 class TestClassification:
     def _synthetic_point(self, s, lam, det_sign, hb_metric, hb_im=100.0,
-                         activities=None, n_unstable=0, alg_cond=1.0):
+                         activities=None, n_unstable=0):
         eigs = np.array([hb_metric + 1j * hb_im, hb_metric - 1j * hb_im]
                         + [-1.0] * (2 * n_unstable == 0)).astype(complex)
         spec = SpectrumReport(
@@ -265,8 +265,7 @@ class TestClassification:
             rightmost_real=1.0 if n_unstable else -1.0)
         return BranchPoint(x=np.zeros(2), lam=lam, s=s, spectrum=spec,
                            activities=activities or {}, det_sign=det_sign,
-                           hb_metric=hb_metric, hb_im=hb_im,
-                           alg_cond=alg_cond)
+                           hb_metric=hb_metric, hb_im=hb_im)
 
     def test_stable_branch_yields_no_records(self):
         branch = Branch(param="lambda")
@@ -291,15 +290,6 @@ class TestClassification:
         branch2.points.append(self._synthetic_point(
             0.1, 1.1, 1.0, -1.0, activities={"c1": 1.2}, n_unstable=0))
         assert classified(branch2) == []
-
-    def test_sib_candidate_on_conditioning_collapse(self):
-        branch = Branch(param="lambda")
-        branch.points.append(self._synthetic_point(
-            0.0, 1.0, 1.0, -1.0, alg_cond=1e6))
-        branch.points.append(self._synthetic_point(
-            0.1, 1.1, 1.0, -1.0, alg_cond=1e13))
-        recs = classified(branch)
-        assert [r.kind for r in recs] == ["SIB-candidate"]
 
     def test_locate_rejects_sign_agreeing_bracket(self):
         sys = fold_system()
@@ -433,10 +423,13 @@ class TestBoundary2D:
             == [(r.param2, r.kind, r.lam.hex(), r.message) for r in expected]
 
     def test_bundled_two_bus_work(self, monkeypatch):
-        # the whole branches took 1 033 Jacobians and 10 580 residuals
-        counts = {"residual": 0, "jacobian": 0}
+        # the whole branches took 1 033 Jacobians and 10 580 residuals;
+        # a pinned bus's algebraic block is -I, so no point needs its
+        # condition number
+        counts = {"residual": 0, "jacobian": 0, "cond": 0}
         residual = adnlab.engine.DaeSystem.residual
         jacobian = adnlab.engine.jacobian_fd
+        cond = np.linalg.cond
 
         def counted_residual(self, x, p):
             counts["residual"] += 1
@@ -446,16 +439,22 @@ class TestBoundary2D:
             counts["jacobian"] += 1
             return jacobian(sys, x, p)
 
+        def counted_cond(*args, **kwargs):
+            counts["cond"] += 1
+            return cond(*args, **kwargs)
+
         monkeypatch.setattr(adnlab.engine.DaeSystem, "residual",
                             counted_residual)
         for module in (adnlab.engine, adnlab.contin):
             monkeypatch.setattr(module, "jacobian_fd", counted_jacobian)
+        monkeypatch.setattr(np.linalg, "cond", counted_cond)
         scenario, sys, p, param, settings = self.bundled("two_bus")
         cfg = scenario.analysis["boundary2d"]
         trace_boundary_2d(sys, param, cfg["param2"], cfg["grid"], settings,
                           params=p)
         assert counts["jacobian"] <= 600
         assert counts["residual"] <= 6000
+        assert counts["cond"] == 0
 
     def test_branch_start_builds_one_jacobian(self, monkeypatch):
         # each row's start solves its tangent with the Jacobian of its
