@@ -154,7 +154,7 @@ def _corrector(sys: DaeSystem, param: str, p: Params, x_pred, lam_pred,
     x = np.asarray(x_pred, dtype=float).copy()
     lam = float(lam_pred)
     for it in range(max_iter):
-        f, jac, flam = sys.linearize(x, p, param, lam)
+        f, jac, flam = sys.linearize(x, p.with_value(param, lam), param)
         g = float(tangent[:n] @ (x - x_ref) + tangent[n] * (lam - lam_ref) - ds)
         norm = max(float(np.max(np.abs(f))), abs(g))
         if norm <= TOL_EQ:

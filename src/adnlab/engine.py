@@ -48,21 +48,18 @@ class Params:
 
     Parameter names are registered once at assembly time; values are read
     with ``p["name"]`` and varied with :meth:`with_value`, which returns a
-    new instance so residual evaluation stays pure.  ``floats`` holds the
-    values as a tuple of Python floats, made once, for residual kernels
-    to read.
+    new instance so residual evaluation stays pure.  ``values`` is one
+    tuple of Python floats, which residual kernels read as it is.
     """
 
-    __slots__ = ("names", "values", "floats", "_index")
+    __slots__ = ("names", "values", "_index")
 
     def __init__(self, names, values, index=None):
         """``index``, the name index of a Params with these same names, is
         shared instead of rebuilt and checked again."""
         self.names = tuple(names)
-        self.values = np.array(values, dtype=float)
-        self.values.flags.writeable = False
-        self.floats = tuple(self.values.tolist())
-        if len(self.names) != self.values.size:
+        self.values = tuple(map(float, values))
+        if len(self.names) != len(self.values):
             raise ValueError("parameter names and values differ in length")
         if index is None:
             index = {n: i for i, n in enumerate(self.names)}
@@ -71,7 +68,7 @@ class Params:
         self._index = index
 
     def __getitem__(self, name: str) -> float:
-        return float(self.values[self._index[name]])
+        return self.values[self._index[name]]
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
@@ -82,12 +79,10 @@ class Params:
         return self._index[name]
 
     def with_value(self, name: str, value: float) -> "Params":
-        vals = self.values.copy()
-        vals[self.index(name)] = value
-        return Params(self.names, vals, self._index)
+        return self.with_values({name: value})
 
     def with_values(self, mapping) -> "Params":
-        vals = self.values.copy()
+        vals = list(self.values)
         for name, value in mapping.items():
             vals[self.index(name)] = value
         return Params(self.names, vals, self._index)
@@ -216,12 +211,10 @@ class DaeSystem:
                 np.concatenate([owner for _, _, owner in groups]))
         return self._fd_index
 
-    def linearize(self, x, p: Params, param=None, value=None):
-        """``(F, J, F_param)`` at ``x`` and ``p``, with ``param`` set to
-        ``value`` when one is given: the residual, the dense Jacobian of
-        :func:`jacobian_fd` and, when ``param`` is named, its
-        :func:`param_derivative` (else ``None``).  A caller that moves one
-        parameter passes its value, not a new :class:`Params`.
+    def linearize(self, x, p: Params, param=None):
+        """``(F, J, F_param)`` at ``x`` and ``p``: the residual, the dense
+        Jacobian of :func:`jacobian_fd` and, when ``param`` is named, its
+        :func:`param_derivative` (else ``None``).
 
         After ``F``, the ``2g`` perturbed states of the ``g`` groups,
         ``x_j + h_j`` and ``x_j - h_j`` on each group's columns with
@@ -230,11 +223,6 @@ class DaeSystem:
         ``(f+ - f-) / (2 h_j)``.  :meth:`_dense` checks the entries after
         every residual call.
         """
-        if value is not None:
-            if param is None:
-                raise ValueError("a linearisation value needs the "
-                                 "parameter it sets")
-            p = p.with_value(param, value)
         x = np.asarray(x, dtype=float)
         f = self.residual(x, p)
         h = 1e-6 * np.maximum(1.0, np.abs(x))

@@ -359,7 +359,7 @@ class NetworkModel:
 
 @lru_cache(maxsize=64)
 def _compile_kernel(source: str):
-    """Code object of a generated residual kernel or converter walk,
+    """Code object of a generated residual kernel or outputs walk,
     memoised by its source text, so systems of one layout compile it
     once."""
     return compile(source, "<adnlab residual kernel>", "exec")
@@ -382,8 +382,7 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
     copied ``if`` first sets its tagged names to their untagged values.
     It returns one list: the residual, every entry ``(f+ - f-) / d`` with
     ``d`` the column's ``2h``, and every row's ``(f+ - f-) / d_p``,
-    ``d_p`` the last item of ``pl``.  The lines that fill ``outputs`` are
-    left out.
+    ``d_p`` the last item of ``pl``.
     """
     text = source.split("\n")
     start = list(accumulate((len(line) + 1 for line in text), initial=0))
@@ -398,8 +397,6 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
                        for node in ast.walk(stmt)
                        if isinstance(node, ast.Name))
         reads = {name for _, name, store in found if not store}
-        if isinstance(stmt, ast.If) and "outputs" in reads:
-            continue
         # the line's text with a str.format field in place of each name
         ends = [start[stmt.lineno - 1]] + [at + len(name)
                                            for at, name, _ in found]
@@ -455,7 +452,6 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
         "def bind(env):",
         text[bind.body[0].lineno - 1],
         "    def difference(x, xp, xm, d, p, pl):",
-        "        outputs = None",
         text[unpack_x.lineno - 1],
         text[unpack_p.lineno - 1],
         *lines,
@@ -477,18 +473,24 @@ class AssembledSystem(DaeSystem):
     of its buses and its lines of one straight-line residual kernel.
 
     The kernel source defines ``bind(env)``, which unpacks ``env`` into
-    names and returns ``kernel(x, p, outputs)``.  The kernel reads the
-    states and the parameter values as Python floats into locals
+    names and returns ``kernel(x, p)``.  The kernel reads the states and
+    the parameter values (``p.values``) as Python floats into locals
     ``x0 ...`` and ``p0 ...`` and returns the residual as a list.  Each
     device kernel is called once per device, by its name in this module,
     so a wrapper set on that name after build sees the call.  The KCL row
     of a free bus sums its device injections from ``0.0`` in device order
-    and adds the shunt term last.  Device objects, ids, float constants
-    and the cache of each converter's limiter reach the kernel through
-    ``env``, so the source holds no scenario text.  The source is written
-    at build and compiled on the first evaluation, once per layout; an
-    evaluation converts the residual to an array once.  Each converter's
-    own lines are kept too, for :meth:`converter_outputs`.
+    and adds the shunt term last.  Device objects, float constants and the
+    cache of each converter's limiter reach the kernel through ``env``, so
+    the source holds no scenario text.  The source is written at build
+    and compiled on the first evaluation, once per layout; an evaluation
+    converts the residual to an array once.
+
+    Each device with outputs (a machine, a load or a converter) records
+    them once, as a value expression and its own kernel lines; a
+    converter's outputs dict is ``None`` in ``env``, so its device call
+    fills nothing in the kernel.  :meth:`outputs`,
+    :meth:`converter_outputs` and the limiter activity all run one walk
+    generated from that record (:meth:`_walk`).
 
     :meth:`linearize`, and so :func:`~adnlab.engine.jacobian_fd`, runs a
     difference kernel generated from the residual kernel's source: the
@@ -514,8 +516,7 @@ class AssembledSystem(DaeSystem):
         body = []              # kernel lines
         kcl = {}               # free bus row -> its terms, in device order
         pins = {}              # bus row -> source row of a pinned bus
-        outs = []              # (bound output key, value), in device order
-        own = {}               # converter id -> (its outputs dict, its lines)
+        outs = {}              # output key -> (value, its device's lines)
 
         def add_states(dev_id, *states):
             """Declare the states ``(name, mass, initial guess)`` of one
@@ -653,7 +654,7 @@ class AssembledSystem(DaeSystem):
                         f"x{idx + 1}, x{idx + 2}, p0, {t_mech}, {bind(t0p)}, "
                         "w0)")
             inject(m.bus, stator, stator, f"- {i_d}", f"- {i_q}")
-            outs.append((bind(f"{m.id}.i"), f"({i_d}, {i_q})"))
+            outs[f"{m.id}.i"] = (f"({i_d}, {i_q})", body[-1:])
 
         for k, load in enumerate(model.zip_loads):
             vi = self.vidx[load.bus]
@@ -661,7 +662,7 @@ class AssembledSystem(DaeSystem):
             body.append(f"{i_d}, {i_q} = zip_injection({bind(load)}, x{vi}, "
                         f"x{vi + 1}, p0)")
             inject(load.bus, {vi, vi + 1}, {vi, vi + 1}, f"- {i_d}", f"- {i_q}")
-            outs.append((bind(f"{load.id}.i"), f"({i_d}, {i_q})"))
+            outs[f"{load.id}.i"] = (f"({i_d}, {i_q})", body[-1:])
 
         GFL_PARAMS = ("p_ref", "q0", "kq", "v_ref", "kp_pll", "ki_pll",
                       "kp_cc", "ki_cc", "k_aw", "i_max")
@@ -676,9 +677,8 @@ class AssembledSystem(DaeSystem):
             *gains, i_max = (add_param(f"{conv.id}.{nm}", getattr(conv, nm))
                              for nm in GFL_PARAMS)
             gains = ", ".join(gains)
-            out = f"g{k}_out"
+            out = bind(None)        # the outputs dict, a fresh one in a walk
             first = len(body)
-            body.append(f"{out} = None if outputs is None else {{}}")
             v_pll = {vi, vi + 1, idx}       # bus voltage in the PLL frame
             if conv.tau_meas > 0.0:
                 vm = add_states(conv.id, ("vmd", conv.tau_meas, 1.0),
@@ -727,14 +727,13 @@ class AssembledSystem(DaeSystem):
                      f"{states}, x{vi}, x{vi + 1}, {vm_d}, {vm_q}, {corr}, "
                      f"{gains}, {lim}, {bind(conv.l_f)}, {bind(conv.r_f)}, "
                      f"{out})"]
-            own[conv.id] = (out, body[first:])
+            outs[conv.id] = (out, [f"{out} = {{}}", *body[first:]])
             if conv.val_mode == "dval":
                 body.append(f"f{dv}, f{dv + 1} = dval_rate({bind(real)}, "
                             f"x{dv}, x{dv + 1}, {bind(conv.val.v_nom)} - "
                             f"{vm_d}, -{vm_q}, w0)")
             inject(conv.bus, {idx, idx + 2, idx + 3}, {idx, idx + 2, idx + 3},
                    f"+ g{k}_d", f"+ g{k}_q")
-            outs.append((bind(conv.id), out))
 
         GFM_PARAMS = ("m_p", "n_q", "v_set", "p_set", "q_set")
         for k, gfm in enumerate(model.gfms):
@@ -747,17 +746,14 @@ class AssembledSystem(DaeSystem):
             reads[idx].add(idx + 1)
             reads[idx + 1].update(inj | {idx + 1})
             reads[idx + 2].update(inj)
-            out = f"h{k}_out"
+            out = bind(None)
             consts = ", ".join(bind(getattr(gfm, name))
                                for name in ("r_v", "l_v", "tau_p", "tau_q"))
-            first = len(body)
-            body += [f"{out} = None if outputs is None else {{}}",
-                     f"f{idx}, f{idx + 1}, f{idx + 2}, h{k}_d, h{k}_q = "
-                     f"gfm_rates(w0, x{idx}, x{idx + 1}, x{idx + 2}, "
-                     f"x{vi}, x{vi + 1}, {gains}, {consts}, {out})"]
-            own[gfm.id] = (out, body[first:])
+            body.append(f"f{idx}, f{idx + 1}, f{idx + 2}, h{k}_d, h{k}_q = "
+                        f"gfm_rates(w0, x{idx}, x{idx + 1}, x{idx + 2}, "
+                        f"x{vi}, x{vi + 1}, {gains}, {consts}, {out})")
+            outs[gfm.id] = (out, [f"{out} = {{}}", body[-1]])
             inject(gfm.bus, inj, inj, f"+ h{k}_d", f"+ h{k}_q")
-            outs.append((bind(gfm.id), out))
 
         for bus in model.buses:
             if bus.id not in pinned:     # shunt terms, last in each KCL row
@@ -768,9 +764,6 @@ class AssembledSystem(DaeSystem):
         body += [f"f{row} = " + " ".join(["0.0", *terms])
                  for row, terms in kcl.items()]
         body += [f"f{row} = {expr}" for row, expr in pins.items()]
-        if outs:
-            body += ["if outputs is not None:",
-                     *(f"    outputs[{key}] = {value}" for key, value in outs)]
         n = len(names)
         unpack_env, unpack_x, unpack_p = self._unpack = (
             f"{', '.join(labels)}, = env",
@@ -779,7 +772,7 @@ class AssembledSystem(DaeSystem):
         self._source = "\n".join([
             "def bind(env):",
             f"    {unpack_env}",
-            "    def kernel(x, p, outputs):",
+            "    def kernel(x, p):",
             f"        {unpack_x}",
             f"        {unpack_p}",
             *(f"        {line}" for line in body),
@@ -789,13 +782,13 @@ class AssembledSystem(DaeSystem):
         self._env = tuple(env)
         self._kernel = None
         self._differences = {}
-        self._own = own
+        self._outs = outs
         self._walks = {}
         self._converters = {c.id: c for c in (*model.gfls, *model.gfms)}
         self._mass_base = np.array(masses, dtype=float)
         self._mass_param = tuple(mass_param)
         self._guess = np.array(guess, dtype=float)
-        params0 = Params(pnames, np.array(pvals))
+        params0 = Params(pnames, pvals)
         super().__init__(n, self._evaluate, self._mass_impl,
                          params0, state_names=names,
                          limiter_activity_fn=self._activity_impl,
@@ -818,28 +811,22 @@ class AssembledSystem(DaeSystem):
         exec(_compile_kernel(source), globals(), scope)
         return scope["bind"](self._env)
 
-    def _evaluate(self, x, p: Params, outputs: dict | None = None):
+    def _evaluate(self, x, p: Params):
         """Residual vector from the generated kernel, which is compiled on
-        the first evaluation; ``outputs``, when given, receives every
-        device's auxiliary outputs."""
+        the first evaluation."""
         if self._kernel is None:
             self._kernel = self._bind(self._source)
-        return np.fromiter(self._kernel(x.tolist(), p.floats, outputs),
-                           float, self.n)
+        return np.fromiter(self._kernel(x.tolist(), p.values), float, self.n)
 
-    def linearize(self, x, p: Params, param=None, value=None):
+    def linearize(self, x, p: Params, param=None):
         """:meth:`DaeSystem.linearize` from one call of the difference
         kernel (:func:`_difference_source`) of ``param``, or of
         ``lambda`` (``p0``) when none is named, whose ``F_param`` is then
         dropped.  A kernel is generated on the first call for its
-        parameter and compiled once per layout; ``value`` goes into the
-        kernel's parameter floats, no :class:`Params` is built.  The
-        kernel runs the lines of the residual calls that the base class
-        makes, in their order, less those whose inputs are the base
-        point's, so each value has their bits."""
-        if value is not None and param is None:
-            raise ValueError("a linearisation value needs the parameter "
-                             "it sets")
+        parameter and compiled once per layout.  The kernel runs the
+        lines of the residual calls that the base class makes, in their
+        order, less those whose inputs are the base point's, so each
+        value has their bits."""
         j = 0 if param is None else p.index(param)
         run = self._differences.get(j)
         if run is None:
@@ -848,62 +835,70 @@ class AssembledSystem(DaeSystem):
                 self._source, tuple(colour.tolist()),
                 tuple(zip(group.tolist(), rows.tolist(), owner.tolist())),
                 j))
-        floats = p.floats
-        if value is not None:
-            floats = list(floats)
-            floats[j] = float(value)
-        lam = floats[j]
+        lam = p.values[j]
         h_p = 1e-6 * max(1.0, abs(lam))
         h = 1e-6 * np.maximum(1.0, np.abs(x))
         n, k = self.n, self._difference_index()[3].size
         values = np.fromiter(
             run(x.tolist(), (x + h).tolist(), (x - h).tolist(),
-                (2.0 * h).tolist(), floats, (lam + h_p, lam - h_p, 2.0 * h_p)),
+                (2.0 * h).tolist(), p.values,
+                (lam + h_p, lam - h_p, 2.0 * h_p)),
             float, 2 * n + k)
         return values[:n], self._dense(values[n:n + k]), \
             None if param is None else values[n + k:]
 
-    def converter_outputs(self, states, p: Params, conv_id: str,
-                          keys) -> dict:
-        """Outputs ``keys`` of converter ``conv_id`` at every row of
-        ``states``, one array per key.
+    def _walk(self, states, p: Params, keys: tuple, get) -> list:
+        """``get`` of the outputs ``keys`` at every row of ``states``, one
+        argument per key.
 
-        Only the converter's own kernel lines run, the same device call
-        with the same arguments as in the residual kernel, so each value
-        has the bits :meth:`outputs` gives.  The walk over the rows is
-        generated from those lines and compiled on first use, once per
-        converter.
+        Only the kernel lines of the devices with those outputs run, the
+        same device calls with the same arguments as in the residual
+        kernel, so each value has their bits; a converter's outputs dict,
+        ``None`` in the kernel, is a fresh dict here.  The walk over the
+        rows is generated from those lines and compiled on first use, once
+        per ``keys``.
         """
-        walk = self._walks.get(conv_id)
+        walk = self._walks.get(keys)
         if walk is None:
-            out, lines = self._own[conv_id]
             unpack_env, unpack_x, unpack_p = self._unpack
+            values = ", ".join(self._outs[key][0] for key in keys)
             source = "\n".join([
                 "def bind(env):",
                 f"    {unpack_env}",
                 "    def walk(xs, p, get):",
                 f"        {unpack_p}",
-                "        outputs, rows = {}, []",
+                "        rows = []",
                 "        for x in xs:",
                 f"            {unpack_x}",
-                *(f"            {line}" for line in lines),
-                f"            rows.append(get({out}))",
+                *(f"            {line}" for key in keys
+                  for line in self._outs[key][1]),
+                f"            rows.append(get({values}))",
                 "        return rows",
                 "    return walk",
                 ""])
-            walk = self._walks[conv_id] = self._bind(source)
-        rows = walk(np.asarray(states, dtype=float).tolist(), p.floats,
-                    itemgetter(*keys))
+            walk = self._walks[keys] = self._bind(source)
+        return walk(np.asarray(states, dtype=float).tolist(), p.values, get)
+
+    def outputs(self, x, p: Params) -> dict:
+        """Per-device auxiliary outputs (converter internals, machine and
+        load currents), in device order."""
+        keys = tuple(self._outs)
+        return self._walk([x], p, keys,
+                          lambda *values: dict(zip(keys, values)))[0]
+
+    def converter_outputs(self, states, p: Params, conv_id: str,
+                          keys) -> dict:
+        """Outputs ``keys`` of converter ``conv_id`` at every row of
+        ``states``, one array per key, with the bits :meth:`outputs`
+        gives."""
+        rows = self._walk(states, p, (conv_id,), itemgetter(*keys))
         table = np.array(rows, dtype=float).reshape(-1, len(keys)).T.copy()
         return dict(zip(keys, table))
 
     def _activity_impl(self, x, p: Params):
-        if not self.model.gfls:
-            return {}
-        outputs = {}
-        self._evaluate(x, p, outputs)
-        return {conv.id: outputs[conv.id]["activity"]
-                for conv in self.model.gfls}
+        ids = self.gfl_ids()
+        return self._walk([x], p, ids, lambda *outs: {
+            conv_id: out["activity"] for conv_id, out in zip(ids, outs)})[0]
 
     # ------------------------------------------------------------------
     # helpers
@@ -921,12 +916,6 @@ class AssembledSystem(DaeSystem):
 
     def voltage_magnitudes(self, x) -> dict:
         return {b: self.bus_voltage_mag(x, b) for b in self.bus_ids}
-
-    def outputs(self, x, p: Params) -> dict:
-        """Per-device auxiliary outputs (converter internals, load currents)."""
-        out = {}
-        self._evaluate(np.asarray(x, dtype=float), p, out)
-        return out
 
     def gfl_ids(self):
         return tuple(conv.id for conv in self.model.gfls)

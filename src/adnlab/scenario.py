@@ -245,12 +245,12 @@ def _optional_text(value):
 
 
 # Analysis blocks in schema order: key, fields, the converter of each
-# field that is not a plain number, and the keys whose values must not
-# decrease in the order given.
+# field that is not a plain number, and the chains of keys whose values
+# must not decrease in the order given.
 _ANALYSES = (
     ("continuation", CONTINUATION_FIELDS,
      {"param": _text, "max_steps": _count, "h_min": _positive},
-     ("h_min", "h0", "h_max")),
+     (("h_min", "h0", "h_max"), ("param_min", "param_max"))),
     ("boundary2d", BOUNDARY_FIELDS, {"param2": _text, "grid": _grid}, ()),
     ("simulation", SIMULATION_FIELDS,
      {"t_end": _positive, "h": _positive, "param_steps": _mapping}, ()),
@@ -331,10 +331,12 @@ def loads_scenario(text: str) -> Scenario:
         values = {
             name: _build(f"{where}.{name}", kinds.get(name, _number), value)
             for name, value in entry.items()}
-        for lo, hi in zip(ordered, ordered[1:]):
-            if values[hi] < values[lo]:
-                raise ScenarioError(f"{where}.{hi}: {values[hi]!r} is below "
-                                    f"{lo} = {values[lo]!r}")
+        for chain in ordered:
+            for lo, hi in zip(chain, chain[1:]):
+                if values[hi] < values[lo]:
+                    raise ScenarioError(
+                        f"{where}.{hi}: {values[hi]!r} is below "
+                        f"{lo} = {values[lo]!r}")
         if "t_end" in values:
             # integrate allocates every sample up front, so the step count
             # is bounded before anything runs

@@ -247,7 +247,8 @@ def run_recursive(sys, p: Params, weights: WeightVector,
     reverts the gains the same way; persistent failure, or a failed
     sensitivity solve, aborts with the history collected so far.  The
     first trial takes ``alpha`` in (0, 1] of the optimizer step, whose
-    full length already reaches the boxes.
+    full length already reaches the boxes.  A gain of ``p`` outside its
+    box raises :class:`ConfigurationError` naming it.
     """
     if not 0.0 < alpha <= 1.0:
         raise ConfigurationError(
@@ -259,6 +260,10 @@ def run_recursive(sys, p: Params, weights: WeightVector,
         boxes[f"{conv_id}.g_v"] = (conv.val.g_min, conv.val.g_max)
         boxes[f"{conv_id}.b_v"] = (conv.val.b_min, conv.val.b_max)
         limits[conv_id] = conv.i_max
+    for name, (lo, hi) in boxes.items():
+        if not lo <= p[name] <= hi:
+            raise ConfigurationError(f"{name} = {p[name]!r} is outside its "
+                                     f"tuning box [{lo}, {hi}]")
     x = newton_equilibrium(sys, sys.initial_guess(), p).x
     history = SecondaryHistory()
     for it in range(max_iter + 1):

@@ -248,7 +248,7 @@ def reference_residual(sys, x, p, outputs=None):
     model = sys.model
     w0 = model.omega0
     xs = np.asarray(x, dtype=float).tolist()
-    pv = p.values.tolist()
+    pv = list(p.values)
     lam = pv[p.index("lambda")]
     f = [0.0] * sys.n
     pins = []              # source rows of pinned buses, set last

@@ -230,6 +230,21 @@ class TestSecondaryStatusLine:
         assert err == ("error: non-finite sensitivity data for gain "
                        "'c2.g_v'\n")
 
+    def test_gain_override_outside_its_box_names_it(self, tmp_path, capsys):
+        # ValGains checks the gain a device is built with; a params
+        # override is checked against the same box before the loop starts
+        scenario = json.loads((SCENARIO_DIR / "secondary_4bus.json")
+                              .read_text())
+        scenario["params"] = {"c2.g_v": 1000}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(scenario))
+        rc = run_command(["secondary", "--scenario", str(path),
+                          "--out", str(tmp_path / "out"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == ("error: c2.g_v = 1000.0 is outside its tuning box "
+                       "[-200.0, 200.0]\n")
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self, capsys):

@@ -183,7 +183,7 @@ def test_kernel_compiles_on_first_evaluation_once_per_layout():
     a, b = model.build(), scaled.build()
     assert a._kernel is None and b._kernel is None
     assert a._source == b._source
-    assert a.params0.floats != b.params0.floats
+    assert a.params0.values != b.params0.values
     for sys in (a, b):
         sys.residual(sys.initial_guess(), sys.params0)
     assert a._kernel.__code__ is b._kernel.__code__
@@ -226,7 +226,7 @@ def test_hostile_ids_reach_no_source_and_change_no_bits():
         assert text not in source
     p = plain.params0
     q = hostile.params0
-    assert q.floats == p.floats
+    assert q.values == p.values
     rng = np.random.default_rng(5)
     for _ in range(5):
         x = plain.initial_guess() + 0.05 * rng.standard_normal(plain.n)
@@ -259,22 +259,31 @@ def test_hostile_ids_reach_no_source_and_change_no_bits():
 
 
 def test_converter_outputs_give_the_kernel_bits():
-    """The walk over one converter's own kernel lines gives, row by row,
-    the bits of that converter's entry in the whole kernel's outputs, for
-    every converter kind and layout case."""
-    sys = _every_device_model(lambda i: i).build(rotating_sources=True)
-    p = sys.params0.with_value("pll.i_max", 0.9)
-    rng = np.random.default_rng(3)
-    states = sys.initial_guess() + 0.05 * rng.standard_normal((6, sys.n))
-    whole = [sys.outputs(x, p) for x in states]
-    for conv_id in (*sys.gfl_ids(), *sys.gfm_ids()):
-        keys = tuple(whole[0][conv_id])
-        for asked in (keys, keys[-1:]):
-            series = sys.converter_outputs(states, p, conv_id, asked)
-            assert list(series) == list(asked)
-            for key in asked:
-                assert series[key].tobytes() == np.array(
-                    [out[conv_id][key] for out in whole]).tobytes()
+    """Every device's outputs, one converter's outputs row by row and the
+    limiter activity give the bits of the reference loop's outputs, for
+    every device kind and layout case, fixed and rotating."""
+    for rotating in (False, True):
+        sys = _every_device_model(lambda i: i).build(
+            rotating_sources=rotating)
+        p = sys.params0.with_value("pll.i_max", 0.9)
+        rng = np.random.default_rng(3)
+        states = sys.initial_guess() + 0.05 * rng.standard_normal((6, sys.n))
+        reference = []
+        for x in states:
+            out = {}
+            reference_residual(sys, x, p, out)
+            reference.append(out)
+            assert _bits(sys.outputs(x, p)) == _bits(out)
+            assert _bits(sys.limiter_activity(x, p)) == _bits(
+                {conv: out[conv]["activity"] for conv in sys.gfl_ids()})
+        for conv_id in (*sys.gfl_ids(), *sys.gfm_ids()):
+            keys = tuple(reference[0][conv_id])
+            for asked in (keys, keys[-1:]):
+                series = sys.converter_outputs(states, p, conv_id, asked)
+                assert list(series) == list(asked)
+                for key in asked:
+                    assert series[key].tobytes() == np.array(
+                        [out[conv_id][key] for out in reference]).tobytes()
 
 
 def test_device_functions_are_looked_up_at_call_time(monkeypatch):
@@ -338,11 +347,6 @@ def test_one_difference_kernel_per_differenced_parameter(monkeypatch):
     other = next(name for name in p.names if name != "lambda")
     sys.linearize(sol.x, p, other)
     assert differenced == [0, p.index(other)]
-    # a value needs the parameter it sets, on both paths
-    for linearize in (sys.linearize, lambda *args, **kwargs:
-                      DaeSystem.linearize(sys, *args, **kwargs)):
-        with pytest.raises(ValueError, match="needs the parameter"):
-            linearize(sol.x, p, value=1.1)
 
 
 def _linearized_system(name, rotating=False):
@@ -394,18 +398,18 @@ def test_generated_f_and_f_param_have_the_bits_of_residual_calls(name):
         if param.endswith(".i_max"):
             values += [5e-7, -1.0]
         for value in values:
-            generated = _result(lambda: sys.linearize(x, p, param, value))
+            q = p if value is None else p.with_value(param, value)
+            generated = _result(lambda: sys.linearize(x, q, param))
             assert generated == _result(
-                lambda: DaeSystem.linearize(sys, x, p, param, value))
+                lambda: DaeSystem.linearize(sys, x, q, param))
             if not isinstance(generated, str):
-                q = p if value is None else p.with_value(param, value)
                 assert generated[0] == sys.residual(x, q).tobytes()
                 assert generated[2] == \
                     param_derivative(sys, x, q, param).tobytes()
     # the error a limit out of range raises on the -h side names it
+    i_max = next(k for k in p.names if k.endswith(".i_max"))
     with pytest.raises(ModelValidationError, match="limiter magnitude"):
-        sys.linearize(x, p, next(k for k in p.names if k.endswith(".i_max")),
-                      5e-7)
+        sys.linearize(x, p.with_value(i_max, 5e-7), i_max)
 
 
 @pytest.mark.parametrize("name", SCENARIOS + ["every_device"])
@@ -438,3 +442,19 @@ def test_build_generates_and_compiles_nothing(monkeypatch):
             scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
             scenario.base_params(scenario.build(rotating_sources=rotating))
     assert calls == []
+
+
+def test_kernel_sources_name_no_outputs(monkeypatch):
+    # device outputs come from their own walk: neither the residual kernel
+    # nor a difference kernel fills or passes an outputs dict
+    sources = []
+    difference = network._difference_source
+    monkeypatch.setattr(network, "_difference_source", lambda *args:
+                        sources.append(difference(*args)) or sources[-1])
+    for name in SCENARIOS:
+        for rotating in (False, True):
+            sys, p = _system(name, rotating)
+            sys.linearize(sys.initial_guess(), p)
+            sources.append(sys._source)
+    assert len(sources) == 4 * len(SCENARIOS)
+    assert not [source for source in sources if "outputs" in source]

@@ -121,6 +121,35 @@ def test_src_holds_only_exported_or_used_code():
     assert not unused, f"not used in src: {unused}"
 
 
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark's tracer wraps is where it looks: a
+    module attribute, or an entry of its class's ``__dict__``.  No call in
+    ``src/adnlab`` keeps some of them, ``AssembledSystem.outputs`` and
+    ``DaeSystem.limiter_activity`` among them, so deleting one would pass
+    the test above and break a traced run with a ``KeyError``.  The names
+    some modules bind at import time are wrapped there too."""
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracing.py")
+                     .read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and ast.unparse(node.targets[0]) == "TARGETS")
+    assert ("network.outputs", "adnlab.network", "outputs",
+            "AssembledSystem") in targets
+    missing = []
+    for name, module, attr, owner in targets:
+        mod = importlib.import_module(module)
+        if not (hasattr(mod, attr) if owner is None
+                else attr in vars(getattr(mod, owner, object))):
+            missing.append(name)
+    assert not missing, f"traced names that do not resolve: {missing}"
+    for module, name, defining in (("contin", "jacobian_fd", "engine"),
+                                   ("network", "gfl_rates", "converters"),
+                                   ("cli", "integrate", "engine")):
+        bound = vars(importlib.import_module(f"adnlab.{module}")).get(name)
+        assert bound is getattr(importlib.import_module(
+            f"adnlab.{defining}"), name), f"adnlab.{module}.{name}"
+
+
 def _readme_library_block() -> str:
     text = README.read_text(encoding="utf-8")
     return re.search(r"## Library use\s+```python\n(.*?)```", text,

@@ -127,6 +127,11 @@ class TestParsing:
             lambda d: d.update(analysis={"continuation": {"h_min": 0}}),
             "analysis.continuation.h_min", id="continuation-h_min-zero"),
         pytest.param(
+            lambda d: d.update(analysis={"continuation": {
+                "param_min": 3.0, "param_max": 1.0}}),
+            "analysis.continuation.param_max",
+            id="continuation-param_max-below-param_min"),
+        pytest.param(
             lambda d: d.update(analysis={"continuation": {"max_steps": 0}}),
             "analysis.continuation.max_steps",
             id="continuation-max_steps-zero"),
