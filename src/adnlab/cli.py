@@ -5,11 +5,14 @@ plus a run manifest into an output directory::
 
     adnlab equilibrium --scenario case.json --out results/
     adnlab continue    --scenario case.json --out results/ [--param NAME]
-    adnlab boundary2d  --scenario case.json --out results/ [--grid a:b:n]
+                       [--steps N]
+    adnlab boundary2d  --scenario case.json --out results/ [--param NAME]
+                       [--grid a:b:n] [--steps N]
     adnlab simulate    --scenario case.json --out results/
     adnlab secondary   --scenario case.json --out results/
     adnlab cf          --scenario case.json --out results/
 
+A flag given to a command that does not read it is a usage error.
 Numbers are written with 17 significant digits and newline line ends, so
 repeated runs of the same scenario produce byte-identical files.
 """
@@ -19,6 +22,7 @@ import hashlib
 import itertools
 import json
 import math
+import platform
 import sys as _sys
 import time
 from pathlib import Path
@@ -42,6 +46,10 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 # Most --grid rows one boundary2d run may ask for; each row traces a branch.
 MAX_GRID_POINTS = 1000
+# The commands that read each optional flag; any other command refuses it.
+FLAG_READERS = {"param": ("continue", "boundary2d"),
+                "grid": ("boundary2d",),
+                "steps": ("continue", "boundary2d")}
 
 
 # Lines formatted before one write; a chunk stays a few hundred kB on the
@@ -87,12 +95,13 @@ def _write_csv(path: Path, header, rows):
 
 
 class _Run:
-    def __init__(self, scenario: Scenario, out_dir: Path, command: str,
-                 quiet: bool):
+    def __init__(self, scenario: Scenario, out_dir: Path, args):
         self.scenario = scenario
         self.out = out_dir
-        self.command = command
-        self.quiet = quiet
+        self.command = args.command
+        self.quiet = args.quiet
+        # the optional flags as given, None where absent
+        self.args = {flag: getattr(args, flag) for flag in FLAG_READERS}
         self.outputs = []      # (path, sha256, bytes) per written file
         self.t0 = time.perf_counter()
 
@@ -114,6 +123,9 @@ class _Run:
                 self.scenario.canonical_json().encode()).hexdigest(),
             "tool_version": __version__,
             "command": self.command,
+            "args": self.args,
+            "python_version": platform.python_version(),
+            "numpy_version": np.__version__,
             "outputs": entries,
             "wall_time_s": time.perf_counter() - self.t0,
         }
@@ -342,13 +354,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--param", default=None,
-                        help="override the continuation parameter name")
+                        help="override the continuation parameter name "
+                             "(continue, boundary2d)")
     parser.add_argument("--grid", type=_grid_spec, default=None,
                         metavar="a:b:n",
                         help="override the grid of the scenario's "
                              "boundary2d block (linspace)")
     parser.add_argument("--steps", type=_step_budget, default=None,
-                        help="override the continuation step budget")
+                        help="override the continuation step budget "
+                             "(continue, boundary2d)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -361,8 +375,15 @@ def run_command(argv) -> int:
         print(f"usage: adnlab {{{','.join(COMMANDS)}}} --scenario FILE "
               f"--out DIR", file=_sys.stderr)
         return EXIT_USAGE
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        for flag, readers in FLAG_READERS.items():
+            if getattr(args, flag) is not None and \
+                    args.command not in readers:
+                parser.error(f"--{flag} is read only by "
+                             f"{' and '.join(readers)}, not by "
+                             f"{args.command}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -374,7 +395,7 @@ def run_command(argv) -> int:
             print(f"error: --out {args.out}: cannot create the output "
                   f"directory: {exc.strerror}", file=_sys.stderr)
             return EXIT_USAGE
-        run = _Run(scenario, out_dir, args.command, args.quiet)
+        run = _Run(scenario, out_dir, args)
         _HANDLERS[args.command](run, args)
         run.manifest()
     except AdnlabError as exc:

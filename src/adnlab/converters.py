@@ -114,14 +114,16 @@ GFM_RATES = ("f_theta", "f_pf", "f_qf", "inj_d", "inj_q")
 
 def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
               vm_d, vm_q, corr_d, corr_q, p_ref, q0, kq, v_ref, kp_pll,
-              ki_pll, kp_cc, ki_cc, k_aw, lim, l_f, r_f, outputs=None):
+              ki_pll, kp_cc, ki_cc, k_aw, i_max, limiter_k, l_f, r_f,
+              outputs=None):
     """All GFL residuals for one evaluation point.
 
     ``vm_d/vm_q`` is the PLL-frame voltage measurement feeding the
     reference path (droop, power-to-current division, VAL deviation); the
     PLL itself always sees the raw bus voltage.  ``corr_d/corr_q`` is the
     VAL current correction in the PLL frame; pass zeros when the loop is
-    disabled.  ``lim`` is the current limiter at the present ``i_max``.
+    disabled.  ``i_max`` and ``limiter_k`` are the current limiter's
+    magnitude and sharpness (:func:`~adnlab.limits.sat_vector`).
 
     Returns the residual rates (mass factored out where it is not 1) and
     the network-frame injected current, named by :data:`GFL_RATES`.  An
@@ -144,7 +146,7 @@ def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
     is_q = (p_ref * vm_q - q_ref * vm_d) / den
     raw_d = is_d + corr_d
     raw_q = is_q + corr_q
-    iref_d, iref_q = sat_vector(lim, raw_d, raw_q)
+    iref_d, iref_q = sat_vector(i_max, limiter_k, raw_d, raw_q)
     e_d = iref_d - i_d
     e_q = iref_q - i_q
     rates = (omega_pll - omega0,
@@ -164,7 +166,7 @@ def gfl_rates(omega0, theta, eps, i_d, i_q, xi_d, xi_q, vd, vq,
             raw_d=raw_d, raw_q=raw_q, iref_d=iref_d, iref_q=iref_q,
             vmod_d=v_pll_d + kp_cc * e_d + xi_d - omega_pll * l_f * i_q,
             vmod_q=v_pll_q + kp_cc * e_q + xi_q + omega_pll * l_f * i_d,
-            activity=lim.k * math.hypot(raw_d, raw_q) / lim.limit)
+            activity=limiter_k * math.hypot(raw_d, raw_q) / i_max)
     return rates
 
 

@@ -8,12 +8,10 @@ characteristic on the saturated region as the sharpness grows.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ModelValidationError
 
 __all__ = [
-    "SmoothLimiter",
     "sat",
     "sat_vector",
     "smooth_deadband",
@@ -22,46 +20,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SmoothLimiter:
-    """Magnitude limit with a tanh profile.
+def sat(limit: float, k: float, x: float) -> float:
+    """Smooth saturation ``limit * tanh(k * x / limit)``.
 
-    ``limit`` is the rated magnitude (pu) and ``k`` the sharpness: the
-    output is ``limit * tanh(k * x / limit)``, so the characteristic is
-    odd, strictly increasing, Lipschitz with constant ``k`` and bounded by
-    ``limit`` for every finite input.
+    ``limit`` is the rated magnitude (pu) and ``k`` the sharpness, so the
+    characteristic is odd, strictly increasing, Lipschitz with constant
+    ``k`` and bounded by ``limit`` for every finite input.
     """
-
-    limit: float
-    k: float = 10.0
-
-    def __post_init__(self):
-        if not self.limit > 0.0:
-            raise ModelValidationError(
-                f"limiter magnitude must be positive, got {self.limit}")
-        if not self.k >= 1.0:
-            raise ModelValidationError(f"limiter sharpness must be >= 1, got {self.k}")
-
-    def __call__(self, x):
-        return sat(self, x)
+    return limit * math.tanh(k * x / limit)
 
 
-def sat(lim: SmoothLimiter, x: float) -> float:
-    """Smooth saturation ``limit * tanh(k * x / limit)``."""
-    return lim.limit * math.tanh(lim.k * x / lim.limit)
-
-
-def sat_vector(lim: SmoothLimiter, xd: float, xq: float):
+def sat_vector(limit: float, k: float, xd: float, xq: float):
     """Magnitude-limit a dq pair, preserving its angle.
 
     The pair is scaled by ``sat(|x|)/|x|``; a zero vector is returned
     unchanged.  Converter current limiting is a rated-capacity constraint
-    on the magnitude, so no per-axis clipping is performed.
+    on the magnitude, so no per-axis clipping is performed.  A ``limit``
+    that is not positive is refused, for a zero vector too.
     """
+    if not limit > 0.0:
+        raise ModelValidationError(
+            f"limiter magnitude must be positive, got {limit}")
     mag = math.hypot(xd, xq)
     if mag == 0.0:
         return 0.0, 0.0
-    scale = sat(lim, mag) / mag
+    scale = sat(limit, k, mag) / mag
     return xd * scale, xq * scale
 
 

@@ -14,11 +14,10 @@ the frame-rotation coupling enters every inductive/capacitive dynamic as
 into the bus; loads return consumed current and are subtracted.
 """
 
-import ast
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -27,7 +26,7 @@ from .converters import (GflConverter, V_FLOOR, gfl_rates, gfm_rates,
                          pll_project)
 from .engine import DaeSystem, Params
 from .errors import ModelValidationError
-from .limits import SmoothLimiter, rate_window, smooth_deadband
+from .limits import rate_window, smooth_deadband
 from .val import dval_rate, dval_realization, qval_correction
 
 __all__ = [
@@ -365,10 +364,16 @@ def _compile_kernel(source: str):
     return compile(source, "<adnlab residual kernel>", "exec")
 
 
+# A name in a kernel line: neither an attribute nor part of a number.
+_NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
+
+
 @lru_cache(maxsize=64)
-def _difference_source(source: str, colour: tuple, entries: tuple,
-                       param) -> str:
-    """Source of the difference kernel of the residual kernel ``source``.
+def _difference_source(body: tuple, unpack: tuple, colour: tuple,
+                       entries: tuple, param) -> str:
+    """Source of the difference kernel of the residual kernel whose lines
+    are ``body``, each ``targets = expression``, and whose lines unpacking
+    ``env``, ``x`` and ``p`` are ``unpack``.
 
     ``colour`` gives the column group of each state and ``entries`` the
     ``(group, row, column)`` of each Jacobian entry, in difference-index
@@ -378,51 +383,30 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
     group's ``+h`` state (from ``xp``), each ``-h`` state (``xm``) and the
     parameter's two values (``pl``), in that order, it runs again only
     the lines that read a perturbed name, directly or through an earlier
-    such line, on copies of their names tagged ``__<perturbation>``; a
-    copied ``if`` first sets its tagged names to their untagged values.
+    such line, on copies that tag ``__<perturbation>`` to every target
+    and to every perturbed name read.
     It returns one list: the residual, every entry ``(f+ - f-) / d`` with
     ``d`` the column's ``2h``, and every row's ``(f+ - f-) / d_p``,
     ``d_p`` the last item of ``pl``.
     """
-    text = source.split("\n")
-    start = list(accumulate((len(line) + 1 for line in text), initial=0))
-    bind = ast.parse(source).body[0]
-    _, kernel, _ = bind.body
-    unpack_x, unpack_p, *body, _ = kernel.body
     steps = []
-    for stmt in body:
-        # each name of the line, at its offset in the source
-        found = sorted((start[node.lineno - 1] + node.col_offset, node.id,
-                        isinstance(node.ctx, ast.Store))
-                       for node in ast.walk(stmt)
-                       if isinstance(node, ast.Name))
-        reads = {name for _, name, store in found if not store}
-        # the line's text with a str.format field in place of each name
-        ends = [start[stmt.lineno - 1]] + [at + len(name)
-                                           for at, name, _ in found]
-        chunks = [source[end:at] for end, (at, _, _) in zip(ends, found)]
-        chunks.append(source[ends[-1]:start[stmt.end_lineno] - 1])
-        template = "{}".join(chunk.replace("{", "{{").replace("}", "}}")
-                             for chunk in chunks)
-        steps.append((template, found, reads, {name for _, name, store
-                                               in found if store},
-                      isinstance(stmt, ast.If)))
-    lines = [template.format(*(name for _, name, _ in found))
-             for template, found, _, _, _ in steps]
+    for line in body:
+        targets, expr = line.split(" = ", 1)
+        steps.append((targets, expr, set(_NAME.findall(targets)),
+                      set(_NAME.findall(expr))))
+    lines = [f"        {line}" for line in body]
 
     def rerun(seeds, tag):
         """Append the lines ``seeds`` reach, with the names they set and
         the perturbed names they read tagged; return the perturbed
         names."""
         dirty = set(seeds)
-        for template, found, reads, writes, branch in steps:
+        for targets, expr, writes, reads in steps:
             if reads & dirty:
-                if branch:     # the copy starts from the names it may set
-                    lines.extend(f"        {name}__{tag} = {name}"
-                                 for name in sorted(writes - dirty))
-                lines.append(template.format(*(
-                    f"{name}__{tag}" if store or name in dirty else name
-                    for _, name, store in found)))
+                targets = _NAME.sub(rf"\g<0>__{tag}", targets)
+                expr = _NAME.sub(lambda name: f"{name[0]}__{tag}"
+                                 if name[0] in dirty else name[0], expr)
+                lines.append(f"        {targets} = {expr}")
                 dirty |= writes
         return dirty
 
@@ -448,12 +432,13 @@ def _difference_source(source: str, colour: tuple, entries: tuple,
         sides.append([row_name(row, dirty, tag) for row in range(n)])
     diffs += [f"({a} - {b}) / d_p" for a, b in zip(*sides)]
     returned = ", ".join([f"f{i}" for i in range(n)] + diffs)
+    unpack_env, unpack_x, unpack_p = unpack
     return "\n".join([
         "def bind(env):",
-        text[bind.body[0].lineno - 1],
+        f"    {unpack_env}",
         "    def difference(x, xp, xm, d, p, pl):",
-        text[unpack_x.lineno - 1],
-        text[unpack_p.lineno - 1],
+        f"        {unpack_x}",
+        f"        {unpack_p}",
         *lines,
         f"        return [{returned}]",
         "    return difference",
@@ -475,15 +460,18 @@ class AssembledSystem(DaeSystem):
     The kernel source defines ``bind(env)``, which unpacks ``env`` into
     names and returns ``kernel(x, p)``.  The kernel reads the states and
     the parameter values (``p.values``) as Python floats into locals
-    ``x0 ...`` and ``p0 ...`` and returns the residual as a list.  Each
+    ``x0 ...`` and ``p0 ...``, runs one ``targets = expression`` line after
+    another, with no branch, and returns the residual as a list.  Each
     device kernel is called once per device, by its name in this module,
     so a wrapper set on that name after build sees the call.  The KCL row
     of a free bus sums its device injections from ``0.0`` in device order
-    and adds the shunt term last.  Device objects, float constants and the
-    cache of each converter's limiter reach the kernel through ``env``, so
-    the source holds no scenario text.  The source is written at build
-    and compiled on the first evaluation, once per layout; an evaluation
-    converts the residual to an array once.
+    and adds the shunt term last.  Device objects and float constants
+    reach the kernel through ``env``, which it only reads, so the source
+    holds no scenario text; a converter's limiter is its ``i_max``
+    parameter and its sharpness, two floats passed to :func:`gfl_rates`.
+    The source is written at build and compiled on the first evaluation,
+    once per layout; an evaluation converts the residual to an array
+    once.
 
     Each device with outputs (a machine, a load or a converter) records
     them once, as a value expression and its own kernel lines; a
@@ -493,7 +481,7 @@ class AssembledSystem(DaeSystem):
     generated from that record (:meth:`_walk`).
 
     :meth:`linearize`, and so :func:`~adnlab.engine.jacobian_fd`, runs a
-    difference kernel generated from the residual kernel's source: the
+    difference kernel generated from the residual kernel's lines: the
     kernel lines once at the point, then for each perturbation of a
     colour group or of one parameter only the lines that read a perturbed
     name, directly or through an earlier such line.  The parameter is
@@ -511,8 +499,7 @@ class AssembledSystem(DaeSystem):
         mass_param = []        # (state index, parameter index)
         guess = []
         pnames, pvals = ["lambda"], [1.0]
-        lims = []              # per converter, its limiter at the last i_max
-        labels, env = ["w0", "lims"], [w0, lims]     # what the kernel binds
+        labels, env = ["w0"], [w0]     # what the kernel binds
         body = []              # kernel lines
         kcl = {}               # free bus row -> its terms, in device order
         pins = {}              # bus row -> source row of a pinned bus
@@ -715,18 +702,12 @@ class AssembledSystem(DaeSystem):
             reads[idx + 3].update(iref | {idx + 3, idx + 5})
             reads[idx + 4].update(iref | {idx + 2})
             reads[idx + 5].update(iref | {idx + 3})
-            lims.append(SmoothLimiter(conv.i_max, conv.limiter_k))
-            lim = f"g{k}_lim"
             states = ", ".join(f"x{idx + j}" for j in range(6))
             rows = ", ".join(f"f{idx + j}" for j in range(6))
-            body += [f"{lim} = lims[{k}]",
-                     f"if {lim}.limit != {i_max}:",
-                     f"    {lim} = lims[{k}] = SmoothLimiter({i_max}, "
-                     f"{bind(conv.limiter_k)})",
-                     f"{rows}, {vm_rows}, g{k}_d, g{k}_q = gfl_rates(w0, "
-                     f"{states}, x{vi}, x{vi + 1}, {vm_d}, {vm_q}, {corr}, "
-                     f"{gains}, {lim}, {bind(conv.l_f)}, {bind(conv.r_f)}, "
-                     f"{out})"]
+            body.append(f"{rows}, {vm_rows}, g{k}_d, g{k}_q = gfl_rates(w0, "
+                        f"{states}, x{vi}, x{vi + 1}, {vm_d}, {vm_q}, {corr}, "
+                        f"{gains}, {i_max}, {bind(conv.limiter_k)}, "
+                        f"{bind(conv.l_f)}, {bind(conv.r_f)}, {out})")
             outs[conv.id] = (out, [f"{out} = {{}}", *body[first:]])
             if conv.val_mode == "dval":
                 body.append(f"f{dv}, f{dv + 1} = dval_rate({bind(real)}, "
@@ -779,6 +760,7 @@ class AssembledSystem(DaeSystem):
             f"        return [{', '.join(f'f{i}' for i in range(n))}]",
             "    return kernel",
             ""])
+        self._body = tuple(body)
         self._env = tuple(env)
         self._kernel = None
         self._differences = {}
@@ -832,7 +814,7 @@ class AssembledSystem(DaeSystem):
         if run is None:
             colour, group, rows, owner = self._difference_index()
             run = self._differences[j] = self._bind(_difference_source(
-                self._source, tuple(colour.tolist()),
+                self._body, self._unpack, tuple(colour.tolist()),
                 tuple(zip(group.tolist(), rows.tolist(), owner.tolist())),
                 j))
         lam = p.values[j]

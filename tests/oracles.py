@@ -15,15 +15,14 @@ from adnlab.contin import (OMEGA_MIN, BoundaryRow, continue_branch,
 from adnlab.converters import gfl_rates, gfm_rates, pll_project
 from adnlab.engine import integrate, newton_equilibrium, reduced_state_matrix
 from adnlab.errors import NonConvergenceError, SingularJacobianError
-from adnlab.limits import SmoothLimiter
 from adnlab.network import im_rates, ltc_rate, zip_injection
 from adnlab.val import dval_rate, dval_realization, qval_correction
 
 
-def sat_slope(lim, x):
+def sat_slope(limit, k, x):
     """Analytic derivative of :func:`adnlab.limits.sat` with respect to ``x``."""
-    t = np.tanh(lim.k * np.asarray(x, dtype=float) / lim.limit)
-    return lim.k * (1.0 - t * t)
+    t = np.tanh(k * np.asarray(x, dtype=float) / limit)
+    return k * (1.0 - t * t)
 
 
 def hard_clip(limit: float, x):
@@ -350,14 +349,13 @@ def reference_residual(sys, x, p, outputs=None):
         elif conv.val_mode == "dval":
             cd, cq = pair(conv.id, "ivd", "ivq")
             corr_d, corr_q = xs[cd], xs[cq]
-        lim = SmoothLimiter(par(conv.id, "i_max"), conv.limiter_k)
         gains = [par(conv.id, nm) for nm in (
             "p_ref", "q0", "kq", "v_ref", "kp_pll", "ki_pll", "kp_cc",
             "ki_cc", "k_aw")]
         out = None if outputs is None else {}
         rates = gfl_rates(w0, *(xs[i] for i in rows), vd, vq, vm_d, vm_q,
-                          corr_d, corr_q, *gains, lim, conv.l_f, conv.r_f,
-                          out)
+                          corr_d, corr_q, *gains, par(conv.id, "i_max"),
+                          conv.limiter_k, conv.l_f, conv.r_f, out)
         for i, rate in zip(rows, rates):
             f[i] = rate
         if conv.tau_meas > 0.0:

@@ -29,7 +29,7 @@ from adnlab.engine import (
     newton_equilibrium,
     reduced_state_matrix,
 )
-from adnlab.limits import SmoothLimiter, sat, sat_vector
+from adnlab.limits import sat, sat_vector
 from adnlab.network import OMEGA0, reactance_to_inductance
 from adnlab.secondary import WeightVector, run_recursive
 from adnlab.val import ValGains
@@ -133,20 +133,20 @@ def test_criterion_3_smooth_limit_convergence():
                          -np.linspace(limit, 4.0 * limit, 61)])
     errors = []
     for k in (1, 2, 5, 10, 20, 50):
-        lim = SmoothLimiter(limit, float(k))
         errors.append(float(np.max(np.abs(
-            hard_clip(limit, xs) - np.array([sat(lim, x) for x in xs])))))
+            hard_clip(limit, xs)
+            - np.array([sat(limit, float(k), x) for x in xs])))))
     assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-4 * limit
 
-    lim = SmoothLimiter(1.2, 5.0)
+    lim = (1.2, 5.0)
     rng = np.random.default_rng(1)
     for _ in range(200):
         xd, xq = rng.uniform(-4, 4, 2)
         mag = math.hypot(xd, xq)
         if mag < 1e-9:
             continue
-        yd, yq = sat_vector(lim, xd, xq)
+        yd, yq = sat_vector(*lim, xd, xq)
         assert abs(xd * yq - xq * yd) <= 1e-12 * mag
     report(3, "tanh limiter converges monotonically to the hard clip on "
               "the saturated region; vector limiting preserves angles")
@@ -183,12 +183,12 @@ def test_criterion_4_linearization_consistency():
     assert sigma_fit == pytest.approx(lam1.real, rel=0.05)
 
     # analytic sat row against the finite-difference Jacobian
-    lim = SmoothLimiter(1.0, 10.0)
-    sat_sys = DaeSystem(1, lambda x, q: np.array([float(sat(lim, x[0]))]),
+    lim = (1.0, 10.0)
+    sat_sys = DaeSystem(1, lambda x, q: np.array([float(sat(*lim, x[0]))]),
                         lambda q: np.ones(1), Params((), []))
     for x_val in (-0.2, -0.05, 0.02, 0.15):
         jac = jacobian_fd(sat_sys, np.array([x_val]), sat_sys.params0)
-        assert jac[0, 0] == pytest.approx(float(sat_slope(lim, x_val)),
+        assert jac[0, 0] == pytest.approx(float(sat_slope(*lim, x_val)),
                                           rel=1e-5, abs=1e-9)
 
     # analytic PLL rows of the assembled system

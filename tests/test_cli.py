@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import platform
 import re
 from pathlib import Path
 
@@ -409,6 +410,26 @@ class TestExitCodes:
         assert "lambda" in err and "line.l" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("cf", "--param", "nosuch"), ("simulate", "--param", "lambda"),
+        ("equilibrium", "--steps", "3"), ("secondary", "--grid", "0:1:3"),
+        ("continue", "--grid", "0:1:3")])
+    def test_flag_the_command_does_not_read_is_usage_error(
+            self, tmp_path, capsys, command, flag, value):
+        readers = {"--param": "continue and boundary2d",
+                   "--steps": "continue and boundary2d",
+                   "--grid": "boundary2d"}[flag]
+        out = tmp_path / "unread"
+        rc = run_command([command, "--scenario",
+                          str(SCENARIO_DIR / "two_bus.json"),
+                          "--out", str(out), "--quiet", flag, value])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith(f"\nerror: {flag} is read only by {readers}, "
+                            f"not by {command}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1:0.5:3", "1:1:2", "0.5:nan:3",
                                       "0.5:inf:3", "0.5:1:0",
                                       "-1e308:1e308:3",
@@ -528,6 +549,27 @@ class TestManifestAndDeterminism:
             data = path.read_bytes()
             assert len(data) == entry["bytes"] > 0
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
+
+    def test_manifest_records_the_flags_and_versions(self, tmp_path):
+        out = tmp_path / "pv"
+        rc = run_command(["continue", "--scenario",
+                          str(SCENARIO_DIR / "cf_step.json"), "--out",
+                          str(out), "--quiet", "--param", "line.l",
+                          "--steps", "3"])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["args"] == {"param": "line.l", "grid": None,
+                                    "steps": 3}
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        out = tmp_path / "bd"
+        rc = run_command(["boundary2d", "--scenario",
+                          str(SCENARIO_DIR / "two_bus.json"), "--out",
+                          str(out), "--quiet", "--grid=0.0012:0.0022:2"])
+        assert rc == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["args"] == {"param": None, "grid": [0.0012, 0.0022, 2],
+                                    "steps": None}
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         outs = []

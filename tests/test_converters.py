@@ -8,7 +8,7 @@ import pytest
 
 from adnlab.converters import GflConverter, GfmDroop
 from adnlab.engine import integrate, newton_equilibrium
-from adnlab.limits import SmoothLimiter, sat
+from adnlab.limits import sat
 from adnlab.network import (
     OMEGA0,
     Bus,
@@ -100,8 +100,7 @@ class TestCurrentReference:
                             limiter_k=1.0)
         i_d, i_q = current_reference(conv, 1.0, 0.0)
         assert i_q == pytest.approx(0.0, abs=1e-15)
-        expected = float(sat(SmoothLimiter(conv.i_max, conv.limiter_k),
-                             conv.p_ref / 1.0))
+        expected = float(sat(conv.i_max, conv.limiter_k, conv.p_ref / 1.0))
         assert i_d == pytest.approx(expected, rel=1e-12)
         # near-transparent limiter at this operating point
         assert i_d == pytest.approx(conv.p_ref, rel=0.05)

@@ -18,7 +18,7 @@ from adnlab.engine import (
     reduced_state_matrix,
 )
 from adnlab.errors import IntegrationError, NonConvergenceError, SingularJacobianError
-from adnlab.limits import SmoothLimiter, sat
+from adnlab.limits import sat
 from oracles import sat_slope
 
 
@@ -60,12 +60,12 @@ class TestJacobianFd:
         assert np.max(np.abs(jac - a)) < 1e-9
 
     def test_sat_row_matches_analytic_slope(self):
-        lim = SmoothLimiter(1.0, 10.0)
-        sys = DaeSystem(1, lambda x, p: np.array([float(sat(lim, x[0]))]),
+        lim = (1.0, 10.0)
+        sys = DaeSystem(1, lambda x, p: np.array([float(sat(*lim, x[0]))]),
                         lambda p: np.ones(1), Params((), []))
         for x0 in (-1.5, -0.2, 0.0, 0.08, 0.6, 2.0):
             jac = jacobian_fd(sys, np.array([x0]), sys.params0)
-            assert jac[0, 0] == pytest.approx(float(sat_slope(lim, x0)),
+            assert jac[0, 0] == pytest.approx(float(sat_slope(*lim, x0)),
                                               rel=1e-6, abs=1e-9)
 
     def test_nonfinite_entry_reported(self):

@@ -15,6 +15,7 @@ and ``F_param`` with the bits of the residual calls the generic
 ``DaeSystem`` path makes.
 """
 
+import ast
 import dataclasses
 import json
 import struct
@@ -335,7 +336,7 @@ def test_one_difference_kernel_per_differenced_parameter(monkeypatch):
     differenced = []
     source = network._difference_source
     monkeypatch.setattr(network, "_difference_source", lambda *args:
-                        differenced.append(args[3]) or source(*args))
+                        differenced.append(args[-1]) or source(*args))
     sys, p = _system("two_bus")
     sol = newton_equilibrium(sys, sys.initial_guess(), p)
     branch = continue_branch(sys, sol, "lambda",
@@ -458,3 +459,29 @@ def test_kernel_sources_name_no_outputs(monkeypatch):
             sources.append(sys._source)
     assert len(sources) == 4 * len(SCENARIOS)
     assert not [source for source in sources if "outputs" in source]
+
+
+@pytest.mark.parametrize("rotating", [False, True])
+@pytest.mark.parametrize("name", SCENARIOS + ["every_device"])
+def test_kernels_are_pure_straight_line_assignments(name, rotating,
+                                                    monkeypatch):
+    # the residual kernel and the difference kernels of lambda and of a
+    # current limit are assignments after assignments, then the return,
+    # and nothing bound to them can hold state between calls
+    sys, p = _linearized_system(name, rotating)
+    sources = [sys._source]
+    difference = network._difference_source
+    monkeypatch.setattr(network, "_difference_source", lambda *args:
+                        sources.append(difference(*args)) or sources[-1])
+    x = sys.initial_guess()
+    limit = [k for k in p.names if k.endswith(".i_max")][:1]
+    for param in [None, *limit]:
+        _result(lambda: sys.linearize(x, p, param))
+    assert len(sources) == 2 + len(limit)
+    for source in sources:
+        (bind,) = ast.parse(source).body
+        _, kernel, _ = bind.body
+        *lines, returned = kernel.body
+        assert all(isinstance(line, ast.Assign) for line in lines)
+        assert isinstance(returned, ast.Return)
+    assert not [obj for obj in sys._env if isinstance(obj, (list, dict, set))]

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from adnlab.errors import ModelValidationError
 from adnlab.limits import (
-    SmoothLimiter,
     _lncosh,
     anti_windup_rate,
     rate_window,
@@ -19,91 +19,93 @@ from oracles import hard_clip, sat_slope, smooth_deadband_slope
 
 class TestSat:
     def test_zero_maps_to_zero(self):
-        assert sat(SmoothLimiter(1.0, 1.0), 0.0) == 0.0
+        assert sat(1.0, 1.0, 0.0) == 0.0
 
     def test_unit_limiter_k1_at_limit(self):
         # limit * tanh(k x / limit) at limit=1, k=1, x=1
-        assert sat(SmoothLimiter(1.0, 1.0), 1.0) == pytest.approx(
+        assert sat(1.0, 1.0, 1.0) == pytest.approx(
             math.tanh(1.0), abs=1e-15)
         assert math.tanh(1.0) == pytest.approx(0.761594, abs=1e-6)
 
     def test_k10_approaches_hard_clip(self):
-        y = float(sat(SmoothLimiter(1.0, 10.0), 1.0))
+        y = float(sat(1.0, 10.0, 1.0))
         assert y == pytest.approx(math.tanh(10.0), abs=1e-15)
         assert y >= 0.9999
 
     def test_odd_and_bounded(self):
-        lim = SmoothLimiter(2.0, 5.0)
+        lim = 2.0, 5.0
         xs = np.linspace(-30.0, 30.0, 301)
-        ys = np.array([sat(lim, x) for x in xs])
-        assert np.allclose(ys, [-sat(lim, -x) for x in xs], atol=1e-15)
+        ys = np.array([sat(*lim, x) for x in xs])
+        assert np.allclose(ys, [-sat(*lim, -x) for x in xs], atol=1e-15)
         assert np.all(np.abs(ys) <= 2.0)
         # strictly below the limit wherever tanh has not rounded to 1
-        mid = np.array([sat(lim, x) for x in np.linspace(-3.0, 3.0, 301)])
+        mid = np.array([sat(*lim, x) for x in np.linspace(-3.0, 3.0, 301)])
         assert np.all(np.abs(mid) < 2.0)
         assert np.all(np.diff(mid) > 0.0)
 
     def test_lipschitz_constant_is_k(self):
-        lim = SmoothLimiter(1.5, 7.0)
+        lim = 1.5, 7.0
         xs = np.linspace(-5.0, 5.0, 2001)
-        slopes = np.diff([sat(lim, x) for x in xs]) / np.diff(xs)
+        slopes = np.diff([sat(*lim, x) for x in xs]) / np.diff(xs)
         assert np.max(np.abs(slopes)) <= 7.0 + 1e-9
-        assert sat_slope(lim, 0.0) == pytest.approx(7.0, rel=1e-12)
+        assert sat_slope(*lim, 0.0) == pytest.approx(7.0, rel=1e-12)
 
     def test_pointwise_convergence_on_saturated_region(self):
         xs = np.concatenate([np.linspace(1.0, 4.0, 31),
                              np.linspace(-4.0, -1.0, 31)])
         err = [np.max(np.abs(hard_clip(1.0, xs)
-                             - [sat(SmoothLimiter(1.0, k), x) for x in xs]))
+                             - [sat(1.0, k, x) for x in xs]))
                for k in (1, 2, 5, 10, 20, 50)]
         assert all(e2 <= e1 + 1e-15 for e1, e2 in zip(err, err[1:]))
         assert err[-1] < 1e-4
 
     def test_error_at_limit_small_for_default_sharpness(self):
         # design point: error below 1e-4 * limit at |x| = limit for k = 10
-        lim = SmoothLimiter(3.0, 10.0)
-        assert abs(3.0 - float(sat(lim, 3.0))) < 1e-4 * 3.0
+        lim = 3.0, 10.0
+        assert abs(3.0 - float(sat(*lim, 3.0))) < 1e-4 * 3.0
 
     def test_fd_slope_matches_analytic(self):
-        lim = SmoothLimiter(1.2, 8.0)
+        lim = 1.2, 8.0
         h = 1e-7
         for x in (-2.0, -0.3, 0.0, 0.17, 1.2, 4.0):
-            fd = (float(sat(lim, x + h)) - float(sat(lim, x - h))) / (2 * h)
-            ana = float(sat_slope(lim, x))
+            fd = (float(sat(*lim, x + h)) - float(sat(*lim, x - h))) / (2 * h)
+            ana = float(sat_slope(*lim, x))
             assert fd == pytest.approx(ana, rel=1e-6, abs=1e-9)
 
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            SmoothLimiter(0.0, 1.0)
-        with pytest.raises(ValueError):
-            SmoothLimiter(1.0, 0.5)
 
 
 class TestSatVector:
+    def test_limit_not_positive_refused_even_for_zero_vector(self):
+        for limit in (0.0, -1.0, math.nan):
+            for xd, xq in ((0.0, 0.0), (0.3, -0.4)):
+                with pytest.raises(ModelValidationError,
+                                   match="limiter magnitude must be positive"):
+                    sat_vector(limit, 10.0, xd, xq)
+
     def test_zero_vector_unchanged(self):
-        assert sat_vector(SmoothLimiter(1.0, 5.0), 0.0, 0.0) == (0.0, 0.0)
+        assert sat_vector(1.0, 5.0, 0.0, 0.0) == (0.0, 0.0)
 
     def test_d_axis_stays_on_d_axis(self):
-        d, q = sat_vector(SmoothLimiter(1.0, 5.0), 0.7, 0.0)
+        d, q = sat_vector(1.0, 5.0, 0.7, 0.0)
         assert q == 0.0
         assert d > 0.0
 
     def test_worked_magnitude_and_direction(self):
-        lim = SmoothLimiter(1.2, 5.0)
-        d, q = sat_vector(lim, 3.0, 4.0)
+        lim = 1.2, 5.0
+        d, q = sat_vector(*lim, 3.0, 4.0)
         mag = math.hypot(d, q)
         assert mag == pytest.approx(1.2 * math.tanh(5.0 * 5.0 / 1.2), rel=1e-12)
         assert mag == pytest.approx(1.2, abs=1e-6)
         assert (d / mag, q / mag) == pytest.approx((0.6, 0.8), rel=1e-12)
 
     def test_angle_preserved_on_grid(self):
-        lim = SmoothLimiter(0.9, 3.0)
+        lim = 0.9, 3.0
         rng = np.random.default_rng(42)
         for _ in range(50):
             xd, xq = rng.uniform(-3, 3, 2)
             if math.hypot(xd, xq) < 1e-12:
                 continue
-            yd, yq = sat_vector(lim, xd, xq)
+            yd, yq = sat_vector(*lim, xd, xq)
             cross = xd * yq - xq * yd
             assert abs(cross) <= 1e-12 * math.hypot(xd, xq)
             assert xd * yd + xq * yq >= 0.0
@@ -181,8 +183,8 @@ class TestFloatKernel:
     residual code that uses it stays in float arithmetic."""
 
     def test_float_in_float_out(self):
-        lim = SmoothLimiter(1.2, 5.0)
-        values = [sat(lim, 0.7), *sat_vector(lim, 3.0, 4.0),
+        lim = 1.2, 5.0
+        values = [sat(*lim, 0.7), *sat_vector(*lim, 3.0, 4.0),
                   smooth_deadband(0.1, 10.0, 0.3), _lncosh(-2.5),
                   rate_window(1.05, 0.9, 1.1, 50.0, 1.0)]
         assert [type(v) for v in values] == [float] * 6
