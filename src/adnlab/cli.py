@@ -103,6 +103,7 @@ class _Run:
         # the optional flags as given, None where absent
         self.args = {flag: getattr(args, flag) for flag in FLAG_READERS}
         self.outputs = []      # (path, sha256, bytes) per written file
+        self.warnings = []     # every degradation the run survived
         self.t0 = time.perf_counter()
 
     def say(self, message: str):
@@ -127,6 +128,7 @@ class _Run:
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,
             "outputs": entries,
+            "warnings": self.warnings,
             "wall_time_s": time.perf_counter() - self.t0,
         }
         path = self.out / "manifest.json"
@@ -169,7 +171,8 @@ def _continuation_settings(run: _Run, args, p):
     param = cfg.pop("param")
     if args.steps:
         cfg["max_steps"] = args.steps
-    return _known_param(p, args.param or param), ContinuationSettings(**cfg)
+    return _known_param(p, param if args.param is None else args.param), \
+        ContinuationSettings(**cfg)
 
 
 def _cmd_continue(run: _Run, args):
@@ -177,6 +180,7 @@ def _cmd_continue(run: _Run, args):
     param, settings = _continuation_settings(run, args, p)
     branch = continue_branch(sys, sol, param, settings)
     if branch.truncated:
+        run.warnings.append(branch.message)
         run.say(f"branch truncated: {branch.message}")
     run.csv("branch.csv",
             ("s", param, "rightmost_re") + sys.state_names,
@@ -205,6 +209,8 @@ def _cmd_boundary2d(run: _Run, args):
     boundary = trace_boundary_2d(sys, param1, param2, grid, settings, p)
     run.csv("boundary.csv", (param2, param1 + "_star", "kind"),
             [(row.param2, row.lam, row.kind) for row in boundary.rows])
+    run.warnings += [f"{param2} = {row.param2!r}: {row.message}"
+                     for row in boundary.rows if row.kind == "error"]
 
 
 def _transient(run: _Run):
@@ -262,6 +268,8 @@ def _cmd_secondary(run: _Run, args):
             ("iter", "converter", "g_v", "b_v", "objective"), g_rows)
     status = "converged" if history.converged else \
         (history.aborted or history.stalled or "iteration budget exhausted")
+    if not history.converged:
+        run.warnings.append(status)
     run.say(f"secondary loop: {status} after "
             f"{len(history.iterations)} iteration(s)")
 

@@ -291,7 +291,7 @@ def _classify(branch: Branch) -> list:
             found.append((BifurcationRecord(
                 kind=kind, lam=0.5 * (lo.lam + hi.lam),
                 x=0.5 * (lo.x + hi.x), s=0.5 * (lo.s + hi.s),
-                eig=_crossing_eigenvalue(kind, lo, hi),
+                eig=_crossing_eigenvalue(kind, hi),
                 tol_achieved=abs(hi.lam - lo.lam),
                 n_unstable_before=lo.n_unstable,
                 n_unstable_after=hi.n_unstable, limiter=limiter), bracket))
@@ -323,8 +323,8 @@ def _segment(pts, i: int) -> list:
     return seg
 
 
-def _crossing_eigenvalue(kind: str, lo: BranchPoint, hi: BranchPoint):
-    eigs = hi.spectrum.eigenvalues
+def _crossing_eigenvalue(kind: str, point: BranchPoint):
+    eigs = point.spectrum.eigenvalues
     if kind == "SNB":
         real = eigs[np.abs(eigs.imag) <= OMEGA_MIN]
         if real.size:
@@ -387,8 +387,7 @@ def locate_bifurcation(sys: DaeSystem, param: str, p: Params,
             break
     lam_star = 0.5 * (la + lb)
     x_star = 0.5 * (xa + xb)
-    eig = _crossing_eigenvalue(kind, pt_a, pt_mid if pt_mid is not None
-                               else pt_b)
+    eig = _crossing_eigenvalue(kind, pt_mid if pt_mid is not None else pt_b)
     return BifurcationRecord(
         kind=kind, lam=lam_star, x=x_star, s=0.0, eig=eig,
         tol_achieved=abs(lb - la), n_unstable_before=na,

@@ -121,8 +121,7 @@ class DaeSystem:
             if len(pattern) != self.n:
                 raise ValueError("pattern length does not match n")
         self.pattern = pattern
-        self._groups = None
-        self._fd_index = None
+        self._colouring = None
         self._blocks = {}
 
     def residual(self, x, p: Params) -> np.ndarray:
@@ -153,63 +152,37 @@ class DaeSystem:
         except ValueError:
             raise KeyError(f"unknown state {name!r}") from None
 
-    def column_groups(self) -> tuple:
-        """Structurally orthogonal column groups, computed on first use.
+    def colouring(self) -> tuple:
+        """Structurally orthogonal column colouring, computed on first use.
 
         Greedy largest-first colouring of the column intersection graph
         (Curtis, Powell and Reid 1974; Coleman and Moré 1983): no residual
-        row reads two columns of one group.  Each item is ``(cols, rows,
-        owner)``: the group's state indices, the rows that read one of
-        them, and for each of those rows the group column it reads.  A
-        system without a pattern has ``n`` singleton groups.
+        row reads two columns of one group.  Returns ``(colour, rows,
+        cols)``: the group of each state, and the row and column of every
+        Jacobian entry, in group order and by row within a group.  An
+        entry's group is ``colour[cols]``; there are
+        ``colour.max(initial=-1) + 1`` groups.  A system without a pattern
+        has ``n`` singleton groups.
         """
-        if self._groups is None:
+        if self._colouring is None:
             n = self.n
             pattern = self.pattern or (range(n),) * n
-            readers = [[] for _ in range(n)]     # per column, its rows
             shared = [set() for _ in range(n)]   # columns read together
             for i, row in enumerate(pattern):
                 for j in row:
                     if not 0 <= j < n:
                         raise ValueError(f"pattern row {i} reads state {j} "
                                          f"outside 0..{n - 1}")
-                    readers[j].append(i)
                     shared[j].update(row)
             colour = [-1] * n
             for j in sorted(range(n), key=lambda j: -len(shared[j])):
                 taken = {colour[k] for k in shared[j]}
                 colour[j] = next(c for c in range(n) if c not in taken)
-            groups = []
-            for c in range(max(colour, default=-1) + 1):
-                cols = [j for j in range(n) if colour[j] == c]
-                owner = {i: j for j in cols for i in readers[j]}
-                rows = sorted(owner)
-                groups.append((np.array(cols, dtype=int),
-                               np.array(rows, dtype=int),
-                               np.array([owner[i] for i in rows], dtype=int)))
-            self._groups = tuple(groups)
-        return self._groups
-
-    def _difference_index(self) -> tuple:
-        """Flat index arrays over every :meth:`column_groups` group, in
-        group order, computed on first use.
-
-        Returns ``(colour, group, rows, owner)``: the group of each state,
-        and for every Jacobian entry a difference gives, its group, its
-        residual row and its state column.
-        """
-        if self._fd_index is None:
-            groups = self.column_groups()
-            colour = np.empty(self.n, dtype=int)
-            for k, (cols, _, _) in enumerate(groups):
-                colour[cols] = k
-            self._fd_index = (
-                colour,
-                np.repeat(np.arange(len(groups)),
-                          [rows.size for _, rows, _ in groups]),
-                np.concatenate([rows for _, rows, _ in groups]),
-                np.concatenate([owner for _, _, owner in groups]))
-        return self._fd_index
+            entries = sorted((colour[j], i, j)
+                             for i, row in enumerate(pattern) for j in set(row))
+            _, rows, cols = np.array(entries, dtype=int).reshape(-1, 3).T
+            self._colouring = (np.array(colour, dtype=int), rows, cols)
+        return self._colouring
 
     def linearize(self, x, p: Params, param=None):
         """``(F, J, F_param)`` at ``x`` and ``p``: the residual, the dense
@@ -226,26 +199,27 @@ class DaeSystem:
         x = np.asarray(x, dtype=float)
         f = self.residual(x, p)
         h = 1e-6 * np.maximum(1.0, np.abs(x))
-        colour, group, rows, owner = self._difference_index()
-        g = len(self.column_groups())
-        cols = np.arange(self.n)
+        colour, rows, cols = self.colouring()
+        g = colour.max(initial=-1) + 1
         # rows 0..g-1 of the stack are the +h states, rows g..2g-1 the -h ones
         states = np.tile(x, (2 * g, 1))
-        states[colour, cols] = x + h
-        states[colour + g, cols] = x - h
+        each = np.arange(self.n)
+        states[colour, each] = x + h
+        states[colour + g, each] = x - h
         fs = np.array([self.residual(state, p) for state in states])
+        group = colour[cols]
         # a non-finite difference is reported below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            entries = (fs[group, rows] - fs[group + g, rows]) / (2.0 * h[owner])
+            entries = (fs[group, rows] - fs[group + g, rows]) / (2.0 * h[cols])
         f_param = None if param is None else \
             param_derivative(self, x, p, param)
         return f, self._dense(entries), f_param
 
     def _dense(self, entries) -> np.ndarray:
         """The ``(n, n)`` Jacobian holding ``entries``, given in
-        :meth:`_difference_index` order, and zero elsewhere.  A non-finite
-        entry raises :class:`NonConvergenceError` naming the first."""
-        _, _, rows, owner = self._difference_index()
+        :meth:`colouring` order, and zero elsewhere.  A non-finite entry
+        raises :class:`NonConvergenceError` naming the first."""
+        _, rows, cols = self.colouring()
         finite = np.isfinite(entries)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -253,10 +227,10 @@ class DaeSystem:
             raise NonConvergenceError(
                 f"non-finite Jacobian entry in equation "
                 f"{self.state_names[bad]!r} w.r.t. state "
-                f"{self.state_names[owner[k]]!r}",
+                f"{self.state_names[cols[k]]!r}",
                 worst_index=bad, worst_name=self.state_names[bad])
         jac = np.zeros((self.n, self.n))
-        jac[rows, owner] = entries
+        jac[rows, cols] = entries
         return jac
 
     def _state_blocks(self, m) -> tuple:
@@ -316,7 +290,7 @@ def jacobian_fd(sys: DaeSystem, x, p: Params) -> np.ndarray:
     """Central-difference Jacobian of ``F`` with per-column step
     ``1e-6 * max(1, |x_j|)``: ``sys.linearize(x, p)[1]``.
 
-    The columns of each :meth:`DaeSystem.column_groups` group are
+    The columns of each :meth:`DaeSystem.colouring` group are
     perturbed together, one ``+h``/``-h`` pair per group: ``2g`` residual
     calls beside ``F`` for a hand-written system, one call of the
     generated difference kernel for an assembled network.  A row reads at

@@ -299,6 +299,8 @@ class NetworkModel:
     omega0: float = OMEGA0
 
     def __post_init__(self):
+        if not self.buses:      # a kernel over no states cannot be written
+            raise ModelValidationError("network has no buses")
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise ModelValidationError("duplicate bus id")
@@ -364,20 +366,30 @@ def _compile_kernel(source: str):
     return compile(source, "<adnlab residual kernel>", "exec")
 
 
+def _bind_source(unpack_env: str, name: str, args: str, lines) -> str:
+    """Source of ``bind(env)``, which runs the line ``unpack_env`` and
+    returns the function ``name(args)`` whose body is ``lines``."""
+    return "\n".join(["def bind(env):", f"    {unpack_env}",
+                      f"    def {name}({args}):",
+                      *(f"        {line}" for line in lines),
+                      f"    return {name}", ""])
+
+
 # A name in a kernel line: neither an attribute nor part of a number.
 _NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
 
 
 @lru_cache(maxsize=64)
 def _difference_source(body: tuple, unpack: tuple, colour: tuple,
-                       entries: tuple, param) -> str:
+                       rows: tuple, cols: tuple, param) -> str:
     """Source of the difference kernel of the residual kernel whose lines
     are ``body``, each ``targets = expression``, and whose lines unpacking
     ``env``, ``x`` and ``p`` are ``unpack``.
 
-    ``colour`` gives the column group of each state and ``entries`` the
-    ``(group, row, column)`` of each Jacobian entry, in difference-index
-    order; ``param`` is the index of the parameter to difference.
+    ``colour``, ``rows`` and ``cols`` are the column colouring of
+    :meth:`~adnlab.engine.DaeSystem.colouring`: the group of each state,
+    and the row and column of each Jacobian entry; ``param`` is the index
+    of the parameter to difference.
     ``bind(env)`` returns ``difference(x, xp, xm, d, p, pl)``.
     It runs the kernel lines once at ``x`` and ``p``.  Then, for each
     group's ``+h`` state (from ``xp``), each ``-h`` state (``xm``) and the
@@ -394,7 +406,8 @@ def _difference_source(body: tuple, unpack: tuple, colour: tuple,
         targets, expr = line.split(" = ", 1)
         steps.append((targets, expr, set(_NAME.findall(targets)),
                       set(_NAME.findall(expr))))
-    lines = [f"        {line}" for line in body]
+    unpack_env, unpack_x, unpack_p = unpack
+    lines = [unpack_x, unpack_p, *body]
 
     def rerun(seeds, tag):
         """Append the lines ``seeds`` reach, with the names they set and
@@ -406,7 +419,7 @@ def _difference_source(body: tuple, unpack: tuple, colour: tuple,
                 targets = _NAME.sub(rf"\g<0>__{tag}", targets)
                 expr = _NAME.sub(lambda name: f"{name[0]}__{tag}"
                                  if name[0] in dirty else name[0], expr)
-                lines.append(f"        {targets} = {expr}")
+                lines.append(f"{targets} = {expr}")
                 dirty |= writes
         return dirty
 
@@ -414,35 +427,25 @@ def _difference_source(body: tuple, unpack: tuple, colour: tuple,
         return f"f{row}__{tag}" if f"f{row}" in dirty else f"f{row}"
 
     n, sides = len(colour), []
+    group = [colour[col] for col in cols]      # of each entry
     for sign, states in (("p", "xp"), ("m", "xm")):
-        lines.append("        " + ", ".join(f"x{i}__{c}{sign}" for i, c
-                                             in enumerate(colour))
-                     + f", = {states}")
+        lines.append(", ".join(f"x{i}__{c}{sign}" for i, c
+                               in enumerate(colour)) + f", = {states}")
         dirty = [rerun({f"x{i}" for i, c in enumerate(colour) if c == k},
                        f"{k}{sign}") for k in range(max(colour) + 1)]
         sides.append([row_name(row, dirty[k], f"{k}{sign}")
-                      for k, row, _ in entries])
-    lines.append("        " + ", ".join(f"d{i}" for i in range(n)) + ", = d")
-    diffs = [f"({a} - {b}) / d{col}"
-             for a, b, (_, _, col) in zip(*sides, entries)]
-    lines.append(f"        p{param}__lp, p{param}__lm, d_p = pl")
+                      for row, k in zip(rows, group)])
+    lines.append(", ".join(f"d{i}" for i in range(n)) + ", = d")
+    diffs = [f"({a} - {b}) / d{col}" for a, b, col in zip(*sides, cols)]
+    lines.append(f"p{param}__lp, p{param}__lm, d_p = pl")
     sides = []
     for tag in ("lp", "lm"):
         dirty = rerun({f"p{param}"}, tag)
         sides.append([row_name(row, dirty, tag) for row in range(n)])
     diffs += [f"({a} - {b}) / d_p" for a, b in zip(*sides)]
     returned = ", ".join([f"f{i}" for i in range(n)] + diffs)
-    unpack_env, unpack_x, unpack_p = unpack
-    return "\n".join([
-        "def bind(env):",
-        f"    {unpack_env}",
-        "    def difference(x, xp, xm, d, p, pl):",
-        f"        {unpack_x}",
-        f"        {unpack_p}",
-        *lines,
-        f"        return [{returned}]",
-        "    return difference",
-        ""])
+    return _bind_source(unpack_env, "difference", "x, xp, xm, d, p, pl",
+                        [*lines, f"return [{returned}]"])
 
 
 class AssembledSystem(DaeSystem):
@@ -750,16 +753,9 @@ class AssembledSystem(DaeSystem):
             f"{', '.join(labels)}, = env",
             f"{', '.join(f'x{i}' for i in range(n))}, = x",
             f"{', '.join(f'p{i}' for i in range(len(pnames)))}, = p")
-        self._source = "\n".join([
-            "def bind(env):",
-            f"    {unpack_env}",
-            "    def kernel(x, p):",
-            f"        {unpack_x}",
-            f"        {unpack_p}",
-            *(f"        {line}" for line in body),
-            f"        return [{', '.join(f'f{i}' for i in range(n))}]",
-            "    return kernel",
-            ""])
+        self._source = _bind_source(unpack_env, "kernel", "x, p", [
+            unpack_x, unpack_p, *body,
+            f"return [{', '.join(f'f{i}' for i in range(n))}]"])
         self._body = tuple(body)
         self._env = tuple(env)
         self._kernel = None
@@ -812,15 +808,13 @@ class AssembledSystem(DaeSystem):
         j = 0 if param is None else p.index(param)
         run = self._differences.get(j)
         if run is None:
-            colour, group, rows, owner = self._difference_index()
             run = self._differences[j] = self._bind(_difference_source(
-                self._body, self._unpack, tuple(colour.tolist()),
-                tuple(zip(group.tolist(), rows.tolist(), owner.tolist())),
-                j))
+                self._body, self._unpack,
+                *(tuple(index.tolist()) for index in self.colouring()), j))
         lam = p.values[j]
         h_p = 1e-6 * max(1.0, abs(lam))
         h = 1e-6 * np.maximum(1.0, np.abs(x))
-        n, k = self.n, self._difference_index()[3].size
+        n, k = self.n, self.colouring()[2].size
         values = np.fromiter(
             run(x.tolist(), (x + h).tolist(), (x - h).tolist(),
                 (2.0 * h).tolist(), p.values,
@@ -844,21 +838,13 @@ class AssembledSystem(DaeSystem):
         if walk is None:
             unpack_env, unpack_x, unpack_p = self._unpack
             values = ", ".join(self._outs[key][0] for key in keys)
-            source = "\n".join([
-                "def bind(env):",
-                f"    {unpack_env}",
-                "    def walk(xs, p, get):",
-                f"        {unpack_p}",
-                "        rows = []",
-                "        for x in xs:",
-                f"            {unpack_x}",
-                *(f"            {line}" for key in keys
-                  for line in self._outs[key][1]),
-                f"            rows.append(get({values}))",
-                "        return rows",
-                "    return walk",
-                ""])
-            walk = self._walks[keys] = self._bind(source)
+            loop = [unpack_x, *(line for key in keys
+                                for line in self._outs[key][1]),
+                    f"rows.append(get({values}))"]
+            walk = self._walks[keys] = self._bind(_bind_source(
+                unpack_env, "walk", "xs, p, get",
+                [unpack_p, "rows = []", "for x in xs:",
+                 *(f"    {line}" for line in loop), "return rows"]))
         return walk(np.asarray(states, dtype=float).tolist(), p.values, get)
 
     def outputs(self, x, p: Params) -> dict:

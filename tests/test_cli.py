@@ -187,7 +187,7 @@ class TestSecondaryStatusLine:
     form ``secondary loop: <status> after N iteration(s)``, the line the
     benchmark reads the loop's outcome from."""
 
-    @pytest.mark.parametrize("edit, patch, status", [
+    OUTCOMES = pytest.mark.parametrize("edit, patch, status", [
         (None, None, "converged"),
         (_unboxed, None, "update stalled at iteration 0"),
         (lambda d: d["analysis"]["secondary"].update(max_iter=1), None,
@@ -196,8 +196,9 @@ class TestSecondaryStatusLine:
          "sensitivity failed at iteration 0: singular Jacobian at the "
          "equilibrium"),
     ], ids=["converged", "stalled", "budget", "aborted"])
-    def test_one_status_line(self, tmp_path, capsys, monkeypatch, edit,
-                             patch, status):
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, edit, patch, *flags):
         scenario = json.loads((SCENARIO_DIR / "secondary_4bus.json")
                               .read_text())
         if edit is not None:
@@ -206,13 +207,29 @@ class TestSecondaryStatusLine:
             monkeypatch.setattr(adnlab.secondary, "gain_sensitivity", patch)
         path = tmp_path / "case.json"
         path.write_text(json.dumps(scenario))
-        rc = run_command(["secondary", "--scenario", str(path),
-                          "--out", str(tmp_path / "out")])
+        return run_command(["secondary", "--scenario", str(path),
+                            "--out", str(tmp_path / "out"), *flags])
+
+    @OUTCOMES
+    def test_one_status_line(self, tmp_path, capsys, monkeypatch, edit,
+                             patch, status):
+        rc = self._run(tmp_path, monkeypatch, edit, patch)
         assert rc == EXIT_OK
         found = [re.match(r"^secondary loop: (.*) after \d+ iteration", line)
                  for line in capsys.readouterr().out.splitlines()]
         statuses = [m.group(1) for m in found if m]
         assert statuses == [status]
+
+    @OUTCOMES
+    def test_every_status_but_converged_reaches_the_manifest(
+            self, tmp_path, capsys, monkeypatch, edit, patch, status):
+        rc = self._run(tmp_path, monkeypatch, edit, patch, "--quiet")
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == ""
+        manifest = json.loads((tmp_path / "out" / "manifest.json")
+                              .read_text())
+        assert manifest["warnings"] == ([] if status == "converged"
+                                        else [status])
 
     def test_overflowing_sensitivity_names_its_gain(self, tmp_path, capsys):
         # c2's deviation v_nom - |v| is ~1e200, so its gain columns of the
@@ -399,16 +416,34 @@ class TestExitCodes:
         header, rows = read_csv(out / "branch.csv")
         assert header[1] == "lambda" and len(rows) == 3
 
-    def test_unknown_param_is_one_error_line(self, tmp_path, capsys):
-        rc = run_command(["continue", "--scenario",
-                          str(SCENARIO_DIR / "gfl_feeder.json"),
+    # an empty name is unknown too; it must not select the scenario's own
+    @pytest.mark.parametrize("name", ["nosuch", ""],
+                             ids=["nosuch", "empty"])
+    @pytest.mark.parametrize("command, scenario", [
+        ("continue", "gfl_feeder"), ("boundary2d", "two_bus")])
+    def test_unknown_param_is_one_error_line(self, tmp_path, capsys,
+                                             command, scenario, name):
+        rc = run_command([command, "--scenario",
+                          str(SCENARIO_DIR / f"{scenario}.json"),
                           "--out", str(tmp_path / "p"), "--quiet",
-                          "--param", "nosuch"])
+                          "--param", name])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown parameter 'nosuch'; known: ")
+        assert err.startswith(f"error: unknown parameter {name!r}; known: ")
         assert "lambda" in err and "line.l" in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "p" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["equilibrium", "continue",
+                                         "simulate"])
+    def test_network_without_buses_is_one_error_line(self, tmp_path, capsys,
+                                                     command):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"buses": []}))
+        rc = run_command([command, "--scenario", str(path),
+                          "--out", str(tmp_path / "e"), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: network has no buses\n"
 
     @pytest.mark.parametrize("command, flag, value", [
         ("cf", "--param", "nosuch"), ("simulate", "--param", "lambda"),
@@ -570,6 +605,39 @@ class TestManifestAndDeterminism:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["args"] == {"param": None, "grid": [0.0012, 0.0022, 2],
                                     "steps": None}
+
+    def test_truncated_branch_reaches_the_manifest(self, tmp_path, capsys):
+        # the showcase branch truncates on the LTC tap's kinked row
+        out = tmp_path / "show"
+        rc = run_command(["continue", "--scenario",
+                          str(SCENARIO_DIR / "showcase.json"),
+                          "--out", str(out), "--quiet"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == ""
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "corrector failed at minimal step (s=13.98, lam=0.212996): "
+            "singular augmented Jacobian"]
+
+    def test_boundary_error_row_reaches_the_manifest(self, tmp_path,
+                                                     capsys):
+        # at lambda = 1 the row at X = 1.0 (nose at 0.625) has no
+        # equilibrium; the rows at X = 0.25 and 0.5 do
+        scenario = json.loads((SCENARIO_DIR / "two_bus.json").read_text())
+        scenario["params"] = {"lambda": 1.0}
+        path = tmp_path / "loaded.json"
+        path.write_text(json.dumps(scenario))
+        out = tmp_path / "bd"
+        rc = run_command(["boundary2d", "--scenario", str(path),
+                          "--out", str(out), "--quiet"])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out == ""
+        _, rows = read_csv(out / "boundary.csv")
+        assert [row[2] for row in rows] == ["SNB", "SNB", "error"]
+        (warning,) = json.loads((out / "manifest.json").read_text())[
+            "warnings"]
+        assert warning.startswith(f"line.l = {float(rows[2][0])!r}: "
+                                  "Newton stalled at iteration ")
 
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         outs = []

@@ -9,7 +9,9 @@ half of the mutations, every second one in schema order, to stay within
 a few seconds; the defects the sweep found are pinned by name as well.
 A second sweep runs ``secondary`` on ``secondary_4bus.json`` over every
 key of its first converter and of ``analysis.secondary``, each set to
-every value of :data:`VALUES`.  A ``RuntimeWarning`` fails a run too:
+every value of :data:`VALUES`.  A third sweep empties one device table
+of a bundled scenario at a time, and adds a scenario with no buses, and
+runs every command on the result.  A ``RuntimeWarning`` fails a run too:
 numpy prints it to stderr beside the ``error:`` line.
 """
 
@@ -20,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from adnlab.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, run_command
+from adnlab.cli import (COMMANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                        FLAG_READERS, run_command)
 from adnlab.scenario import (BRANCH_FIELDS, BUS_FIELDS, GFL_FIELDS,
                              GFM_FIELDS, LTC_FIELDS, MACHINE_FIELDS,
                              SECONDARY_FIELDS, SOURCE_FIELDS, VAL_FIELDS,
@@ -109,7 +112,7 @@ def _mutated(scenario, family, device, key, value):
     return data
 
 
-def _run(tmp_path, capsys, data, command="equilibrium"):
+def _run(tmp_path, capsys, data, command="equilibrium", flags=()):
     """The failure of one mutated run as text, or ``None`` if it is clean."""
     path = tmp_path / "mutant.json"
     path.write_text(json.dumps(data))
@@ -118,7 +121,8 @@ def _run(tmp_path, capsys, data, command="equilibrium"):
         warnings.simplefilter("always")
         try:
             code = run_command([command, "--scenario", str(path),
-                                "--out", str(tmp_path / "out"), "--quiet"])
+                                "--out", str(tmp_path / "out"), "--quiet",
+                                *flags])
         except BaseException:        # an escaping SystemExit fails too
             return traceback.format_exc(limit=-1).strip().splitlines()[-1]
     err = capsys.readouterr().err
@@ -185,4 +189,34 @@ def test_secondary_field_sweep(tmp_path, capsys):
                        "secondary")
         if failure is not None:
             failures.append(f"{mutation}: {failure}")
+    assert not failures, "\n".join(failures)
+
+
+# The device tables of a scenario file.
+TABLES = ("buses", "branches", "sources", "zip_loads", "machines", "ltcs",
+          "converters")
+
+
+def _emptied_tables():
+    """``(label, scenario)``: each bundled scenario with one of its
+    non-empty device tables set to ``[]``, then a scenario of no buses."""
+    for path in sorted(SHOWCASE.parent.glob("*.json")):
+        scenario = json.loads(path.read_text())
+        for table in TABLES:
+            if scenario.get(table):
+                yield f"{path.stem} without {table}", {**scenario, table: []}
+    yield "no buses", {"buses": []}
+
+
+def test_empty_table_sweep(tmp_path, capsys):
+    cases = list(_emptied_tables())
+    assert len(cases) == 26          # 25 non-empty tables, and no buses
+    failures = []
+    for label, data in cases:
+        for command in COMMANDS:
+            flags = ("--steps", "20") if command in FLAG_READERS["steps"] \
+                else ()
+            failure = _run(tmp_path, capsys, data, command, flags)
+            if failure is not None:
+                failures.append(f"{label}, {command}: {failure}")
     assert not failures, "\n".join(failures)

@@ -79,14 +79,22 @@ def test_dense_nonzeros_lie_inside_declared_pattern(case):
 def test_no_row_reads_two_columns_of_one_group(case):
     sys, _, _ = case
     pattern = declared(sys)
-    groups = sys.column_groups()
-    cols = np.concatenate([g for g, _, _ in groups])
-    assert np.array_equal(np.sort(cols), np.arange(sys.n))
-    assert len(groups) < sys.n
-    for group, rows, owner in groups:
-        assert np.all(pattern[:, group].sum(axis=1) <= 1)
-        assert np.array_equal(rows, np.flatnonzero(pattern[:, group].any(axis=1)))
-        assert np.all(pattern[rows, owner])
+    colour, rows, cols = sys.colouring()
+    groups = colour.max() + 1
+    # every state lies in exactly one group, and there are fewer than n
+    assert colour.shape == (sys.n,)
+    assert set(colour.tolist()) == set(range(groups))
+    assert groups < sys.n
+    for k in range(groups):
+        assert np.all(pattern[:, colour == k].sum(axis=1) <= 1)
+    # the entries are exactly the declared pattern, in group order and by
+    # row within a group
+    entries = np.zeros_like(pattern)
+    entries[rows, cols] = True
+    assert np.array_equal(entries, pattern)
+    assert rows.size == pattern.sum()
+    order = np.lexsort((rows, colour[cols]))
+    assert np.array_equal(order, np.arange(rows.size))
 
 
 def test_nonfinite_entry_names_equation_and_state():
@@ -96,7 +104,7 @@ def test_nonfinite_entry_names_equation_and_state():
 
     sys = DaeSystem(3, residual, lambda p: np.ones(3), Params((), []),
                     state_names=("a", "b", "c"), pattern=((0,), (2,), (1,)))
-    assert len(sys.column_groups()) == 1
+    assert sys.colouring()[0].tolist() == [0, 0, 0]
     with pytest.raises(NonConvergenceError,
                        match=r"equation 'b' w\.r\.t\. state 'c'") as err:
         jacobian_fd(sys, np.array([1.0, 1.0, 0.0]), sys.params0)
@@ -105,9 +113,10 @@ def test_nonfinite_entry_names_equation_and_state():
 
 def test_system_without_pattern_is_dense():
     sys = DaeSystem(3, lambda x, p: x, lambda p: np.ones(3), Params((), []))
-    groups = sys.column_groups()
-    assert [g.tolist() for g, _, _ in groups] == [[0], [1], [2]]
-    assert all(np.array_equal(rows, np.arange(3)) for _, rows, _ in groups)
+    colour, rows, cols = sys.colouring()
+    assert colour.tolist() == [0, 1, 2]
+    assert rows.tolist() == [0, 1, 2] * 3
+    assert cols.tolist() == [0] * 3 + [1] * 3 + [2] * 3
 
 
 def test_two_residual_calls_per_group(case, monkeypatch):
@@ -122,9 +131,10 @@ def test_two_residual_calls_per_group(case, monkeypatch):
     monkeypatch.setattr(DaeSystem, "residual", lambda self, x, p:
                         calls.append(self) or residual(self, x, p))
     assert np.array_equal(jacobian_fd(hand, x, p), reference)
-    assert calls == [hand] * (2 * len(hand.column_groups()) + 1)
+    groups = hand.colouring()[0].max() + 1
+    assert calls == [hand] * (2 * groups + 1)
     assert np.array_equal(jacobian_fd(sys, x, p), reference)
-    assert len(calls) == 2 * len(hand.column_groups()) + 1
+    assert len(calls) == 2 * groups + 1
 
 
 def test_nonfinite_entries_in_two_groups_name_the_first_in_group_order():
@@ -138,7 +148,7 @@ def test_nonfinite_entries_in_two_groups_name_the_first_in_group_order():
     sys = DaeSystem(3, residual, lambda p: np.ones(3), Params((), []),
                     state_names=("a", "b", "c"),
                     pattern=((0, 1), (1,), (2,)))
-    assert [g.tolist() for g, _, _ in sys.column_groups()] == [[0, 2], [1]]
+    assert sys.colouring()[0].tolist() == [0, 1, 0]     # [[0, 2], [1]]
     with pytest.raises(NonConvergenceError,
                        match=r"equation 'c' w\.r\.t\. state 'c'") as err:
         jacobian_fd(sys, np.array([1.0, 0.0, 0.0]), sys.params0)

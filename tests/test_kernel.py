@@ -310,7 +310,7 @@ def test_device_functions_are_looked_up_at_call_time(monkeypatch):
     # +h and the -h state of each group that perturbs one of its inputs
     # (the states a converter's rows read, or a load's bus voltage) and,
     # for a load, which reads lambda, at lambda's +h and -h
-    colour = sys._difference_index()[0]
+    colour = sys.colouring()[0]
 
     def evaluations(inputs, reads_lambda):
         return 2 + 1 + 2 * len({colour[j] for j in inputs}) \
@@ -327,7 +327,7 @@ def test_device_functions_are_looked_up_at_call_time(monkeypatch):
         expected["zip_injection"] += evaluations({vi, vi + 1}, True)
     assert calls == expected
     assert expected["gfl_rates"] < len(sys.model.gfls) * (
-        3 + 2 * len(sys.column_groups()))
+        3 + 2 * (colour.max() + 1))
 
 
 def test_one_difference_kernel_per_differenced_parameter(monkeypatch):
