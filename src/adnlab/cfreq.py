@@ -50,11 +50,13 @@ class CfSeries:
 
 @dataclass(frozen=True)
 class CfDecomposition:
-    """Per-block complex frequency of a converter internal voltage."""
+    """Per-block complex frequency of a converter internal voltage, and
+    the PLL-internal frequency of a GFL converter (``None`` for GFM)."""
 
     synchronization: CfSeries
     regulation: CfSeries
     total: CfSeries
+    internal: CfSeries | None
 
 
 def derivative(times, values):
@@ -118,48 +120,20 @@ def cf_of_bus(sys, traj: Trajectory, bus_id: str, omega_frame: float,
         traj.states[:, sys.state_index(f"{bus_id}.vq")], omega_frame, window)
 
 
-# The converter outputs the cf series read: what pll_internal_frequency
-# and decompose_converter_cf need between them, per converter family.
-_GFL_SERIES = ("omega_pll", "vmod_d", "vmod_q")
-_GFM_SERIES = ("e_mag",)
+def pll_internal_frequency(times, omega_pll, window: int = 1) -> CfSeries:
+    """Converter-internal frequency estimate from the sampled PLL output.
 
-
-def _output_series(sys, traj: Trajectory, conv_id: str, p: Params) -> dict:
-    """The converter's cf outputs sampled along ``traj``, one array per key.
-
-    Only the converter's own outputs are evaluated
-    (:meth:`~adnlab.network.AssembledSystem.converter_outputs`).  The walk
-    is kept on the trajectory, keyed by the identity of the system and the
-    parameters, so the PLL frequency and the block decomposition of one
-    run walk the trajectory once.
+    ``omega_pll = omega0 + kp_pll * v_q_pll(t) + eps(t)`` is a converter
+    output, evaluated pointwise from the PLL states with no numerical
+    differentiation; it differs from the bus complex frequency while the
+    PLL is re-locking.  The series is smoothed over ``window`` samples.
     """
-    key = ("cf outputs", sys, conv_id, p)
-    series = traj.memo.get(key)
-    if series is None:
-        keys = _GFL_SERIES if conv_id in sys.gfl_ids() else _GFM_SERIES
-        series = traj.memo[key] = sys.converter_outputs(traj.states, p,
-                                                        conv_id, keys)
-    return series
-
-
-def pll_internal_frequency(sys, traj: Trajectory, conv_id: str, p: Params,
-                           window: int = 1) -> CfSeries:
-    """Converter-internal frequency estimate along a trajectory.
-
-    ``omega_hat = omega0 + kp_pll * v_q_pll(t) + eps(t)`` evaluated
-    pointwise from the PLL states, with no numerical differentiation; it
-    differs from the bus complex frequency while the PLL is re-locking.
-    """
-    if conv_id not in sys.gfl_ids():
-        raise ConfigurationError(f"{conv_id!r} is not a GFL converter")
-    # a copy: the trajectory's memo keeps the walk for other callers
-    omega_pll = _output_series(sys, traj, conv_id, p)["omega_pll"].copy()
-    return CfSeries(traj.times, np.zeros(len(traj.times)),
-                    _smooth(omega_pll, window))
+    return CfSeries(times, np.zeros(len(times)), _smooth(omega_pll, window))
 
 
 def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
-                           omega_frame: float, p: Params) -> CfDecomposition:
+                           omega_frame: float, p: Params,
+                           window: int = 1) -> CfDecomposition:
     """Split the converter internal-voltage complex frequency per block.
 
     GFL: the synchronization block carries the PLL angle rate (a deviation
@@ -168,14 +142,22 @@ def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
     droop: the droop angle rate and the log rate of the internal EMF
     magnitude.  The total is computed independently from the composed
     internal voltage in the network frame, so additivity is a numerical
-    identity rather than a definition.
+    identity rather than a definition.  ``internal`` is a GFL converter's
+    :func:`pll_internal_frequency` smoothed over ``window`` samples, and
+    ``None`` for a GFM unit; the blocks are not smoothed.  The converter's
+    outputs are walked along ``traj`` once
+    (:meth:`~adnlab.network.AssembledSystem.converter_outputs`).
     """
     times = traj.times
+    internal = None
     if conv_id in sys.gfl_ids():
-        series = _output_series(sys, traj, conv_id, p)
+        series = sys.converter_outputs(traj.states, p, conv_id,
+                                       ("omega_pll", "vmod_d", "vmod_q"))
         m_d, m_q = series["vmod_d"], series["vmod_q"]
+        internal = pll_internal_frequency(times, series["omega_pll"], window)
     elif conv_id in sys.gfm_ids():
-        m_d = _output_series(sys, traj, conv_id, p)["e_mag"]
+        m_d = sys.converter_outputs(traj.states, p, conv_id,
+                                    ("e_mag",))["e_mag"]
         m_q = np.zeros_like(m_d)
     else:
         raise ConfigurationError(f"unknown converter {conv_id!r}")
@@ -186,4 +168,4 @@ def decompose_converter_cf(sys, traj: Trajectory, conv_id: str,
     v_net_d = m_d * cos_t - m_q * sin_t
     v_net_q = m_d * sin_t + m_q * cos_t
     total = cf_from_trajectory(times, v_net_d, v_net_q, omega_frame)
-    return CfDecomposition(sync, regulation, total)
+    return CfDecomposition(sync, regulation, total, internal)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cfreq import cf_of_bus, decompose_converter_cf, pll_internal_frequency
+from .cfreq import cf_of_bus, decompose_converter_cf
 from .contin import ContinuationSettings, continue_branch, locate_all, trace_boundary_2d
 from .engine import integrate, newton_equilibrium, spectrum_at
 from .errors import AdnlabError, ScenarioError
@@ -286,11 +286,10 @@ def _cmd_cf(run: _Run, args):
                "bus")]
     conv_id = cfg["converter"]
     if conv_id:
-        if conv_id in sys.gfl_ids():
-            blocks.append((pll_internal_frequency(sys, traj, conv_id, p_run,
-                                                  window=window),
-                           "pll_internal"))
-        dec = decompose_converter_cf(sys, traj, conv_id, omega0, p_run)
+        dec = decompose_converter_cf(sys, traj, conv_id, omega0, p_run,
+                                     window=window)
+        if dec.internal is not None:
+            blocks.append((dec.internal, "pll_internal"))
         blocks += [(dec.synchronization, "synchronization"),
                    (dec.regulation, "regulation"), (dec.total, "total")]
     run.csv("cf.csv", ("t", "rho", "omega", "block"),
@@ -396,6 +395,10 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         scenario = load_scenario(args.scenario)
+        if not args.out:           # Path("") is the current directory
+            print("error: --out '': an empty path names no directory",
+                  file=_sys.stderr)
+            return EXIT_USAGE
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ DAE variants (pinned source buses, algebraic virtual-admittance branches).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,18 +269,11 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step trajectory: ``states[i]`` is the state at ``times[i]``.
-
-    ``memo`` holds results that post-processing derives from the
-    trajectory and shares between its callers; it lives as long as the
-    trajectory does.
-    """
+    """Fixed-step trajectory: ``states[i]`` is the state at ``times[i]``."""
 
     times: np.ndarray
     states: np.ndarray
-    state_names: tuple = field(default=())
-    memo: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
+    state_names: tuple = ()
 
     def column(self, name: str) -> np.ndarray:
         return self.states[:, self.state_names.index(name)]

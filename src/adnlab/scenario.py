@@ -142,7 +142,7 @@ def _device(cls, data, omega0, /, **extra):
     kwargs = dict(extra)
     for key, value in data.items():
         if key in _TEXT:
-            kwargs[_TEXT[key]] = _text(value)
+            kwargs[_TEXT[key]] = _id(value)
         elif key in _REACTANCE:
             kwargs[_REACTANCE[key]] = reactance_to_inductance(_number(value),
                                                               omega0)
@@ -234,6 +234,16 @@ def _text(value) -> str:
     return value
 
 
+# Characters an id may not hold: the CSV artifacts write ids unquoted.
+_ID_FORBIDDEN = ',"\r\n'
+
+
+def _id(value) -> str:
+    if set(_text(value)) & set(_ID_FORBIDDEN):
+        raise ValueError(f"id {value!r} holds one of {_ID_FORBIDDEN!r}")
+    return value
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{value!r} is not true or false")
@@ -274,6 +284,8 @@ def loads_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except RecursionError:
+        raise ScenarioError("JSON nests too deeply") from None
     top = _apply(TOP_FIELDS, raw, "scenario")
     scenario_name = _build("name", _text, top["name"])
     base = _apply(BASE_FIELDS, top["base"] or {}, "base")
@@ -398,4 +410,7 @@ def load_scenario(path) -> Scenario:
             text = handle.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8 text: byte "
+                            f"{exc.start} cannot be decoded") from None
     return loads_scenario(text)

@@ -12,7 +12,6 @@ from adnlab.cfreq import (
     cf_from_trajectory,
     cf_of_bus,
     decompose_converter_cf,
-    pll_internal_frequency,
 )
 from adnlab.cli import EXIT_OK, run_command
 from adnlab.contin import (
@@ -338,7 +337,8 @@ def test_criterion_9_complex_frequency():
     dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, p)
     assert cf_additivity_residual(dec) < 1e-6
     bus = cf_of_bus(sys, traj, "b2", OMEGA0, window=2)
-    internal = pll_internal_frequency(sys, traj, "c1", p, window=2)
+    internal = decompose_converter_cf(sys, traj, "c1", OMEGA0, p,
+                                      window=2).internal
     diff = np.abs(internal.omega - bus.omega)
     assert np.max(diff[: len(diff) // 4]) > 0.5
     assert diff[-1] < 1e-4

@@ -22,6 +22,7 @@ from adnlab.engine import integrate, newton_equilibrium
 from adnlab.errors import ConfigurationError, DegenerateVoltageError
 from adnlab.network import (
     OMEGA0,
+    AssembledSystem,
     Bus,
     GridSource,
     NetworkModel,
@@ -133,7 +134,8 @@ class TestPllInternalFrequency:
         sys = step_feeder().build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         traj = integrate(sys, sol.x, sys.params0, t_end=0.05, h=1e-4)
-        series = pll_internal_frequency(sys, traj, "c1", sys.params0)
+        series = decompose_converter_cf(sys, traj, "c1", OMEGA0,
+                                        sys.params0).internal
         assert np.max(np.abs(series.omega - OMEGA0)) < 1e-9
 
     def test_frequency_step_divergence_and_reconvergence(self):
@@ -148,44 +150,43 @@ class TestPllInternalFrequency:
         p = sys.params0.with_value("grid.omega_offset", 1.0)
         traj = integrate(sys, x0, p, t_end=4.0, h=5e-4)
         bus = cf_of_bus(sys, traj, "b2", OMEGA0, window=2)
-        internal = pll_internal_frequency(sys, traj, "c1", p, window=2)
+        internal = decompose_converter_cf(sys, traj, "c1", OMEGA0, p,
+                                          window=2).internal
         diff = np.abs(internal.omega - bus.omega)
         early = diff[: len(diff) // 4]
         assert np.max(early) > 0.5          # genuinely different signals
         assert diff[-1] < 1e-4              # and they reconverge
         assert bus.omega[-1] - OMEGA0 == pytest.approx(1.0, abs=1e-3)
 
-    def test_shares_one_walk_with_the_decomposition(self):
+    def test_shares_one_walk_with_the_decomposition(self, tmp_path,
+                                                    monkeypatch):
+        """One ``converter_outputs`` call per decomposition, and so per
+        ``cf`` run; the internal series is the PLL output it walked."""
+        walked = []
+        walk = AssembledSystem.converter_outputs
+
+        def counted(sys, states, p, conv_id, keys):
+            walked.append(conv_id)
+            return walk(sys, states, p, conv_id, keys)
+
+        monkeypatch.setattr(AssembledSystem, "converter_outputs", counted)
         sys = step_feeder().build()
         sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
         p_step = sys.params0.with_value("grid.theta", 0.02)
         traj = integrate(sys, sol.x, p_step, t_end=0.02, h=1e-4)
-        walked = []
-        walk = sys.converter_outputs
-        sys.converter_outputs = lambda states, p, conv_id, keys: (
-            walked.append(p) or walk(states, p, conv_id, keys))
-        internal = pll_internal_frequency(sys, traj, "c1", p_step)
-        dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, p_step)
-        assert walked == [p_step]
-        # another parameter vector is another walk
-        decompose_converter_cf(sys, traj, "c1", OMEGA0, sys.params0)
-        assert walked == [p_step, sys.params0]
-        del sys.converter_outputs
-        fresh = integrate(sys, sol.x, p_step, t_end=0.02, h=1e-4)
+        dec = decompose_converter_cf(sys, traj, "c1", OMEGA0, p_step,
+                                     window=3)
+        assert walked == ["c1"]
+        omega_pll = walk(sys, traj.states, p_step, "c1",
+                         ("omega_pll",))["omega_pll"]
         assert np.array_equal(
-            pll_internal_frequency(sys, fresh, "c1", p_step).omega,
-            internal.omega)
-        assert np.array_equal(
-            decompose_converter_cf(sys, fresh, "c1", OMEGA0,
-                                   p_step).total.omega,
-            dec.total.omega)
-
-    def test_wrong_converter_id(self):
-        sys = step_feeder().build()
-        sol = newton_equilibrium(sys, sys.initial_guess(), sys.params0)
-        traj = integrate(sys, sol.x, sys.params0, t_end=0.01, h=1e-4)
-        with pytest.raises(ConfigurationError):
-            pll_internal_frequency(sys, traj, "nope", sys.params0)
+            dec.internal.omega,
+            pll_internal_frequency(traj.times, omega_pll, 3).omega)
+        walked.clear()
+        assert run_command(["cf", "--scenario",
+                            str(SCENARIO_DIR / "cf_step.json"), "--out",
+                            str(tmp_path), "--quiet"]) == EXIT_OK
+        assert walked == ["c1"]
 
 
 class TestDecomposition:
@@ -241,6 +242,7 @@ class TestDecomposition:
         p_step = sys.params0.with_value("g1.p_set", 0.3)
         traj = integrate(sys, sol.x, p_step, t_end=2.0, h=5e-4)
         dec = decompose_converter_cf(sys, traj, "g1", OMEGA0, p_step)
+        assert dec.internal is None
         assert cf_additivity_residual(dec) < 1e-6
         # the droop swings the angle; the E-magnitude branch carries rho
         assert np.max(np.abs(dec.synchronization.omega[5:])) > 0.01

@@ -316,17 +316,26 @@ class TestExitCodes:
         assert err.startswith("error: name: ")
         assert err.count("\n") == 1
 
-    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "taken"
-        out.write_text("not a directory\n")
+    @pytest.mark.parametrize("out, prefix", [
+        ("taken", "error: --out taken: "),
+        ("", "error: --out '': "),     # Path("") is the current directory
+    ], ids=["file", "empty"])
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys,
+                                              monkeypatch, out, prefix):
+        monkeypatch.chdir(tmp_path)
+        if out:
+            (tmp_path / out).write_text("not a directory\n")
         rc = run_command(["equilibrium", "--scenario",
                           str(SCENARIO_DIR / "two_bus.json"),
-                          "--out", str(out), "--quiet"])
+                          "--out", out, "--quiet"])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"error: --out {out}: ")
+        assert err.startswith(prefix)
         assert err.count("\n") == 1
-        assert out.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ([out] if out else [])
+        if out:
+            assert (tmp_path / out).read_text() == "not a directory\n"
 
     def test_boundary2d_rejects_sweep_against_itself(self, tmp_path, capsys):
         out = tmp_path / "self"

@@ -11,8 +11,12 @@ A second sweep runs ``secondary`` on ``secondary_4bus.json`` over every
 key of its first converter and of ``analysis.secondary``, each set to
 every value of :data:`VALUES`.  A third sweep empties one device table
 of a bundled scenario at a time, and adds a scenario with no buses, and
-runs every command on the result.  A ``RuntimeWarning`` fails a run too:
-numpy prints it to stderr beside the ``error:`` line.
+runs every command on the result.  A fourth sweep sets each key path of
+each bundled scenario (the top-level keys, every device entry and a GFL
+converter's ``val``, and every analysis block) to each value of
+:data:`SWAPS`, a value of the wrong type, and runs the commands that read
+the scenario.  A ``RuntimeWarning`` fails a run too: numpy prints it to
+stderr beside the ``error:`` line.
 """
 
 import json
@@ -24,10 +28,11 @@ import pytest
 
 from adnlab.cli import (COMMANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                         FLAG_READERS, run_command)
-from adnlab.scenario import (BRANCH_FIELDS, BUS_FIELDS, GFL_FIELDS,
-                             GFM_FIELDS, LTC_FIELDS, MACHINE_FIELDS,
-                             SECONDARY_FIELDS, SOURCE_FIELDS, VAL_FIELDS,
-                             ZIP_FIELDS)
+from adnlab.scenario import (ANALYSIS_FIELDS, BRANCH_FIELDS, BUS_FIELDS,
+                             GFL_FIELDS, GFM_FIELDS, LTC_FIELDS,
+                             MACHINE_FIELDS, SECONDARY_FIELDS, SOURCE_FIELDS,
+                             TOP_FIELDS, VAL_FIELDS, ZIP_FIELDS,
+                             loads_scenario)
 
 SHOWCASE = Path(__file__).resolve().parent.parent / "scenarios" / "showcase.json"
 SECONDARY_4BUS = SHOWCASE.with_name("secondary_4bus.json")
@@ -126,6 +131,8 @@ def _run(tmp_path, capsys, data, command="equilibrium", flags=()):
         except BaseException:        # an escaping SystemExit fails too
             return traceback.format_exc(limit=-1).strip().splitlines()[-1]
     err = capsys.readouterr().err
+    if sum(line.startswith("error:") for line in err.splitlines()) > 1:
+        return f"more than one error line: {err!r}"
     for w in caught:
         if issubclass(w.category, RuntimeWarning):
             return (f"RuntimeWarning at {Path(w.filename).name}:{w.lineno}: "
@@ -220,3 +227,101 @@ def test_empty_table_sweep(tmp_path, capsys):
             if failure is not None:
                 failures.append(f"{label}, {command}: {failure}")
     assert not failures, "\n".join(failures)
+
+
+# Values of the wrong type for every key path the type-swap sweep sets.
+SWAPS = (True, "x", [], {}, None)
+
+# The commands that read each bundled scenario.
+READERS = {"two_bus": ("equilibrium", "continue", "boundary2d"),
+           "gfl_feeder": ("equilibrium", "simulate"),
+           "secondary_4bus": ("secondary",),
+           "cf_step": ("cf",),
+           "showcase": ("equilibrium",)}
+
+
+def _key_paths(scenario):
+    """The top-level keys, every device entry and a GFL converter's
+    ``val``, and every analysis block, as tuples of keys."""
+    yield from ((key,) for key in TOP_FIELDS)
+    for table in TABLES:
+        for i, entry in enumerate(scenario.get(table, ())):
+            yield table, i
+            if table == "converters" and entry.get("kind", "gfl") == "gfl":
+                yield table, i, "val"
+    yield from (("analysis", key) for key in ANALYSIS_FIELDS)
+
+
+def _swapped(scenario, path, value):
+    data = json.loads(json.dumps(scenario))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _type_swaps():
+    """``(label, scenario, command)`` for every key path, value and
+    command.  A swap the schema reads as its default (``None`` for an
+    absent block, say) loads to the bundled scenario itself, whose runs
+    the golden tests check, so it is left out."""
+    for stem, commands in READERS.items():
+        scenario = json.loads(SHOWCASE.with_name(f"{stem}.json").read_text())
+        bundled = loads_scenario(json.dumps(scenario)).canonical_json()
+        for path in _key_paths(scenario):
+            for value in SWAPS:
+                data = _swapped(scenario, path, value)
+                try:
+                    if loads_scenario(json.dumps(data)).canonical_json() \
+                            == bundled:
+                        continue
+                except Exception:       # the run below reports it
+                    pass
+                label = f"{stem} {'.'.join(map(str, path))}={value!r}"
+                for command in commands:
+                    yield label, data, command
+
+
+def test_type_swap_sweep(tmp_path, capsys):
+    failures = []
+    for label, data, command in list(_type_swaps())[::2]:
+        flags = ("--steps", "15") if command in FLAG_READERS["steps"] else ()
+        failure = _run(tmp_path, capsys, data, command, flags)
+        if failure is not None:
+            failures.append(f"{label}, {command}: {failure}")
+    assert not failures, "\n".join(failures)
+
+
+def _deep_params():
+    scenario = json.loads(SHOWCASE.with_name("two_bus.json").read_text())
+    return json.dumps({**scenario, "params": "@"}).replace(
+        '"@"', '{"a": ' * 3000 + "{}" + "}" * 3000).encode()
+
+
+def _hostile_id():
+    text = SHOWCASE.with_name("two_bus.json").read_text()
+    return text.replace('"b2"', json.dumps('b,2\n"x')).encode()
+
+
+# Scenario files that ended in a traceback, or in a CSV that splits into
+# ragged rows, before they were mended; each is now one error line.
+INPUT_REPRODUCERS = {
+    "not-utf8": lambda: b"\xff\xfe\x00garbage",
+    "deep-list": lambda: ("[" * 100000 + "]" * 100000).encode(),
+    "deep-params": _deep_params,
+    "id-with-csv-characters": _hostile_id,
+}
+
+
+@pytest.mark.parametrize("label", INPUT_REPRODUCERS)
+def test_input_reproducer_is_one_error_line(tmp_path, capsys, label):
+    path = tmp_path / "bad.json"
+    path.write_bytes(INPUT_REPRODUCERS[label]())
+    out = tmp_path / "out"
+    code = run_command(["equilibrium", "--scenario", str(path), "--out",
+                        str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

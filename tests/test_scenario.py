@@ -168,6 +168,15 @@ class TestParsing:
             lambda d: d.update(analysis={"cf": {"bus": "b2",
                                                 "window": 10 ** 15}}),
             "analysis.cf.window", id="cf-window-above-samples"),
+        # the CSV artifacts write ids unquoted
+        pytest.param(lambda d: d["buses"][1].update(id="b,2"), "buses[1]",
+                     id="bus-id-comma"),
+        pytest.param(lambda d: d["zip_loads"][0].update(bus='b"2'),
+                     "zip_loads[0]", id="load-bus-quote"),
+        pytest.param(lambda d: d["branches"][0].update({"from": "b\r1"}),
+                     "branches[0]", id="branch-from-cr"),
+        pytest.param(lambda d: d["branches"][0].update(to="b\n2"),
+                     "branches[0]", id="branch-to-lf"),
     ])
     def test_bad_value_names_its_entry(self, edit, where):
         data = json.loads(MINIMAL)
@@ -241,6 +250,13 @@ class TestParsing:
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             load_scenario("/nonexistent/path.json")
+
+    def test_file_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value).startswith(f"scenario file {path} is not UTF-8")
 
 
 class TestCanonicalForm:
