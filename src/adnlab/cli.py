@@ -46,6 +46,10 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 # Most --grid rows one boundary2d run may ask for; each row traces a branch.
 MAX_GRID_POINTS = 1000
+# Longest ``error:`` line written; a longer one, say one that echoes a huge
+# value, is cut to this length and ends in ERROR_CUT.
+MAX_ERROR_CHARS = 1000
+ERROR_CUT = " [...]"
 # The commands that read each optional flag; any other command refuses it.
 FLAG_READERS = {"param": ("continue", "boundary2d"),
                 "grid": ("boundary2d",),
@@ -309,10 +313,18 @@ _HANDLERS = {
 }
 
 
+def _error(message: str):
+    """Write ``error: message`` to stderr, cut to MAX_ERROR_CHARS."""
+    line = f"error: {message}"
+    if len(line) > MAX_ERROR_CHARS:
+        line = line[:MAX_ERROR_CHARS - len(ERROR_CUT)] + ERROR_CUT
+    print(line, file=_sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(_sys.stderr)
-        print(f"error: {message}", file=_sys.stderr)
+        _error(message)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -375,13 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    if argv and argv[0] in ("-h", "--help"):
-        build_parser().print_help()
-        return EXIT_OK
-    if not argv or argv[0] not in COMMANDS:
-        print(f"usage: adnlab {{{','.join(COMMANDS)}}} --scenario FILE "
-              f"--out DIR", file=_sys.stderr)
-        return EXIT_USAGE
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -396,21 +401,20 @@ def run_command(argv) -> int:
     try:
         scenario = load_scenario(args.scenario)
         if not args.out:           # Path("") is the current directory
-            print("error: --out '': an empty path names no directory",
-                  file=_sys.stderr)
+            _error("--out '': an empty path names no directory")
             return EXIT_USAGE
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:     # a file by that name, or no permission
-            print(f"error: --out {args.out}: cannot create the output "
-                  f"directory: {exc.strerror}", file=_sys.stderr)
+            _error(f"--out {args.out}: cannot create the output "
+                   f"directory: {exc.strerror}")
             return EXIT_USAGE
         run = _Run(scenario, out_dir, args)
         _HANDLERS[args.command](run, args)
         run.manifest()
     except AdnlabError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        _error(str(exc))
         return EXIT_NUMERICAL
     return EXIT_OK
 

@@ -194,6 +194,7 @@ def continue_branch(sys: DaeSystem, start: EquilibriumSolution, param: str,
                     settings: ContinuationSettings) -> Branch:
     """Trace an equilibrium branch over ``param`` from a converged start.
 
+    ``start`` must be converged, as :func:`newton_equilibrium` returns it.
     Raises :class:`ConfigurationError` when the start lies outside
     ``[settings.param_min, settings.param_max]``.
     """
@@ -206,22 +207,20 @@ def _trace(sys: DaeSystem, start: EquilibriumSolution, param: str,
            settings: ContinuationSettings):
     """The loop of :func:`continue_branch`: yields the branch, one object
     that grows in place, after the start and after each accepted point."""
-    p = start.params
-    lam = p[param]
-    _check_start(param, lam, settings)
+    p, x = start.params, start.x
+    cur_lam = p[param]
+    _check_start(param, cur_lam, settings)
     branch = Branch(param=param)
-    sol = newton_equilibrium(sys, start.x, p)
-    jac = jacobian_fd(sys, sol.x, p)
-    branch.points.append(_point_fingerprint(sys, sol.x, p, lam, 0.0, jac))
+    jac = jacobian_fd(sys, x, p)
+    branch.points.append(_point_fingerprint(sys, x, p, cur_lam, 0.0, jac))
     yield branch
-    tangent = _initial_tangent(jac, param_derivative(sys, sol.x, p, param),
+    tangent = _initial_tangent(jac, param_derivative(sys, x, p, param),
                                settings.direction)
 
     h = settings.h0
     s = 0.0
     easy_streak = 0
     n = sys.n
-    x, cur_lam = sol.x, lam
     while len(branch.points) < settings.max_steps:
         x_pred = x + h * tangent[:n]
         lam_pred = cur_lam + h * tangent[n]

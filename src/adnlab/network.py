@@ -304,10 +304,9 @@ class NetworkModel:
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise ModelValidationError("duplicate bus id")
-        device_ids = [d.id for group in (self.branches, self.sources,
-                                         self.zip_loads, self.machines,
-                                         self.ltcs, self.gfls, self.gfms)
-                      for d in group]
+        devices = (*self.sources, *self.zip_loads, *self.machines,
+                   *self.gfls, *self.gfms, *self.branches, *self.ltcs)
+        device_ids = [d.id for d in devices]
         if len(set(device_ids)) != len(device_ids):
             raise ModelValidationError("duplicate device id")
         for gfm in self.gfms:
@@ -321,16 +320,9 @@ class NetworkModel:
                 raise ModelValidationError(
                     f"machine {m.id!r}: omega0 * r_r underflows")
         bus_set = set(ids)
-        for group, attr in ((self.sources, "bus"), (self.zip_loads, "bus"),
-                            (self.machines, "bus"), (self.gfls, "bus"),
-                            (self.gfms, "bus")):
-            for dev in group:
-                if getattr(dev, attr) not in bus_set:
-                    raise ModelValidationError(
-                        f"device {dev.id!r} references unknown bus "
-                        f"{getattr(dev, attr)!r}")
-        for dev in (*self.branches, *self.ltcs):
-            for end in (dev.from_bus, dev.to_bus):
+        for dev in devices:
+            for end in ((dev.bus,) if hasattr(dev, "bus")
+                        else (dev.from_bus, dev.to_bus)):
                 if end not in bus_set:
                     raise ModelValidationError(
                         f"device {dev.id!r} references unknown bus {end!r}")

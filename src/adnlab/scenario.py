@@ -10,7 +10,6 @@ byte for byte.
 import json
 import math
 from dataclasses import dataclass, fields as dataclass_fields
-from functools import partial
 
 from .contin import ContinuationSettings
 from .converters import GflConverter, GfmDroop
@@ -134,12 +133,12 @@ _BAD_VALUE = (ConfigurationError, ValueError, TypeError, OverflowError)
 # nominal frequency) becomes the inductance the dynamic equations use.
 _TEXT = {"id": "id", "bus": "bus", "from": "from_bus", "to": "to_bus"}
 _REACTANCE = {"x": "l", "x_g": "l_g", "x_f": "l_f", "x_v": "l_v"}
-_NOT_FIELDS = {"kind", "val", "mode"}
+_NOT_FIELDS = {"kind", "mode"}
 
 
-def _device(cls, data, omega0, /, **extra):
+def _device(cls, data, omega0):
     """Construct ``cls`` from one validated scenario entry."""
-    kwargs = dict(extra)
+    kwargs = {}
     for key, value in data.items():
         if key in _TEXT:
             kwargs[_TEXT[key]] = _id(value)
@@ -148,25 +147,27 @@ def _device(cls, data, omega0, /, **extra):
                                                               omega0)
         elif key == "rotating":
             kwargs[key] = _flag(value)
+        elif key == "val":
+            kwargs["val_mode"] = str(value["mode"])
+            kwargs["val"] = _device(ValGains, value, omega0)
         elif key not in _NOT_FIELDS:
             kwargs[key] = _number(value)
     return cls(**kwargs)
 
 
-def _gfl(data, omega0):
-    val = data["val"]
-    return _device(GflConverter, data, omega0, val_mode=str(val["mode"]),
-                   val=_device(ValGains, val, omega0))
-
-
-# Device families in build order: scenario key (also the NetworkModel
-# field name), schema, constructor.
-_FAMILIES = (("buses", BUS_FIELDS, partial(_device, Bus)),
-             ("branches", BRANCH_FIELDS, partial(_device, RlBranch)),
-             ("sources", SOURCE_FIELDS, partial(_device, GridSource)),
-             ("zip_loads", ZIP_FIELDS, partial(_device, ZipLoad)),
-             ("machines", MACHINE_FIELDS, partial(_device, InductionMachine)),
-             ("ltcs", LTC_FIELDS, partial(_device, LtcTransformer)))
+# Device tables in build order: the scenario key, then each kind of entry
+# with its schema, device class and NetworkModel field.  The first kind is
+# the default; None is the one kind of a table whose entries have no kind.
+_FAMILIES = (
+    ("buses", {None: (BUS_FIELDS, Bus, "buses")}),
+    ("branches", {None: (BRANCH_FIELDS, RlBranch, "branches")}),
+    ("sources", {None: (SOURCE_FIELDS, GridSource, "sources")}),
+    ("zip_loads", {None: (ZIP_FIELDS, ZipLoad, "zip_loads")}),
+    ("machines", {None: (MACHINE_FIELDS, InductionMachine, "machines")}),
+    ("ltcs", {None: (LTC_FIELDS, LtcTransformer, "ltcs")}),
+    ("converters", {"gfl": (GFL_FIELDS, GflConverter, "gfls"),
+                    "gfm_droop": (GFM_FIELDS, GfmDroop, "gfms")}),
+)
 
 
 def _build(where, make, *args):
@@ -289,45 +290,33 @@ def loads_scenario(text: str) -> Scenario:
     top = _apply(TOP_FIELDS, raw, "scenario")
     scenario_name = _build("name", _text, top["name"])
     base = _apply(BASE_FIELDS, top["base"] or {}, "base")
-    f_hz = _build("base", _number, base["f_hz"])
-    if not f_hz > 0.0:
-        raise ScenarioError("base: f_hz must be positive")
+    f_hz = _build("base", _positive, base["f_hz"])
     omega0 = 2.0 * math.pi * f_hz
     overrides = _build("params", _mapping, top["params"])
 
     canonical = {"name": top["name"], "base": base,
                  "params": dict(top["params"] or {})}
 
-    devices = {}
-    for key, fields, make in _FAMILIES:
+    devices = {field: [] for _, kinds in _FAMILIES
+               for _, _, field in kinds.values()}
+    for key, kinds in _FAMILIES:
         if not isinstance(top[key], list):
             raise ScenarioError(f"{key}: expected a list")
         canonical[key] = []
-        devices[key] = []
         for i, entry in enumerate(top[key]):
             where = f"{key}[{i}]"
+            kind = next(iter(kinds))
+            if kind is not None and isinstance(entry, dict):
+                kind = entry.get("kind", kind)
+            # compared by equality, since a kind such as [] is unhashable
+            if kind not in tuple(kinds):
+                raise ScenarioError(f"{where}: unknown kind {kind!r}")
+            fields, cls, field = kinds[kind]
             d = _apply(fields, entry, where)
+            if "val" in d:
+                d["val"] = _apply(VAL_FIELDS, d["val"] or {}, f"{where}.val")
             canonical[key].append(d)
-            devices[key].append(_build(where, make, d, omega0))
-
-    gfls, gfms = [], []
-    canonical["converters"] = []
-    if not isinstance(top["converters"], list):
-        raise ScenarioError("converters: expected a list")
-    for i, entry in enumerate(top["converters"]):
-        where = f"converters[{i}]"
-        kind = entry.get("kind", "gfl") if isinstance(entry, dict) else "gfl"
-        if kind == "gfl":
-            c = _apply(GFL_FIELDS, entry, where)
-            c["val"] = _apply(VAL_FIELDS, c["val"] or {}, f"{where}.val")
-            canonical["converters"].append(c)
-            gfls.append(_build(where, _gfl, c, omega0))
-        elif kind == "gfm_droop":
-            c = _apply(GFM_FIELDS, entry, where)
-            canonical["converters"].append(c)
-            gfms.append(_build(where, _device, GfmDroop, c, omega0))
-        else:
-            raise ScenarioError(f"{where}: unknown kind {kind!r}")
+            devices[field].append(_build(where, _device, cls, d, omega0))
 
     analysis_raw = _apply(ANALYSIS_FIELDS, top["analysis"] or {}, "analysis")
     analysis = {}
@@ -380,8 +369,8 @@ def loads_scenario(text: str) -> Scenario:
 
     try:
         model = NetworkModel(
-            **{key: tuple(devs) for key, devs in devices.items()},
-            gfls=tuple(gfls), gfms=tuple(gfms), omega0=omega0)
+            **{field: tuple(devs) for field, devs in devices.items()},
+            omega0=omega0)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 

@@ -16,7 +16,8 @@ each bundled scenario (the top-level keys, every device entry and a GFL
 converter's ``val``, and every analysis block) to each value of
 :data:`SWAPS`, a value of the wrong type, and runs the commands that read
 the scenario.  A ``RuntimeWarning`` fails a run too: numpy prints it to
-stderr beside the ``error:`` line.
+stderr beside the ``error:`` line; so does an ``error:`` line longer
+than ``MAX_ERROR_CHARS``.
 """
 
 import json
@@ -26,8 +27,9 @@ from pathlib import Path
 
 import pytest
 
-from adnlab.cli import (COMMANDS, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                        FLAG_READERS, run_command)
+from adnlab.cli import (COMMANDS, ERROR_CUT, EXIT_NUMERICAL, EXIT_OK,
+                        EXIT_USAGE, FLAG_READERS, MAX_ERROR_CHARS,
+                        run_command)
 from adnlab.scenario import (ANALYSIS_FIELDS, BRANCH_FIELDS, BUS_FIELDS,
                              GFL_FIELDS, GFM_FIELDS, LTC_FIELDS,
                              MACHINE_FIELDS, SECONDARY_FIELDS, SOURCE_FIELDS,
@@ -131,8 +133,11 @@ def _run(tmp_path, capsys, data, command="equilibrium", flags=()):
         except BaseException:        # an escaping SystemExit fails too
             return traceback.format_exc(limit=-1).strip().splitlines()[-1]
     err = capsys.readouterr().err
-    if sum(line.startswith("error:") for line in err.splitlines()) > 1:
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if len(errors) > 1:
         return f"more than one error line: {err!r}"
+    if any(len(line) > MAX_ERROR_CHARS for line in errors):
+        return f"error line of more than {MAX_ERROR_CHARS} characters"
     for w in caught:
         if issubclass(w.category, RuntimeWarning):
             return (f"RuntimeWarning at {Path(w.filename).name}:{w.lineno}: "
@@ -304,13 +309,31 @@ def _hostile_id():
     return text.replace('"b2"', json.dumps('b,2\n"x')).encode()
 
 
+def _two_bus(edit):
+    """``two_bus.json`` changed in place by ``edit``, as file bytes."""
+    def make():
+        scenario = json.loads(SHOWCASE.with_name("two_bus.json").read_text())
+        edit(scenario)
+        return json.dumps(scenario).encode()
+    return make
+
+
 # Scenario files that ended in a traceback, or in a CSV that splits into
-# ragged rows, before they were mended; each is now one error line.
+# ragged rows, or in an error line that echoed a huge value whole, before
+# they were mended; each is now one error line of at most MAX_ERROR_CHARS.
 INPUT_REPRODUCERS = {
     "not-utf8": lambda: b"\xff\xfe\x00garbage",
     "deep-list": lambda: ("[" * 100000 + "]" * 100000).encode(),
     "deep-params": _deep_params,
     "id-with-csv-characters": _hostile_id,
+    "long-name": _two_bus(lambda d: d.update(name=list(range(5000)))),
+    "many-unknown-keys": _two_bus(lambda d: d["buses"][0].update(
+        {f"k{i}": 0 for i in range(3000)})),
+    "long-params-key": _two_bus(lambda d: d.update(params={"p" * 50000: 1})),
+    "long-b_sh-string": _two_bus(lambda d: d["buses"][0].update(
+        b_sh="x" * 50000)),
+    "long-cf-bus": _two_bus(lambda d: d.setdefault("analysis", {}).update(
+        cf={"bus": "b" * 20000})),
 }
 
 
@@ -324,4 +347,19 @@ def test_input_reproducer_is_one_error_line(tmp_path, capsys, label):
     err = capsys.readouterr().err
     assert code == EXIT_NUMERICAL
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
+    assert len(err) <= MAX_ERROR_CHARS + 1
+    if label == "long-params-key":
+        # parameter names are checked once the output directory is made
+        assert not any(out.iterdir())
+    else:
+        assert not out.exists()
+
+
+def test_long_error_line_is_cut_with_a_marker(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(INPUT_REPRODUCERS["long-b_sh-string"]())
+    run_command(["equilibrium", "--scenario", str(path), "--out",
+                 str(tmp_path / "out"), "--quiet"])
+    line = capsys.readouterr().err.rstrip("\n")
+    assert len(line) == MAX_ERROR_CHARS
+    assert line.startswith("error: buses[0]: ") and line.endswith(ERROR_CUT)

@@ -52,11 +52,16 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"line \d+, column \d+"):
             loads_scenario("{\n  \"buses\": [,]\n}")
 
-    def test_unknown_converter_kind(self):
+    # a list or object kind is unhashable, so no dict lookup may see it
+    @pytest.mark.parametrize("kind", ["vsm", [], {}, 3, None, True],
+                             ids=["vsm", "list", "object", "3", "null",
+                                  "true"])
+    def test_unknown_converter_kind(self, kind):
         bad = json.loads(MINIMAL)
-        bad["converters"] = [{"id": "c", "bus": "b2", "kind": "vsm"}]
-        with pytest.raises(ScenarioError, match="vsm"):
+        bad["converters"] = [{"id": "c", "bus": "b2", "kind": kind}]
+        with pytest.raises(ScenarioError) as info:
             loads_scenario(json.dumps(bad))
+        assert str(info.value) == f"converters[0]: unknown kind {kind!r}"
 
     def test_unknown_param_override(self):
         bad = json.loads(MINIMAL)
