@@ -4,24 +4,25 @@ Commands operate on a scenario file and write plot-ready CSV artifacts
 plus a run manifest into an output directory::
 
     adnlab equilibrium --scenario case.json --out results/
-    adnlab continue    --scenario case.json --out results/ [--param NAME]
-                       [--steps N]
-    adnlab boundary2d  --scenario case.json --out results/ [--param NAME]
-                       [--grid a:b:n] [--steps N]
+    adnlab continue    --scenario case.json --out results/
+    adnlab boundary2d  --scenario case.json --out results/
     adnlab simulate    --scenario case.json --out results/
     adnlab secondary   --scenario case.json --out results/
     adnlab cf          --scenario case.json --out results/
 
-A flag given to a command that does not read it is a usage error.
-Numbers are written with 17 significant digits and newline line ends, so
-repeated runs of the same scenario produce byte-identical files.
+The scenario alone sets what a command computes: its ``analysis`` blocks
+name the continuation parameter, the step budget and the boundary grid.
+The manifest records the canonical scenario, so a run can be repeated
+from its own artifacts.  A run that fails before writing a file
+removes the output directory it made.  Numbers are written with 17
+significant digits and newline line ends, so repeated runs of the same
+scenario produce byte-identical files.
 """
 
 import argparse
 import hashlib
 import itertools
 import json
-import math
 import platform
 import sys as _sys
 import time
@@ -44,16 +45,10 @@ COMMANDS = ("equilibrium", "continue", "boundary2d", "simulate",
 EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
-# Most --grid rows one boundary2d run may ask for; each row traces a branch.
-MAX_GRID_POINTS = 1000
 # Longest ``error:`` line written; a longer one, say one that echoes a huge
 # value, is cut to this length and ends in ERROR_CUT.
 MAX_ERROR_CHARS = 1000
 ERROR_CUT = " [...]"
-# The commands that read each optional flag; any other command refuses it.
-FLAG_READERS = {"param": ("continue", "boundary2d"),
-                "grid": ("boundary2d",),
-                "steps": ("continue", "boundary2d")}
 
 
 # Lines formatted before one write; a chunk stays a few hundred kB on the
@@ -99,13 +94,12 @@ def _write_csv(path: Path, header, rows):
 
 
 class _Run:
-    def __init__(self, scenario: Scenario, out_dir: Path, args):
+    def __init__(self, scenario: Scenario, out_dir: Path, command: str,
+                 quiet: bool):
         self.scenario = scenario
         self.out = out_dir
-        self.command = args.command
-        self.quiet = args.quiet
-        # the optional flags as given, None where absent
-        self.args = {flag: getattr(args, flag) for flag in FLAG_READERS}
+        self.command = command
+        self.quiet = quiet
         self.outputs = []      # (path, sha256, bytes) per written file
         self.warnings = []     # every degradation the run survived
         self.t0 = time.perf_counter()
@@ -128,7 +122,7 @@ class _Run:
                 self.scenario.canonical_json().encode()).hexdigest(),
             "tool_version": __version__,
             "command": self.command,
-            "args": self.args,
+            "canonical_scenario": self.scenario.canonical,
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,
             "outputs": entries,
@@ -148,7 +142,7 @@ def _solve_base(scenario: Scenario):
     return sys, p, sol
 
 
-def _cmd_equilibrium(run: _Run, args):
+def _cmd_equilibrium(run: _Run):
     sys, p, sol = _solve_base(run.scenario)
     run.csv("bus_voltages.csv", ("bus", "vmag", "vd", "vq"),
             [(b, sys.bus_voltage_mag(sol.x, b), *sys.bus_voltage(sol.x, b))
@@ -170,18 +164,14 @@ def _known_param(p, name: str) -> str:
     return name
 
 
-def _continuation_settings(run: _Run, args, p):
+def _continuation_settings(run: _Run, p):
     cfg = dict(run.scenario.analysis["continuation"])
-    param = cfg.pop("param")
-    if args.steps:
-        cfg["max_steps"] = args.steps
-    return _known_param(p, param if args.param is None else args.param), \
-        ContinuationSettings(**cfg)
+    return _known_param(p, cfg.pop("param")), ContinuationSettings(**cfg)
 
 
-def _cmd_continue(run: _Run, args):
+def _cmd_continue(run: _Run):
     sys, p, sol = _solve_base(run.scenario)
-    param, settings = _continuation_settings(run, args, p)
+    param, settings = _continuation_settings(run, p)
     branch = continue_branch(sys, sol, param, settings)
     if branch.truncated:
         run.warnings.append(branch.message)
@@ -201,16 +191,16 @@ def _cmd_continue(run: _Run, args):
             f"{len(records)} bifurcation record(s)")
 
 
-def _cmd_boundary2d(run: _Run, args):
+def _cmd_boundary2d(run: _Run):
     cfg = run.scenario.analysis.get("boundary2d")
     if cfg is None:
         raise ScenarioError("scenario has no analysis.boundary2d block")
     sys = run.scenario.build()
     p = run.scenario.base_params(sys)
-    param1, settings = _continuation_settings(run, args, p)
+    param1, settings = _continuation_settings(run, p)
     param2 = _known_param(p, cfg["param2"])
-    grid = list(np.linspace(*args.grid)) if args.grid else cfg["grid"]
-    boundary = trace_boundary_2d(sys, param1, param2, grid, settings, p)
+    boundary = trace_boundary_2d(sys, param1, param2, cfg["grid"],
+                                 settings, p)
     run.csv("boundary.csv", (param2, param1 + "_star", "kind"),
             [(row.param2, row.lam, row.kind) for row in boundary.rows])
     run.warnings += [f"{param2} = {row.param2!r}: {row.message}"
@@ -242,14 +232,14 @@ def _transient(run: _Run):
     return sys, p, traj
 
 
-def _cmd_simulate(run: _Run, args):
+def _cmd_simulate(run: _Run):
     sys, _, traj = _transient(run)
     run.csv("trajectory.csv", ("t",) + sys.state_names,
             ((t, *row.tolist())
              for t, row in zip(traj.times.tolist(), traj.states)))
 
 
-def _cmd_secondary(run: _Run, args):
+def _cmd_secondary(run: _Run):
     sys = run.scenario.build()
     p = run.scenario.base_params(sys)
     cfg = run.scenario.analysis["secondary"]
@@ -278,14 +268,14 @@ def _cmd_secondary(run: _Run, args):
             f"{len(history.iterations)} iteration(s)")
 
 
-def _cmd_cf(run: _Run, args):
+def _cmd_cf(run: _Run):
     scenario = run.scenario
     cfg = scenario.analysis.get("cf")
     if cfg is None:
         raise ScenarioError("scenario has no analysis.cf block")
     sys, p_run, traj = _transient(run)
     window = cfg["window"]
-    omega0 = scenario.omega0
+    omega0 = scenario.model.omega0
     blocks = [(cf_of_bus(sys, traj, cfg["bus"], omega0, window=window),
                "bus")]
     conv_id = cfg["converter"]
@@ -328,43 +318,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _grid_spec(text: str):
-    """``a:b:n`` with finite ``a < b`` and ``1 <= n <= MAX_GRID_POINTS``
-    whose ``n`` evenly spaced points are finite and strictly increasing:
-    a span that overflows, or one too narrow to hold ``n`` distinct
-    floats, is rejected here."""
-    try:
-        lo, hi, num = text.split(":")
-        lo, hi, num = float(lo), float(hi), int(num)
-        valid = math.isfinite(lo) and math.isfinite(hi) and lo < hi \
-            and 1 <= num <= MAX_GRID_POINTS
-    except ValueError:
-        valid = False
-    if valid:
-        with np.errstate(all="ignore"):
-            points = np.linspace(lo, hi, num)
-            valid = bool(np.isfinite(points).all()
-                         and (np.diff(points) > 0.0).all())
-    if not valid:
-        raise argparse.ArgumentTypeError(
-            f"grid spec must be a:b:n with finite a < b, 1 <= n <= "
-            f"{MAX_GRID_POINTS} and n distinct finite points from a to b, "
-            f"got {text!r}")
-    return lo, hi, num
-
-
-def _step_budget(text: str) -> int:
-    """A continuation step budget: an integer ``>= 1``."""
-    try:
-        steps = int(text)
-    except ValueError:
-        steps = 0
-    if steps < 1:
-        raise argparse.ArgumentTypeError(
-            f"step budget must be an integer >= 1, got {text!r}")
-    return steps
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="adnlab",
                      description="voltage-stability laboratory for "
@@ -372,48 +325,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", required=True, help="scenario JSON file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--param", default=None,
-                        help="override the continuation parameter name "
-                             "(continue, boundary2d)")
-    parser.add_argument("--grid", type=_grid_spec, default=None,
-                        metavar="a:b:n",
-                        help="override the grid of the scenario's "
-                             "boundary2d block (linspace)")
-    parser.add_argument("--steps", type=_step_budget, default=None,
-                        help="override the continuation step budget "
-                             "(continue, boundary2d)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for flag, readers in FLAG_READERS.items():
-            if getattr(args, flag) is not None and \
-                    args.command not in readers:
-                parser.error(f"--{flag} is read only by "
-                             f"{' and '.join(readers)}, not by "
-                             f"{args.command}")
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    made = False
     try:
         scenario = load_scenario(args.scenario)
         if not args.out:           # Path("") is the current directory
             _error("--out '': an empty path names no directory")
             return EXIT_USAGE
         out_dir = Path(args.out)
+        made = not out_dir.exists()
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:     # a file by that name, or no permission
             _error(f"--out {args.out}: cannot create the output "
                    f"directory: {exc.strerror}")
             return EXIT_USAGE
-        run = _Run(scenario, out_dir, args)
-        _HANDLERS[args.command](run, args)
+        run = _Run(scenario, out_dir, args.command, args.quiet)
+        _HANDLERS[args.command](run)
         run.manifest()
     except AdnlabError as exc:
+        # a run that wrote nothing leaves no directory it made behind
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()
         _error(str(exc))
         return EXIT_NUMERICAL
     return EXIT_OK

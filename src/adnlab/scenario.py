@@ -98,15 +98,10 @@ class Scenario:
     """Validated scenario: canonical dict plus the compiled network."""
 
     name: str
-    f_hz: float
     canonical: dict
     model: NetworkModel
     analysis: dict
     param_overrides: dict
-
-    @property
-    def omega0(self) -> float:
-        return 2.0 * math.pi * self.f_hz
 
     def canonical_json(self) -> str:
         return json.dumps(self.canonical, sort_keys=True, indent=2,
@@ -388,7 +383,7 @@ def loads_scenario(text: str) -> Scenario:
             raise ScenarioError(f"analysis.{key}: unknown id {name!r}; "
                                 f"known: {', '.join(sorted(known))}")
 
-    return Scenario(name=scenario_name, f_hz=f_hz, canonical=canonical,
+    return Scenario(name=scenario_name, canonical=canonical,
                     model=model, analysis=analysis, param_overrides=overrides)
 
 

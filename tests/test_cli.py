@@ -18,8 +18,6 @@ from adnlab.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_GRID_POINTS,
-    _grid_spec,
     _write_csv,
     run_command,
 )
@@ -34,6 +32,22 @@ def read_csv(path: Path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+def edited(tmp_path, stem, edit):
+    """``scenarios/<stem>.json`` changed in place by ``edit`` and written
+    under ``tmp_path``; returns the new file's path."""
+    scenario = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
+    edit(scenario)
+    path = tmp_path / f"{stem}_edited.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def continuation(**settings):
+    """An ``edit`` that updates the ``analysis.continuation`` block."""
+    return lambda scenario: scenario["analysis"]["continuation"].update(
+        settings)
 
 
 @pytest.fixture
@@ -338,25 +352,24 @@ class TestExitCodes:
             assert (tmp_path / out).read_text() == "not a directory\n"
 
     def test_boundary2d_rejects_sweep_against_itself(self, tmp_path, capsys):
+        # two_bus sweeps line.l in its boundary2d block
+        path = edited(tmp_path, "two_bus", continuation(param="line.l"))
         out = tmp_path / "self"
-        rc = run_command(["boundary2d", "--scenario",
-                          str(SCENARIO_DIR / "two_bus.json"),
-                          "--out", str(out), "--quiet",
-                          "--param", "line.l", "--grid", "0.5:1:3"])
+        rc = run_command(["boundary2d", "--scenario", str(path),
+                          "--out", str(out), "--quiet"])
         assert rc == EXIT_NUMERICAL
         assert "against itself" in capsys.readouterr().err
-        assert not (out / "boundary.csv").exists()
+        assert not out.exists()
 
     def test_boundary2d_needs_its_block(self, tmp_path, capsys):
         out = tmp_path / "noblock"
         rc = run_command(["boundary2d", "--scenario",
                           str(SCENARIO_DIR / "gfl_feeder.json"),
-                          "--out", str(out), "--quiet",
-                          "--param", "lambda", "--grid", "0.5:1:3"])
+                          "--out", str(out), "--quiet"])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err == "error: scenario has no analysis.boundary2d block\n"
-        assert not (out / "boundary.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, block, setting", [
         ("simulate", "simulation", {"h": 0}),
@@ -392,56 +405,61 @@ class TestExitCodes:
 
     def test_continuation_start_outside_range_is_one_error_line(
             self, tmp_path, capsys):
+        path = edited(tmp_path, "two_bus", continuation(param="line.l"))
         out = tmp_path / "outside"
-        rc = run_command(["continue", "--scenario",
-                          str(SCENARIO_DIR / "two_bus.json"),
-                          "--out", str(out), "--quiet", "--param", "line.l"])
+        rc = run_command(["continue", "--scenario", str(path),
+                          "--out", str(out), "--quiet"])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("error: continuation of 'line.l' starts at "
                               "0.0015915494309189")
         assert "[param_min, param_max] = [0.05, 5.0]" in err
         assert err.count("\n") == 1
-        assert not (out / "branch.csv").exists()
-
-    @pytest.mark.parametrize("steps", ["0", "-3", "many"])
-    def test_bad_step_budget_is_usage_error(self, tmp_path, capsys, steps):
-        rc = run_command(["continue", "--scenario",
-                          str(SCENARIO_DIR / "two_bus.json"),
-                          "--out", str(tmp_path / "b"), "--quiet",
-                          "--steps", steps])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("usage: ")
-        assert err.endswith("\nerror: argument --steps: step budget must be "
-                            f"an integer >= 1, got {steps!r}\n")
+        assert not out.exists()
 
     def test_absent_settings_block_runs_on_defaults(self, tmp_path):
+        # secondary_4bus has no continuation block
         out = tmp_path / "defaults"
         rc = run_command(["continue", "--scenario",
                           str(SCENARIO_DIR / "secondary_4bus.json"),
-                          "--out", str(out), "--quiet", "--steps", "3"])
+                          "--out", str(out), "--quiet"])
         assert rc == EXIT_OK
         header, rows = read_csv(out / "branch.csv")
-        assert header[1] == "lambda" and len(rows) == 3
+        lam = [float(row[1]) for row in rows]
+        # the default range [0, 1e6] lets the branch pass its nose and
+        # fall back below its start
+        assert header[1] == "lambda" and max(lam) > lam[0] > lam[-1] >= 0.0
 
-    # an empty name is unknown too; it must not select the scenario's own
+    # an empty name is unknown too
     @pytest.mark.parametrize("name", ["nosuch", ""],
                              ids=["nosuch", "empty"])
     @pytest.mark.parametrize("command, scenario", [
         ("continue", "gfl_feeder"), ("boundary2d", "two_bus")])
     def test_unknown_param_is_one_error_line(self, tmp_path, capsys,
                                              command, scenario, name):
-        rc = run_command([command, "--scenario",
-                          str(SCENARIO_DIR / f"{scenario}.json"),
-                          "--out", str(tmp_path / "p"), "--quiet",
-                          "--param", name])
+        path = edited(tmp_path, scenario, continuation(param=name))
+        rc = run_command([command, "--scenario", str(path),
+                          "--out", str(tmp_path / "p"), "--quiet"])
         assert rc == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith(f"error: unknown parameter {name!r}; known: ")
         assert "lambda" in err and "line.l" in err
         assert err.count("\n") == 1
-        assert not (tmp_path / "p" / "manifest.json").exists()
+        # the name is checked once the output directory is made, and the
+        # failed run removes it again
+        assert not (tmp_path / "p").exists()
+
+    def test_failed_run_keeps_a_directory_it_did_not_make(self, tmp_path,
+                                                          capsys):
+        path = edited(tmp_path, "two_bus", continuation(param="nosuch"))
+        out = tmp_path / "existing"
+        out.mkdir()
+        rc = run_command(["continue", "--scenario", str(path),
+                          "--out", str(out), "--quiet"])
+        assert rc == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith(
+            "error: unknown parameter 'nosuch'")
+        assert out.is_dir() and not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["equilibrium", "continue",
                                          "simulate"])
@@ -455,49 +473,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: network has no buses\n"
 
     @pytest.mark.parametrize("command, flag, value", [
-        ("cf", "--param", "nosuch"), ("simulate", "--param", "lambda"),
-        ("equilibrium", "--steps", "3"), ("secondary", "--grid", "0:1:3"),
-        ("continue", "--grid", "0:1:3")])
-    def test_flag_the_command_does_not_read_is_usage_error(
-            self, tmp_path, capsys, command, flag, value):
-        readers = {"--param": "continue and boundary2d",
-                   "--steps": "continue and boundary2d",
-                   "--grid": "boundary2d"}[flag]
-        out = tmp_path / "unread"
+        ("continue", "--steps", "3"), ("boundary2d", "--grid", "0:1:3"),
+        ("continue", "--param", "lambda")])
+    def test_removed_override_flag_is_usage_error(self, tmp_path, capsys,
+                                                  command, flag, value):
+        # the scenario alone sets what a command computes
+        out = tmp_path / "old"
         rc = run_command([command, "--scenario",
                           str(SCENARIO_DIR / "two_bus.json"),
                           "--out", str(out), "--quiet", flag, value])
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage: ")
-        assert err.endswith(f"\nerror: {flag} is read only by {readers}, "
-                            f"not by {command}\n")
+        assert err.endswith(
+            f"\nerror: unrecognized arguments: {flag} {value}\n")
+        assert err.count("error:") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["1:0.5:3", "1:1:2", "0.5:nan:3",
-                                      "0.5:inf:3", "0.5:1:0",
-                                      "-1e308:1e308:3",
-                                      "1:1.0000000000000002:5"])
-    def test_bad_grid_is_usage_error(self, tmp_path, capsys, grid):
-        rc = run_command(["boundary2d", "--scenario",
-                          str(SCENARIO_DIR / "two_bus.json"),
-                          "--out", str(tmp_path / "g"), "--quiet",
-                          "--grid", grid])
-        assert rc == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("usage: ") and "Traceback" not in err
-        # a spec starting with "-" reads as a flag unless given as --grid=a:b:n
-        reason = "expected one argument" if grid.startswith("-") else (
-            f"grid spec must be a:b:n with finite a < b, 1 <= n <= "
-            f"{MAX_GRID_POINTS} and n distinct finite points from a to b, "
-            f"got {grid!r}")
-        assert err.endswith(f"\nerror: argument --grid: {reason}\n")
-
-    @pytest.mark.parametrize("num", [MAX_GRID_POINTS + 1, 10 ** 12])
+    @pytest.mark.parametrize("num", [1001, 10 ** 12])
     def test_grid_above_point_bound_is_usage_error(self, tmp_path, capsys,
                                                    num):
-        # gfl_feeder has no boundary2d block, so without the bound the run
-        # would stop at exit 2 before tracing any row
+        # no command reads a grid from the command line, so even a huge
+        # one is refused before any row is traced
         rc = run_command(["boundary2d", "--scenario",
                           str(SCENARIO_DIR / "gfl_feeder.json"),
                           "--out", str(tmp_path / "g"), "--quiet",
@@ -505,12 +502,6 @@ class TestExitCodes:
         assert rc == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage: ") and "Traceback" not in err
-
-    def test_grid_point_bound(self):
-        # parsing allocates at most the n points it checks, so the largest
-        # accepted n is safe here
-        assert _grid_spec(f"0.5:1:{MAX_GRID_POINTS}") == (0.5, 1.0,
-                                                          MAX_GRID_POINTS)
 
     def test_step_count_above_bound_exits_2_before_running(self, tmp_path,
                                                            capsys):
@@ -594,26 +585,29 @@ class TestManifestAndDeterminism:
             assert len(data) == entry["bytes"] > 0
             assert hashlib.sha256(data).hexdigest() == entry["sha256"]
 
-    def test_manifest_records_the_flags_and_versions(self, tmp_path):
-        out = tmp_path / "pv"
-        rc = run_command(["continue", "--scenario",
-                          str(SCENARIO_DIR / "cf_step.json"), "--out",
-                          str(out), "--quiet", "--param", "line.l",
-                          "--steps", "3"])
-        assert rc == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["args"] == {"param": "line.l", "grid": None,
-                                    "steps": 3}
-        assert manifest["python_version"] == platform.python_version()
-        assert manifest["numpy_version"] == np.__version__
-        out = tmp_path / "bd"
-        rc = run_command(["boundary2d", "--scenario",
-                          str(SCENARIO_DIR / "two_bus.json"), "--out",
-                          str(out), "--quiet", "--grid=0.0012:0.0022:2"])
-        assert rc == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["args"] == {"param": None, "grid": [0.0012, 0.0022, 2],
-                                    "steps": None}
+    def test_manifest_records_the_scenario_and_versions(self, tmp_path):
+        # re-running a command on the manifest's canonical scenario
+        # reproduces the run: the same scenario hash and output digests
+        for command, scenario in (("continue", "two_bus"),
+                                  ("boundary2d", "two_bus"),
+                                  ("cf", "cf_step")):
+            manifests = []
+            path = SCENARIO_DIR / f"{scenario}.json"
+            for tag in ("first", "rerun"):
+                out = tmp_path / command / tag
+                rc = run_command([command, "--scenario", str(path), "--out",
+                                  str(out), "--quiet"])
+                assert rc == EXIT_OK
+                manifests.append(
+                    json.loads((out / "manifest.json").read_text()))
+                path = out.with_suffix(".json")
+                path.write_text(
+                    json.dumps(manifests[-1]["canonical_scenario"]))
+            first, rerun = manifests
+            assert first["python_version"] == platform.python_version()
+            assert first["numpy_version"] == np.__version__
+            assert rerun["scenario_hash"] == first["scenario_hash"]
+            assert rerun["outputs"] == first["outputs"]
 
     def test_truncated_branch_reaches_the_manifest(self, tmp_path, capsys):
         # the showcase branch truncates on the LTC tap's kinked row
@@ -659,16 +653,6 @@ class TestManifestAndDeterminism:
             outs.append(out)
         for name in ("branch.csv", "bifurcations.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_grid_override(self, tmp_path):
-        out = tmp_path / "grid"
-        rc = run_command(["boundary2d", "--scenario",
-                          str(SCENARIO_DIR / "two_bus.json"),
-                          "--out", str(out), "--quiet",
-                          "--grid", "0.0012:0.0022:2"])
-        assert rc == EXIT_OK
-        header, rows = read_csv(out / "boundary.csv")
-        assert len(rows) == 2
 
 
 def per_cell_csv(header, rows) -> bytes:

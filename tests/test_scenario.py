@@ -27,7 +27,6 @@ class TestParsing:
     def test_minimal_scenario_with_defaults(self):
         sc = loads_scenario(MINIMAL)
         assert len(sc.model.buses) == 2
-        assert sc.f_hz == 50.0
         assert sc.model.buses[0].b_sh == 1e-4          # default applied
         assert sc.model.branches[0].r == 0.0
         assert sc.canonical["base"]["f_hz"] == 50.0
@@ -299,7 +298,7 @@ class TestCanonicalForm:
 
     def test_reactance_to_inductance_conversion(self):
         sc = loads_scenario(MINIMAL)
-        assert sc.model.branches[0].l == pytest.approx(0.5 / sc.omega0)
+        assert sc.model.branches[0].l == pytest.approx(0.5 / sc.model.omega0)
 
 
 class TestBundledScenarios:
